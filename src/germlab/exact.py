@@ -70,14 +70,3 @@ def primitive_integer_vector(vec: Sequence[Fraction]) -> list[int]:
     for v in ints:
         g = gcd(g, abs(v))
     return [v // g for v in ints]
-
-
-def affine_rank(points: Sequence[Sequence[int]]) -> int:
-    """Dimension of the affine span of integer points (0 for a single point)."""
-    pts = list(points)
-    if len(pts) <= 1:
-        return 0
-    base = pts[0]
-    rows = [[Fraction(p[j] - base[j]) for j in range(len(base))] for p in pts[1:]]
-    _, pivots = rref(rows)
-    return len(pivots)

@@ -4,9 +4,10 @@ local standard bases via homogenization; Milnor numbers on top.
 Design points, fixed by the package contract:
 
 * deterministic: the pair queue uses the normal selection strategy (minimal
-  lcm total degree, ties by pair index); output bases are interreduced, monic,
-  and sorted by descending leading monomial, so identical inputs give
-  identical bases, always;
+  lcm total degree, ties by pair index), kept as a heap keyed by
+  ``(deg lcm, i, j)``; output bases are interreduced, monic, and sorted by
+  descending leading monomial, so identical inputs give identical bases,
+  always;
 * both classical Buchberger criteria (coprime leading monomials; chain
   criterion) are applied before any reduction;
 * every long-running loop draws from an explicit step budget and raises
@@ -22,7 +23,7 @@ Design points, fixed by the package contract:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from germlab.orders import (
@@ -99,16 +100,16 @@ def division(
     divisors: list[Poly],
     order: MonomialOrder,
     budget: Budget | None = None,
-) -> tuple[list[Poly], Poly]:
-    """Multivariate division: f = sum q_k * divisors[k] + r, no term of r
-    divisible by any divisor's leading monomial.  Divisors are tried in list
-    order, so the outcome is deterministic.  Requires a global order."""
+) -> Poly:
+    """Multivariate division: the remainder r of f = sum q_k * divisors[k] + r,
+    no term of r divisible by any divisor's leading monomial.  Divisors are
+    tried in list order, so the outcome is deterministic.  Requires a global
+    order."""
     if not order.is_global:
         raise ValueError("division requires a global monomial order")
     budget = budget or Budget()
     nvars = f.nvars
     lts = [leading_term(d, order) for d in divisors]
-    quotients = [Poly.zero(nvars) for _ in divisors]
     remainder_terms: dict[Monomial, QI] = {}
     work = f
     while not work.is_zero():
@@ -117,18 +118,16 @@ def division(
         for k, (dm, dc) in enumerate(lts):
             q = mono_div(wm, dm)
             if q is not None:
-                coeff = wc / dc
-                work = work - divisors[k].mul_monomial(q, coeff)
-                quotients[k] = quotients[k] + Poly(nvars, {q: coeff})
+                work = work - divisors[k].mul_monomial(q, wc / dc)
                 break
         else:
             remainder_terms[wm] = wc
             work = Poly(nvars, {m: c for m, c in work.terms.items() if m != wm})
-    return quotients, Poly(nvars, remainder_terms)
+    return Poly(nvars, remainder_terms)
 
 
 def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder, budget: Budget | None = None) -> Poly:
-    return division(f, basis, order, budget)[1]
+    return division(f, basis, order, budget)
 
 
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
@@ -172,18 +171,13 @@ def buchberger(
         return GroebnerBasis([one], order, stats)
 
     lt = [leading_monomial(g, order) for g in basis]
-    pairs: set[tuple[int, int]] = {(i, j) for j in range(len(basis)) for i in range(j)}
+    pairs = [(sum(mono_lcm(lt[i], lt[j])), i, j) for j in range(len(basis)) for i in range(j)]
+    heapify(pairs)
     done: set[tuple[int, int]] = set()
 
-    def pair_sort_key(p: tuple[int, int]):
-        lcm = mono_lcm(lt[p[0]], lt[p[1]])
-        return (sum(lcm), p[0], p[1])
-
     while pairs:
-        pair = min(pairs, key=pair_sort_key)
-        pairs.discard(pair)
-        done.add(pair)
-        i, j = pair
+        _, i, j = heappop(pairs)
+        done.add((i, j))
         if mono_coprime(lt[i], lt[j]):
             stats["skip_coprime"] += 1
             continue
@@ -205,7 +199,7 @@ def buchberger(
         budget.charge()
         stats["s_pairs"] += 1
         s = s_polynomial(basis[i], basis[j], order)
-        _, r = division(s, basis, order, budget)
+        r = division(s, basis, order, budget)
         if r.is_zero():
             stats["reductions_to_zero"] += 1
             continue
@@ -216,7 +210,7 @@ def buchberger(
         lt.append(leading_monomial(r, order))
         new = len(basis) - 1
         for k in range(new):
-            pairs.add((k, new))
+            heappush(pairs, (sum(mono_lcm(lt[k], lt[new])), k, new))
 
     reduced = _interreduce(_minimalize(basis, order), order, budget)
     reduced.sort(key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
@@ -242,7 +236,7 @@ def _interreduce(basis: list[Poly], order: MonomialOrder, budget: Budget) -> lis
         if not others:
             out[k] = make_monic(out[k], order)
             continue
-        _, r = division(out[k], others, order, budget)
+        r = division(out[k], others, order, budget)
         if r.is_zero():
             # cannot happen on a minimal basis, but keep the guard honest
             continue
@@ -450,10 +444,11 @@ def local_standard_basis(gens: list[Poly], budget: Budget | None = None) -> Groe
         raise ValueError("all generators are zero")
     if any(not f.constant_term().is_zero() for f in nonzero):
         return GroebnerBasis([Poly.constant(nvars, 1)], local, {"unit": True})
-    budget = budget or Budget()
-    budget.context = "local standard basis"
     hom = [homogenize(f) for f in nonzero]
-    gb = buchberger(hom, homogenized_local(nvars + 1), budget)
+    try:
+        gb = buchberger(hom, homogenized_local(nvars + 1), budget)
+    except BudgetExhausted as exc:
+        raise BudgetExhausted("local standard basis", exc.used) from None
     if gb.is_unit_ideal():
         # only reachable when the homogenized ideal is the whole ring, which
         # the constant-term shortcut above has already ruled out

@@ -82,11 +82,6 @@ class NewtonDiagram:
     def top_faces(self) -> list[Face]:
         return [f for f in self.faces if f.is_top]
 
-    def faces_by_dim(self) -> dict[int, list[Face]]:
-        out: dict[int, list[Face]] = {}
-        for f in self.faces:
-            out.setdefault(f.dim, []).append(f)
-        return out
 
 
 def _facet_data(support: list[Monomial], nvars: int) -> list[tuple[tuple[int, ...], frozenset]]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from germlab.exact import nullspace, primitive_integer_vector
+from germlab.exact import nullspace
 from germlab.qi import QI
 
 Monomial = tuple[int, ...]
@@ -390,13 +390,3 @@ def infer_weights(polys: Sequence[Poly], variable_names: Sequence[str]) -> Weigh
     weights = [x / scale for x in vec]
     degrees = [d / scale for d in degrees]
     return WeightInference("unique", weights=weights, degrees=degrees)
-
-
-def normalize_weights(weights: Sequence[Fraction], degrees: Sequence[Fraction]):
-    """Rescale (ω, p) so min p_i = 1; also return the primitive integer form."""
-    scale = min(degrees)
-    w = [Fraction(x) / scale for x in weights]
-    d = [Fraction(x) / scale for x in degrees]
-    prim = primitive_integer_vector(w)
-    prim_deg = primitive_integer_vector(d)
-    return w, d, prim, prim_deg

@@ -171,13 +171,31 @@ def test_milnor_brieskorn_table_dual_route():
             assert milnor_number(f) == expected
 
 
+def test_local_basis_pair_order_is_pinned():
+    # The pair counts pin the pop order of the normal strategy: popping
+    # equal-degree pairs newest first, for one, changes them.
+    f = P("x^6 + y^6 + z^3 + w^3 + x*y*z*w + x^5*z", "x y z w")
+    gb = local_standard_basis([f.partial(j) for j in range(4)])
+    assert gb.stats == {"s_pairs": 142, "reductions_to_zero": 103, "skip_coprime": 47, "skip_chain": 714}
+    assert len(gb.generators) == 18
+    # Milnor-Orlik: weights (1/6, 1/6, 1/3, 1/3) give mu = prod(1/w - 1) = 5*5*2*2
+    assert quotient_dimension(gb) == 100
+
+
 # -- budget ------------------------------------------------------------------
 
 
 def test_budget_exhaustion_raises():
     gens = [P("x^4 + y^4 + z^4"), P("x*y*z + x^3"), P("y^3*z - x*z^3")]
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted) as plain:
         buchberger(gens, budget=Budget(3))
+    assert plain.value.context == "buchberger"
+    # the message names the stage that ran out, not the kernel under it
+    f = P("x^6 + y^6 + z^3 + w^3 + x*y*z*w + x^5*z", "x y z w")
+    with pytest.raises(BudgetExhausted) as local:
+        milnor_number(f, Budget(20))
+    assert local.value.context == "local standard basis"
+    assert "during local standard basis" in str(local.value)
 
 
 def test_budget_is_shared_and_reported():
