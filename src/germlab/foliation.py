@@ -44,7 +44,7 @@ from germlab.germ import (
     sigma,
     weight_splitting,
 )
-from germlab.poly import Poly
+from germlab.poly import NumericEvaluator, Poly, jacobian_evaluator
 
 __all__ = [
     "LINK_TOLERANCE",
@@ -169,37 +169,27 @@ class FoliationReport:
 # link sampling
 
 
-def _evaluate_all(polys: Sequence[Poly], point: np.ndarray) -> np.ndarray:
-    values = [p.evaluate_numeric(list(point)) for p in polys]
-    return np.asarray(values, dtype=complex)
-
-
-def _partials_matrix(polys: Sequence[Poly], nvars: int) -> list[list[Poly]]:
-    return [[p.partial(j) for j in range(nvars)] for p in polys]
-
-
 def _gauss_newton_project(
-    polys: Sequence[Poly],
-    partials: Sequence[Sequence[Poly]],
+    equations: NumericEvaluator,
+    partials: NumericEvaluator,
     start: np.ndarray,
     tolerance: float,
     max_iterations: int = 60,
 ) -> tuple[np.ndarray, float, bool]:
     """Project ``start`` onto {f = 0} ∩ {|x| = 1} by damped Gauss-Newton on
-    the real form of the augmented system.  Returns (point, max |f_i|, ok);
-    ok additionally demands | |x|^2 - 1 | <= 1e-12."""
+    the real form of the augmented system, given ``equations`` and their
+    ``partials`` (:func:`jacobian_evaluator`).  Returns (point, max |f_i|,
+    ok); ok additionally demands | |x|^2 - 1 | <= 1e-12."""
     x = np.asarray(start, dtype=complex)
     nvars = x.shape[0]
     for _ in range(max_iterations):
-        vals = _evaluate_all(polys, x)
+        vals = np.asarray(equations(x), dtype=complex)
         sphere = float(np.vdot(x, x).real) - 1.0
         residual = float(np.max(np.abs(vals))) if len(vals) else 0.0
         if residual <= tolerance and abs(sphere) <= 1e-12:
             return x, residual, True
         res_real = np.concatenate([vals.real, vals.imag, [sphere]])
-        jac = np.empty((len(vals), nvars), dtype=complex)
-        for i, row in enumerate(partials):
-            jac[i] = _evaluate_all(row, x)
+        jac = np.asarray(partials(x), dtype=complex).reshape(len(vals), nvars)
         jac_real = np.zeros((2 * len(vals) + 1, 2 * nvars))
         jac_real[: len(vals), :nvars] = jac.real
         jac_real[: len(vals), nvars:] = -jac.imag
@@ -214,7 +204,7 @@ def _gauss_newton_project(
         accepted = False
         while lam >= 2.0**-20:
             x_try = x + lam * delta
-            vals_try = _evaluate_all(polys, x_try)
+            vals_try = np.asarray(equations(x_try), dtype=complex)
             sphere_try = float(np.vdot(x_try, x_try).real) - 1.0
             norm_try = float(
                 np.linalg.norm(
@@ -228,7 +218,7 @@ def _gauss_newton_project(
             lam /= 2.0
         if not accepted:
             break
-    vals = _evaluate_all(polys, x)
+    vals = np.asarray(equations(x), dtype=complex)
     sphere = float(np.vdot(x, x).real) - 1.0
     residual = float(np.max(np.abs(vals))) if len(vals) else 0.0
     return x, residual, residual <= tolerance and abs(sphere) <= 1e-12
@@ -275,14 +265,14 @@ def sample_link(
     if count == 0:
         return []
     if isinstance(system, GermSystem):
-        principal = list(system.principal)
+        equations, _, partials, _ = system.evaluators
         nvars = system.nvars
     else:
         principal = list(system)
         if not principal or any(p.total_degree() < 1 for p in principal):
             raise ValueError("link sampling needs nonconstant equations")
+        equations, partials = NumericEvaluator(principal), jacobian_evaluator(principal)
         nvars = principal[0].nvars
-    partials = _partials_matrix(principal, nvars)
     samples: list[LinkSample] = []
     attempts = 0
     limit = max_attempt_factor * count
@@ -292,7 +282,7 @@ def sample_link(
         start = rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars)
         start /= np.linalg.norm(start)
         point, residual, ok = _gauss_newton_project(
-            principal, partials, start, tolerance
+            equations, partials, start, tolerance
         )
         if not ok:
             continue
@@ -343,7 +333,7 @@ def sigma_link_cloud(
     cloud: list[tuple[complex, ...]] = []
     for comp_index, comp in enumerate(positive):
         gens = list(comp.basis.generators) if comp.basis is not None else comp.generators
-        partials = _partials_matrix(gens, nvars)
+        equations, partials = NumericEvaluator(gens), jacobian_evaluator(gens)
         found = 0
         attempts = 0
         while found < per_component and attempts < 20 * per_component:
@@ -352,7 +342,7 @@ def sigma_link_cloud(
             start = rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars)
             start /= np.linalg.norm(start)
             point, _, ok = _gauss_newton_project(
-                gens, partials, start, LINK_TOLERANCE, max_iterations=80
+                equations, partials, start, LINK_TOLERANCE, max_iterations=80
             )
             if ok:
                 cloud.append(tuple(complex(v) for v in point))
@@ -392,10 +382,8 @@ def rescaled_gradient(system: GermSystem, s: Sequence[complex]) -> np.ndarray:
     of the deformed arcs."""
     s_arr = np.asarray(s, dtype=complex)
     scales = _block_scales(system, s_arr)
-    grad = np.empty((system.c, system.nvars), dtype=complex)
-    for i, f in enumerate(system.principal):
-        for j in range(system.nvars):
-            grad[i, j] = f.partial(j).evaluate_numeric(list(s_arr))
+    _, _, df_p, _ = system.evaluators
+    grad = np.asarray(df_p(s_arr), dtype=complex).reshape(system.c, system.nvars)
     return grad * scales[np.newaxis, :]
 
 
@@ -407,7 +395,8 @@ def _coerce_sample(system: GermSystem, s: LinkSample | Sequence[complex]) -> Lin
     if isinstance(s, LinkSample):
         return s
     arr = np.asarray(s, dtype=complex)
-    residual = float(np.max(np.abs(_evaluate_all(list(system.principal), arr))))
+    f_p = system.evaluators[0]
+    residual = float(np.max(np.abs(np.asarray(f_p(arr), dtype=complex))))
     return LinkSample(s=tuple(complex(v) for v in arr), residual=residual)
 
 
@@ -473,10 +462,7 @@ def deform_arc(
     conj_t = grad.conj().T  # N x r
     zero_rows = np.all(conj_t == 0.0, axis=1)
 
-    principal = list(system.principal)
-    perturbation = list(system.perturbation)
-    partials_p = _partials_matrix(principal, nvars)
-    partials_q = _partials_matrix(perturbation, nvars)
+    f_p, f_q, df_p, df_q = system.evaluators
 
     def arc_point(t_pow: np.ndarray, z: np.ndarray) -> np.ndarray:
         h = conj_t @ z
@@ -487,7 +473,7 @@ def deform_arc(
         t_neg: np.ndarray, t_pow: np.ndarray, z: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, float]:
         x = arc_point(t_pow, z)
-        values = _evaluate_all(principal, x) + epsilon * _evaluate_all(perturbation, x)
+        values = np.asarray(f_p(x), dtype=complex) + epsilon * np.asarray(f_q(x), dtype=complex)
         f_scaled = t_neg * values
         return x, f_scaled, float(np.max(np.abs(f_scaled)))
 
@@ -497,40 +483,18 @@ def deform_arc(
     converged_rows: list[bool] = []
     history_rows: list[tuple[float, ...]] = []
 
-    if epsilon == 0:
-        z0 = np.zeros(r, dtype=complex)
-        for t in grid:
-            t_pow = t**w_float
-            t_neg = t ** (-p_float)
-            x, _, resid = scaled_residual(t_neg, t_pow, z0)
-            z_rows.append(tuple(complex(v) for v in z0))
-            point_rows.append(tuple(complex(v) for v in x))
-            residual_rows.append(resid)
-            converged_rows.append(True)
-            history_rows.append(())
-        return ArcSample(
-            s=sample,
-            epsilon=epsilon,
-            t_grid=tuple(grid),
-            z_values=tuple(z_rows),
-            points=tuple(point_rows),
-            residuals=tuple(residual_rows),
-            converged=tuple(converged_rows),
-            gram_determinant=gram_determinant,
-            iteration_residuals=tuple(history_rows),
-        )
-
     z = np.zeros(r, dtype=complex)
     failed = False
     for t in grid:
         t_pow = t**w_float
         t_neg = t ** (-p_float)
-        if failed:
+        if failed or epsilon == 0:
+            # z stays 0 at epsilon = 0 (converged) or at the last iterate after a failure
             x, _, resid = scaled_residual(t_neg, t_pow, z)
             z_rows.append(tuple(complex(v) for v in z))
             point_rows.append(tuple(complex(v) for v in x))
             residual_rows.append(resid)
-            converged_rows.append(False)
+            converged_rows.append(not failed)
             history_rows.append(())
             continue
         history: list[float] = []
@@ -541,11 +505,8 @@ def deform_arc(
         for _ in range(max_iterations):
             if ok or not within_cap:
                 break
-            jac = np.empty((r, nvars), dtype=complex)
-            for i in range(r):
-                jac[i] = _evaluate_all(partials_p[i], x) + epsilon * _evaluate_all(
-                    partials_q[i], x
-                )
+            jac = np.asarray(df_p(x), dtype=complex) + epsilon * np.asarray(df_q(x), dtype=complex)
+            jac = jac.reshape(r, nvars)
             j_z = (t_neg[:, np.newaxis] * (jac * t_pow[np.newaxis, :])) @ (
                 epsilon * conj_t
             )

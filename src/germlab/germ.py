@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from germlab.groebner import (
     Budget,
@@ -42,7 +43,7 @@ from germlab.newton import (
     is_newton_nondegenerate,
     newton_diagram,
 )
-from germlab.poly import Poly, jacobian
+from germlab.poly import NumericEvaluator, Poly, jacobian, jacobian_evaluator
 from germlab.qi import QI
 
 __all__ = [
@@ -102,6 +103,12 @@ class GermSystem:
 
     def full_equations(self) -> list[Poly]:
         return [p + q for p, q in zip(self.principal, self.perturbation)]
+
+    @cached_property
+    def evaluators(self) -> tuple[NumericEvaluator, ...]:
+        """The principal part, the perturbation and their Jacobians, compiled once."""
+        return (NumericEvaluator(self.principal), NumericEvaluator(self.perturbation),
+                jacobian_evaluator(self.principal), jacobian_evaluator(self.perturbation))
 
     def is_perturbed(self) -> bool:
         return any(not q.is_zero() for q in self.perturbation)
@@ -438,7 +445,9 @@ def analyze(
     w_1 < w_l; a clean ledger with w_1 = w_l gives NO_OBSTRUCTION_FOUND;
     anything failed or unchecked gives HYPOTHESES_UNVERIFIED.  The surface
     branch (n = 2 with a non-contractible section component) is available
-    only through the "noncontractible-component" assumption."""
+    only through the "noncontractible-component" assumption.  Once an entry
+    exhausts the shared budget, each later entry that needs it is unchecked
+    as not attempted, naming that entry, and charges nothing."""
     if system.n < 2:
         raise ValueError("analysis requires a germ of dimension at least 2")
     budget = budget or Budget()
@@ -475,33 +484,44 @@ def analyze(
             "same-order families fall outside the fast-cycle criterion; only the foliation construction applies"
         )
 
+    exhausted_by: list[str] = []
+
+    def not_attempted(key: str, statement: str) -> bool:
+        if exhausted_by:
+            evidence = f"not attempted: the shared budget was exhausted in entry ({exhausted_by[0]})"
+            ledger.append(HypothesisEntry(key, statement, "unchecked", evidence))
+        return bool(exhausted_by)
+
     # (a) X reduced
     try:
         ok, ev = is_reduced_ci(full, r, local=perturbed, budget=budget)
         ledger.append(HypothesisEntry("a", "X is a reduced complete intersection", "verified" if ok else "failed", ev))
     except BudgetExhausted as exc:
+        exhausted_by.append("a")
         ledger.append(HypothesisEntry("a", "X is a reduced complete intersection", "unchecked", str(exc)))
 
     # (b) slice reduced CI of dimension n-1
     slice_gens = full + [Poly.variable(nvars, 0)]
-    try:
-        ok, ev = is_reduced_ci(slice_gens, r + 1, local=perturbed, budget=budget)
-        ledger.append(
-            HypothesisEntry(
-                "b",
-                f"X n V({x1}) is a reduced complete intersection of dimension {n - 1}",
-                "verified" if ok else "failed",
-                ev,
+    if not not_attempted("b", f"X n V({x1}) is a reduced complete intersection"):
+        try:
+            ok, ev = is_reduced_ci(slice_gens, r + 1, local=perturbed, budget=budget)
+            ledger.append(
+                HypothesisEntry(
+                    "b",
+                    f"X n V({x1}) is a reduced complete intersection of dimension {n - 1}",
+                    "verified" if ok else "failed",
+                    ev,
+                )
             )
-        )
-    except BudgetExhausted as exc:
-        ledger.append(HypothesisEntry("b", f"X n V({x1}) is a reduced complete intersection", "unchecked", str(exc)))
+        except BudgetExhausted as exc:
+            exhausted_by.append("b")
+            ledger.append(HypothesisEntry("b", f"X n V({x1}) is a reduced complete intersection", "unchecked", str(exc)))
 
     # (c) Milnor-fibre hypothesis (sufficient condition, else user-asserted)
     statement_c = f"the generic section X n V({x1} - t0) is the Milnor fibre of the slice germ"
     if "milnor-fibre" in assumptions:
         ledger.append(HypothesisEntry("c", statement_c, "user-asserted", "assumption flag supplied"))
-    else:
+    elif not not_attempted("c", statement_c):
         try:
             icis_ok, icis_ev = is_icis(slice_gens, local=perturbed, budget=budget)
             if icis_ok:
@@ -540,13 +560,14 @@ def analyze(
                     )
                 )
         except BudgetExhausted as exc:
+            exhausted_by.append("c")
             ledger.append(HypothesisEntry("c", statement_c, "unchecked", str(exc)))
 
     # (d) perturbation trivial, or the singular-overlap slice is small
     statement_d = f"dim[X n Sing(X0) n V({x1} - t0)] < (n-1)/2"
     if not perturbed:
         ledger.append(HypothesisEntry("d", statement_d, "verified", "perturbation trivial"))
-    else:
+    elif not not_attempted("d", statement_d):
         try:
             dims = []
             for t0 in _random_slice_values(seed + 1):
@@ -570,34 +591,36 @@ def analyze(
                     HypothesisEntry("d", statement_d, "failed", f"dimension {dims[0]} >= {Fraction(n - 1, 2)}")
                 )
         except BudgetExhausted as exc:
+            exhausted_by.append("d")
             ledger.append(HypothesisEntry("d", statement_d, "unchecked", str(exc)))
 
     # (e) l = n - dim Sing[slice germ]
     l: int | None = None
-    try:
-        sing_dim = variety_dimension(singular_locus_ideal(slice_gens), budget, local=perturbed)
-        l = n - sing_dim
-        if 2 <= l <= n:
-            ledger.append(
-                HypothesisEntry(
-                    "e",
-                    "l := n - dim Sing[X n V(x_1)] with 2 <= l <= n",
-                    "verified",
-                    f"dim Sing = {sing_dim}, l = {l}",
+    if not not_attempted("e", "l := n - dim Sing[X n V(x_1)]"):
+        try:
+            sing_dim = variety_dimension(singular_locus_ideal(slice_gens), budget, local=perturbed)
+            l = n - sing_dim
+            if 2 <= l <= n:
+                ledger.append(
+                    HypothesisEntry(
+                        "e",
+                        "l := n - dim Sing[X n V(x_1)] with 2 <= l <= n",
+                        "verified",
+                        f"dim Sing = {sing_dim}, l = {l}",
+                    )
                 )
-            )
-        else:
-            ledger.append(
-                HypothesisEntry(
-                    "e",
-                    "l := n - dim Sing[X n V(x_1)] with 2 <= l <= n",
-                    "failed",
-                    f"l = {l} outside [2, {n}]",
+            else:
+                ledger.append(
+                    HypothesisEntry(
+                        "e",
+                        "l := n - dim Sing[X n V(x_1)] with 2 <= l <= n",
+                        "failed",
+                        f"l = {l} outside [2, {n}]",
+                    )
                 )
-            )
-            l = None
-    except BudgetExhausted as exc:
-        ledger.append(HypothesisEntry("e", "l := n - dim Sing[X n V(x_1)]", "unchecked", str(exc)))
+                l = None
+        except BudgetExhausted as exc:
+            ledger.append(HypothesisEntry("e", "l := n - dim Sing[X n V(x_1)]", "unchecked", str(exc)))
 
     # surface branch, user-asserted only
     surface_asserted = "noncontractible-component" in assumptions and n == 2

@@ -24,7 +24,7 @@ from math import gcd
 
 from germlab.exact import nullspace, primitive_integer_vector, rref
 from germlab.groebner import DEFAULT_BUDGET, Budget, BudgetExhausted, saturation
-from germlab.poly import Monomial, Poly
+from germlab.poly import Monomial, NumericEvaluator, Poly, jacobian, jacobian_evaluator
 from germlab.qi import QI
 
 __all__ = [
@@ -220,19 +220,18 @@ def _torus_search(f_sigma: Poly, seed: int = 0, attempts: int = 40) -> bool:
     import numpy as np
 
     nvars = f_sigma.nvars
-    partials = [f_sigma.partial(j) for j in range(nvars)]
+    partials = jacobian([f_sigma])[0]
+    gradient, hessian = NumericEvaluator(partials), jacobian_evaluator(partials)
     rng = np.random.default_rng(seed)
     for _ in range(attempts):
         radius = rng.uniform(0.4, 1.8, size=nvars)
         phase = rng.uniform(0.0, 2.0 * np.pi, size=nvars)
         x = radius * np.exp(1j * phase)
         for _ in range(60):
-            val = np.array([p.evaluate_numeric(tuple(x)) for p in partials])
+            val = np.array(gradient(x))
             if np.max(np.abs(val)) < 1e-12:
                 break
-            jac = np.array(
-                [[p.partial(j).evaluate_numeric(tuple(x)) for j in range(nvars)] for p in partials]
-            )
+            jac = np.array(hessian(x)).reshape(nvars, nvars)
             step, *_ = np.linalg.lstsq(jac, -val, rcond=None)
             if not np.all(np.isfinite(step)):
                 break
@@ -241,7 +240,7 @@ def _torus_search(f_sigma: Poly, seed: int = 0, attempts: int = 40) -> bool:
             if np.max(np.abs(step)) > 1.0:
                 scale = 1.0 / np.max(np.abs(step))
             x = x + scale * step
-        val = np.array([p.evaluate_numeric(tuple(x)) for p in partials])
+        val = np.array(gradient(x))
         if np.max(np.abs(val)) < 1e-10 and np.min(np.abs(x)) > 5e-2 and np.max(np.abs(x)) < 1e3:
             return True
     return False

@@ -285,8 +285,9 @@ class Poly:
     def evaluate_numeric(self, point: Sequence[complex]) -> complex:
         """Reference numeric evaluation (term-by-term Horner-free sum).
 
-        Deliberately simple and independent of the compiled fast paths used by
-        the numeric foliation layer, so the two can audit each other."""
+        Deliberately simple and independent of :class:`NumericEvaluator`, the
+        compiled path of the numeric foliation layer and the Newton torus
+        search; the property tests check that the two agree bit for bit."""
         total = 0j
         for mono, c in self.terms.items():
             v = c.to_complex()
@@ -320,6 +321,42 @@ def jacobian(polys: Sequence[Poly]) -> list[list[Poly]]:
         return []
     nvars = polys[0].nvars
     return [[f.partial(j) for j in range(nvars)] for f in polys]
+
+
+class NumericEvaluator:
+    """A list of polynomials compiled once for repeated numeric evaluation.
+
+    Each coefficient is converted to ``complex`` once and each term keeps its
+    nonzero (variable, exponent) pairs only.  A call performs exactly the
+    operations of :meth:`Poly.evaluate_numeric`, in the same order and on the
+    point's own scalars (numpy's, for an array; never ``tolist()``, whose
+    Python complex powers overflow differently), so results match bit for bit."""
+
+    __slots__ = ("polys",)
+
+    def __init__(self, polys: Sequence[Poly]):
+        self.polys = [
+            [(c.to_complex(), [(j, e) for j, e in enumerate(mono) if e]) for mono, c in f.terms.items()]
+            for f in polys
+        ]
+
+    def __call__(self, point: Sequence[complex]) -> list[complex]:
+        x = list(point)
+        values = []
+        for terms in self.polys:
+            total = 0j
+            for c, pairs in terms:
+                v = c
+                for j, e in pairs:
+                    v *= x[j] ** e
+                total += v
+            values.append(total)
+        return values
+
+
+def jacobian_evaluator(polys: Sequence[Poly]) -> NumericEvaluator:
+    """The compiled :func:`jacobian` of ``polys``, flattened row by row."""
+    return NumericEvaluator([d for row in jacobian(polys) for d in row])
 
 
 class WeightInference:

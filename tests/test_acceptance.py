@@ -21,7 +21,6 @@ from germlab.foliation import (
     LINK_TOLERANCE,
     LinkSample,
     _gauss_newton_project,
-    _partials_matrix,
     deform_arc,
     sample_link,
     sigma_link_cloud,
@@ -39,7 +38,7 @@ from germlab.groebner import (
     milnor_number,
 )
 from germlab.parse import parse_poly
-from germlab.poly import Poly
+from germlab.poly import NumericEvaluator, Poly, jacobian
 from germlab.qi import QI
 
 from conftest import F, P, fixture_path
@@ -203,7 +202,8 @@ def test_criterion_07_foliation_residuals_and_contact_order():
 def test_criterion_08_divergence_near_sigma_statistics():
     system = briancon_speder_system()
     principal = list(system.principal)
-    partials = _partials_matrix(principal, system.nvars)
+    equations = NumericEvaluator(principal)
+    partials = NumericEvaluator([d for row in jacobian(principal) for d in row])
     epsilon = 0.1  # 1/10
     for seed in (0, 1, 2):
         cloud = sigma_link_cloud(system, count=120, seed=seed)
@@ -218,7 +218,7 @@ def test_criterion_08_divergence_near_sigma_statistics():
             direction /= np.linalg.norm(direction)
             start = anchor + rng.uniform(0.01, 0.045) * direction
             point, residual, ok = _gauss_newton_project(
-                principal, partials, start, LINK_TOLERANCE
+                equations, partials, start, LINK_TOLERANCE
             )
             if not ok:
                 continue

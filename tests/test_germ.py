@@ -286,9 +286,20 @@ def test_analyze_determinism():
 
 def test_analyze_budget_exhaustion_is_unchecked_not_wrong():
     g = germ_system(["z", "x", "y"], [P("z^3 + x^2 + y^2", "z x y")])
-    rep = analyze(g, budget=Budget(5))
+    budget = Budget(5)
+    rep = analyze(g, budget=budget)
     assert rep.verdict == "HYPOTHESES_UNVERIFIED"
     assert any(e.status == "unchecked" for e in rep.hypothesis_ledger)
+    entries = {e.key: e for e in rep.hypothesis_ledger}
+    # (a) runs the budget out; the later entries that need it are not attempted
+    assert entries["a"].status == "unchecked"
+    assert entries["a"].evidence.startswith("budget exhausted during")
+    for key in ("b", "c", "e"):
+        assert entries[key].status == "unchecked"
+        assert entries[key].evidence == "not attempted: the shared budget was exhausted in entry (a)"
+    # (d) needs no budget on an unperturbed germ, and nothing is charged after (a)
+    assert entries["d"].status == "verified"
+    assert budget.used == 6
 
 
 # -- the diagram-route analyzer ----------------------------------------------

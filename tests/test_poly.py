@@ -1,12 +1,23 @@
 """Sparse exact multivariate polynomials: arithmetic, weighted structure,
 weight inference, and variable surgery."""
 
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germlab.poly import Poly, infer_weights, mono_div, mono_lcm, mono_weighted_degree
+from germlab.poly import (
+    NumericEvaluator,
+    Poly,
+    infer_weights,
+    jacobian,
+    jacobian_evaluator,
+    mono_div,
+    mono_lcm,
+    mono_weighted_degree,
+)
 from germlab.qi import QI
 
 from conftest import F, P
@@ -140,6 +151,64 @@ def test_evaluate_exact_and_numeric_agree():
     exact = f.evaluate_exact(point)
     numeric = f.evaluate_numeric([p.to_complex() for p in point])
     assert abs(exact.to_complex() - numeric) < 1e-12
+
+
+# The compiled evaluator must reproduce the reference bit for bit: values are
+# compared as bytes, so signed zeros, infinities and nan payloads all count.
+
+gaussian_rationals = st.builds(
+    QI,
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+polys3 = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 4)] * 3), gaussian_rationals), max_size=6
+).map(lambda pairs: Poly.from_terms(3, pairs))
+points3 = st.lists(
+    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    min_size=3,
+    max_size=3,
+)
+
+
+def _reference(polys, point) -> bytes:
+    return np.asarray([f.evaluate_numeric(list(point)) for f in polys], dtype=complex).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(polys3, gaussian_rationals.map(lambda c: Poly.constant(3, c)), st.just(Poly.zero(3))), max_size=4),
+    points3,
+)
+def test_numeric_evaluator_is_bitwise_the_reference(polys, coords):
+    evaluator = NumericEvaluator(polys)
+    for point in (np.asarray(coords, dtype=complex), tuple(coords)):
+        assert np.asarray(evaluator(point), dtype=complex).tobytes() == _reference(polys, point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(polys3, min_size=1, max_size=3), points3)
+def test_jacobian_evaluator_is_bitwise_the_reference(polys, coords):
+    point = np.asarray(coords, dtype=complex)
+    partials = [d for row in jacobian(polys) for d in row]
+    got = np.asarray(jacobian_evaluator(polys)(point), dtype=complex)
+    assert got.tobytes() == _reference(partials, point)
+
+
+def test_numeric_evaluator_overflows_like_the_reference():
+    polys = [P("x^2*y + 3*y^3", "x y"), P("(1/2 - i)*x^5", "x y"), P("x - 1", "x y")]
+    point = np.array([1e200 + 1e200j, -1e200 + 0j])
+    records = []
+    for evaluate in (lambda: _reference(polys, point),
+                     lambda: np.asarray(NumericEvaluator(polys)(point), dtype=complex).tobytes()):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = evaluate()
+        records.append((values, [(w.category, str(w.message)) for w in caught]))
+    assert records[0] == records[1]
+    values = np.frombuffer(records[0][0], dtype=complex)
+    assert np.isnan(values[0]) and np.isnan(values[1]) and np.isfinite(values[2])
+    assert (RuntimeWarning, "overflow encountered in scalar power") in records[0][1]
 
 
 def test_substitute_and_drop():
