@@ -39,10 +39,13 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return mat, pivots
 
 
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank over Q of rational row vectors (0 when there are none)."""
+    return len(rref([[Fraction(x) for x in r] for r in rows])[1])
+
+
 def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right null space {v : M v = 0}, one vector per free column."""
-    if not rows:
-        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

@@ -420,10 +420,6 @@ def _random_slice_values(seed: int, count: int = 3) -> list[QI]:
     return out
 
 
-def _substitute_x1(polys: list[Poly], value: QI) -> list[Poly]:
-    return [p.substitute_constant(0, value) for p in polys]
-
-
 def analyze(
     system: GermSystem,
     assumptions: frozenset[str] | set[str] = frozenset(),

@@ -128,13 +128,10 @@ def _validate_shape(data: dict) -> None:
             )
         if not _is_string_list(split.get("principal"), allow_empty=False):
             raise GermFileError('"split.principal" must be a non-empty list of strings')
-        if "perturbation" in split and not _is_string_list(
-            split["perturbation"], allow_empty=True
-        ):
+        perturbation = split.get("perturbation", [])
+        if not _is_string_list(perturbation, allow_empty=True):
             raise GermFileError('"split.perturbation" must be a list of strings')
-        if "perturbation" in split and split["perturbation"] and len(
-            split["perturbation"]
-        ) != len(split["principal"]):
+        if perturbation and len(perturbation) != len(split["principal"]):
             raise GermFileError(
                 "split.perturbation must match split.principal in length "
                 "(or be empty/absent)"
@@ -188,6 +185,18 @@ def _parse_weights(data: dict) -> list[Fraction] | None:
     return weights
 
 
+def _parse_list(texts: list[str], variables: list[str], label: str) -> list[Poly]:
+    return [_parse_equation(t, variables, f"{label}[{i}]") for i, t in enumerate(texts)]
+
+
+def _parse_split(split: dict, variables: list[str]) -> tuple[list[Poly], list[Poly]]:
+    """The ``split`` block as (principal, perturbation); a missing or empty
+    perturbation reads as zero for every principal equation."""
+    principal = _parse_list(split["principal"], variables, "split.principal")
+    perturbation = _parse_list(split.get("perturbation") or [], variables, "split.perturbation")
+    return principal, perturbation or [Poly.zero(len(variables)) for _ in principal]
+
+
 def _split_by_weight(f: Poly, weights: list[Fraction], label: str) -> tuple[Poly, Poly]:
     """Split at the minimal weighted order: the principal part carries the
     terms at order ord_w(f), the perturbation everything strictly above."""
@@ -204,23 +213,11 @@ def load_system(data: dict) -> LoadedGerm:
     assumptions = frozenset(data.get("assumptions", []))
 
     if "split" in data:
-        split = data["split"]
-        principal = [
-            _parse_equation(t, variables, f"split.principal[{i}]")
-            for i, t in enumerate(split["principal"])
-        ]
-        pert_texts = split.get("perturbation") or []
-        perturbation = [
-            _parse_equation(t, variables, f"split.perturbation[{i}]")
-            for i, t in enumerate(pert_texts)
-        ] or [Poly.zero(len(variables)) for _ in principal]
+        principal, perturbation = _parse_split(data["split"], variables)
         if weights is None:
             weights = _infer(principal, variables)
     else:
-        equations = [
-            _parse_equation(t, variables, f"equations[{i}]")
-            for i, t in enumerate(data["equations"])
-        ]
+        equations = _parse_list(data["equations"], variables, "equations")
         if weights is None:
             weights = _infer(equations, variables)
         principal = []
@@ -273,20 +270,8 @@ def load_raw(data: dict) -> RawGerm:
     _validate_shape(data)
     variables: list[str] = list(data["variables"])
     if "split" in data:
-        split = data["split"]
-        principal = [
-            _parse_equation(t, variables, f"split.principal[{i}]")
-            for i, t in enumerate(split["principal"])
-        ]
-        pert_texts = split.get("perturbation") or []
-        perturbation = [
-            _parse_equation(t, variables, f"split.perturbation[{i}]")
-            for i, t in enumerate(pert_texts)
-        ] or [Poly.zero(len(variables)) for _ in principal]
+        principal, perturbation = _parse_split(data["split"], variables)
         equations = [p + q for p, q in zip(principal, perturbation)]
     else:
-        equations = [
-            _parse_equation(t, variables, f"equations[{i}]")
-            for i, t in enumerate(data["equations"])
-        ]
+        equations = _parse_list(data["equations"], variables, "equations")
     return RawGerm(variables=tuple(variables), equations=tuple(equations))

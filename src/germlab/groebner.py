@@ -23,6 +23,7 @@ Design points, fixed by the package contract:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
@@ -33,7 +34,7 @@ from germlab.orders import (
     homogenized_local,
     local_antigraded,
 )
-from germlab.poly import Monomial, Poly, mono_coprime, mono_div, mono_lcm
+from germlab.poly import Monomial, Poly, mono_coprime, mono_div, mono_lcm, mono_mul
 from germlab.qi import QI
 
 DEFAULT_BUDGET = 10 ** 6
@@ -104,26 +105,44 @@ def division(
     """Multivariate division: the remainder r of f = sum q_k * divisors[k] + r,
     no term of r divisible by any divisor's leading monomial.  Divisors are
     tried in list order, so the outcome is deterministic.  Requires a global
-    order."""
+    order.
+
+    Reduces in place on a copy of f's term dict (subtracting c*x^q*divisor
+    term by term, deleting cancelled terms) and builds one Poly at the end.
+    Divisor leading terms are found once per call, order keys are memoized
+    per call, and each reduction or remainder step charges one budget step."""
     if not order.is_global:
         raise ValueError("division requires a global monomial order")
     budget = budget or Budget()
-    nvars = f.nvars
-    lts = [leading_term(d, order) for d in divisors]
+    heads = []
+    for d in divisors:
+        dm, dc = leading_term(d, order)
+        heads.append((dm, -dc.inverse(), d.terms))
+    cached_key = lru_cache(maxsize=None)(order.key)
     remainder_terms: dict[Monomial, QI] = {}
-    work = f
-    while not work.is_zero():
+    work = dict(f.terms)
+    while work:
         budget.charge()
-        wm, wc = leading_term(work, order)
-        for k, (dm, dc) in enumerate(lts):
+        wm = max(work, key=cached_key)
+        wc = work.pop(wm)
+        for dm, neg_inv, dterms in heads:
             q = mono_div(wm, dm)
             if q is not None:
-                work = work - divisors[k].mul_monomial(q, wc / dc)
+                t = wc * neg_inv
+                for m, c in dterms.items():
+                    if m == dm:
+                        continue  # the leading term cancels wc exactly
+                    m = mono_mul(m, q)
+                    prev = work.get(m)
+                    v = t * c if prev is None else prev + t * c
+                    if v:
+                        work[m] = v
+                    else:
+                        del work[m]
                 break
         else:
             remainder_terms[wm] = wc
-            work = Poly(nvars, {m: c for m, c in work.terms.items() if m != wm})
-    return Poly(nvars, remainder_terms)
+    return Poly(f.nvars, remainder_terms)
 
 
 def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder, budget: Budget | None = None) -> Poly:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from germlab.exact import nullspace, primitive_integer_vector, rref
+from germlab.exact import nullspace, primitive_integer_vector, rank
 from germlab.groebner import DEFAULT_BUDGET, Budget, BudgetExhausted, saturation
 from germlab.poly import Monomial, NumericEvaluator, Poly, jacobian, jacobian_evaluator
 from germlab.qi import QI
@@ -40,13 +40,6 @@ __all__ = [
 
 def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(x * y for x, y in zip(a, b))
-
-
-def _linear_rank(vectors: list[tuple]) -> int:
-    if not vectors:
-        return 0
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    return len(rref(rows)[1])
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,7 @@ def _facet_data(support: list[Monomial], nvars: int) -> list[tuple[tuple[int, ..
         esize = nvars - tsize
         for T in combinations(pts, tsize):
             diffs = [tuple(a - b for a, b in zip(t, T[0])) for t in T[1:]]
-            if _linear_rank(diffs) != tsize - 1:
+            if rank(diffs) != tsize - 1:
                 continue  # affinely dependent tuple; a smaller one covers it
             for E in combinations(range(nvars), esize):
                 rows = [[Fraction(x) for x in d] for d in diffs]
@@ -119,14 +112,14 @@ def _facet_data(support: list[Monomial], nvars: int) -> list[tuple[tuple[int, ..
         arg = [p for p in pts if _dot(nu, p) == level]
         rays = [unit[j] for j in range(nvars) if nu[j] == 0]
         span = [tuple(a - b for a, b in zip(p, arg[0])) for p in arg[1:]] + rays
-        if _linear_rank(span) == nvars - 1:
+        if rank(span) == nvars - 1:
             facets.append((nu, frozenset(arg)))
     return facets
 
 
 def _affine_dim(points: list[Monomial]) -> int:
     diffs = [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
-    return _linear_rank(diffs)
+    return rank(diffs)
 
 
 def newton_diagram(f: Poly) -> NewtonDiagram:

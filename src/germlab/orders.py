@@ -33,7 +33,7 @@ class MonomialOrder:
 
 
 def _revneg(mono: Monomial) -> tuple:
-    return tuple(-e for e in reversed(mono))
+    return tuple([-e for e in reversed(mono)])
 
 
 def grevlex(nvars: int) -> MonomialOrder:

@@ -14,9 +14,11 @@ the weighted part at degree d collects the monomials with ⟨ω, a⟩ = d.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain
+from operator import add, ge, sub
+from typing import Iterable, Mapping, Sequence
 
-from germlab.exact import nullspace
+from germlab.exact import nullspace, rref
 from germlab.qi import QI
 
 Monomial = tuple[int, ...]
@@ -24,17 +26,14 @@ Weights = Sequence[Fraction]
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
     """a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
+    if all(map(ge, a, b)):
+        return tuple(map(sub, a, b))
+    return None
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -123,11 +122,7 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            prev = acc.get(mono)
-            acc[mono] = c if prev is None else prev + c
-        return Poly(self.nvars, acc)
+        return Poly.from_terms(self.nvars, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
@@ -205,12 +200,6 @@ class Poly:
         if not self.terms:
             return None
         return min(mono_weighted_degree(m, weights) for m in self.terms)
-
-    def weighted_part(self, weights: Weights, degree: Fraction) -> "Poly":
-        return Poly(
-            self.nvars,
-            {m: c for m, c in self.terms.items() if mono_weighted_degree(m, weights) == degree},
-        )
 
     def split_by_weight(self, weights: Weights) -> tuple["Poly", "Poly"]:
         """Split into (principal, higher): the part at the minimal weighted
@@ -406,11 +395,9 @@ def infer_weights(polys: Sequence[Poly], variable_names: Sequence[str]) -> Weigh
         # Report the truly undetermined weights: fix the overall scale by
         # pinning the first base monomial to degree 1, then the non-pivot
         # columns are exactly the weights the caller must supply.
-        from germlab.exact import rref
-
         norm_row = [Fraction(bases[0][j]) for j in range(nvars)]
         aug = rows + ([norm_row] if any(norm_row) else [])
-        _, pivots = rref(aug) if aug else ([], [])
+        _, pivots = rref(aug)
         free = [variable_names[j] for j in range(nvars) if j not in pivots]
         return WeightInference("underdetermined", free_variables=free)
     vec = basis[0]

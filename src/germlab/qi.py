@@ -3,7 +3,9 @@
 All symbolic computation in the package runs over the field Q(i): complex
 numbers a + b*i with rational a, b.  Arithmetic is exact (built on
 :class:`fractions.Fraction`); there is no floating point anywhere in this
-module.  Values are immutable and hashable.
+module.  Values are immutable and hashable.  The public constructor coerces
+its arguments through ``Fraction()``; arithmetic results, whose parts are
+Fractions already, are built by the private ``_make`` without that copy.
 """
 
 from __future__ import annotations
@@ -53,44 +55,43 @@ class QI:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_rational(self) -> bool:
-        return not self.im
-
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
-    # -- arithmetic ----------------------------------------------------
+    # -- arithmetic (results built by the private ``_make``) -------------
 
     def __add__(self, other) -> "QI":
         other = QI.coerce(other)
-        return QI(self.re + other.re, self.im + other.im)
+        return _make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QI":
-        return QI(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __sub__(self, other) -> "QI":
         other = QI.coerce(other)
-        return QI(self.re - other.re, self.im - other.im)
+        return _make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other) -> "QI":
         return QI.coerce(other) - self
 
     def __mul__(self, other) -> "QI":
         other = QI.coerce(other)
-        return QI(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b and not d:
+            return _make(a * c, _FZERO)
+        return _make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QI":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(i)")
+        if not self.im:
+            return _make(1 / self.re, _FZERO)
         norm = self.re * self.re + self.im * self.im
-        return QI(self.re / norm, -self.im / norm)
+        return _make(self.re / norm, -self.im / norm)
 
     def __truediv__(self, other) -> "QI":
         return self * QI.coerce(other).inverse()
@@ -99,7 +100,7 @@ class QI:
         return QI.coerce(other) * self.inverse()
 
     def conjugate(self) -> "QI":
-        return QI(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     # -- conversions ---------------------------------------------------
 
@@ -152,6 +153,20 @@ def format_qi(c: QI) -> str:
         return f"({_frac_str(c.re)}+{im_part})"
     im_part = "i" if im == -1 else f"{_frac_str(-im)}*i"
     return f"({_frac_str(c.re)}-{im_part})"
+
+
+_FZERO = Fraction(0)
+_new = object.__new__
+_set_re = QI.re.__set__
+_set_im = QI.im.__set__
+
+
+def _make(re: Fraction, im: Fraction) -> QI:
+    """A QI with the given Fraction parts, stored as they are."""
+    c = _new(QI)
+    _set_re(c, re)
+    _set_im(c, im)
+    return c
 
 
 _ZERO = QI(0)

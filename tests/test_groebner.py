@@ -3,6 +3,7 @@ numbers — frozen worked examples plus randomized soundness audits."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,10 +12,12 @@ from germlab.groebner import (
     BudgetExhausted,
     buchberger,
     determinant,
+    division,
     ideal_membership,
     is_groebner_basis,
     krull_dimension,
     leading_monomial,
+    leading_term,
     local_standard_basis,
     milnor_number,
     minors,
@@ -23,8 +26,8 @@ from germlab.groebner import (
     s_polynomial,
     saturation,
 )
-from germlab.orders import grevlex, local_antigraded
-from germlab.poly import Poly
+from germlab.orders import eliminate_last, grevlex, homogenized_local, local_antigraded, weighted_grevlex
+from germlab.poly import Poly, mono_div
 from germlab.qi import QI
 
 from conftest import P
@@ -62,6 +65,71 @@ def test_normal_form_is_zero_exactly_on_members():
     member = P("x^2 - 1", "x y") * P("y^3", "x y") + P("x*y - 1", "x y") * P("x - 7", "x y")
     assert ideal_membership(member, gb)
     assert not ideal_membership(P("x", "x y"), gb)
+
+
+def _reference_division(f, divisors, order, budget=None):
+    """The Poly-level division kernel that the in-place one replaced, kept
+    verbatim as an oracle for its remainders and its charge points."""
+    if not order.is_global:
+        raise ValueError("division requires a global monomial order")
+    budget = budget or Budget()
+    nvars = f.nvars
+    lts = [leading_term(d, order) for d in divisors]
+    remainder_terms = {}
+    work = f
+    while not work.is_zero():
+        budget.charge()
+        wm, wc = leading_term(work, order)
+        for k, (dm, dc) in enumerate(lts):
+            q = mono_div(wm, dm)
+            if q is not None:
+                work = work - divisors[k].mul_monomial(q, wc / dc)
+                break
+        else:
+            remainder_terms[wm] = wc
+            work = Poly(nvars, {m: c for m, c in work.terms.items() if m != wm})
+    return Poly(nvars, remainder_terms)
+
+
+def _random_qi_poly(rng, nvars, max_terms=4, max_deg=3):
+    def part():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mono = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+        terms[mono] = QI(part(), part() if rng.random() < 0.5 else 0)
+    return Poly(nvars, terms)
+
+
+def test_division_matches_the_poly_level_reference():
+    nvars = 3
+    orders = [grevlex(nvars), weighted_grevlex([Fraction(1, 2), 1, Fraction(1, 3)]),
+              eliminate_last(nvars), homogenized_local(nvars)]
+    rng = random.Random(20241)
+    zero_remainders = nonreal = 0
+    for order in orders:
+        for trial in range(60):
+            divisors = [_random_qi_poly(rng, nvars) for _ in range(rng.randint(1, 3))]
+            divisors = [d for d in divisors if d] or [P("x + i*y")]
+            if trial % 3 == 0:
+                # a multiple of a single divisor (zero included) leaves no remainder
+                divisors = divisors[:1]
+                f = divisors[0] * (_random_qi_poly(rng, nvars) if trial else Poly.zero(nvars))
+            elif trial % 3 == 1:
+                f = _random_qi_poly(rng, nvars, max_terms=8, max_deg=5)
+            else:
+                f = sum((d * _random_qi_poly(rng, nvars) for d in divisors), Poly.zero(nvars))
+                f = f + _random_qi_poly(rng, nvars)
+            nonreal += any(c.im for d in divisors for c in d.terms.values())
+            expected_budget, got_budget = Budget(), Budget()
+            expected = _reference_division(f, divisors, order, expected_budget)
+            got = division(f, divisors, order, got_budget)
+            assert got == expected
+            assert list(got.terms) == list(expected.terms)
+            assert got_budget.used == expected_budget.used
+            zero_remainders += expected.is_zero()
+    assert zero_remainders >= 80 and nonreal >= 100
 
 
 def test_s_polynomial_definition():
@@ -173,10 +241,13 @@ def test_milnor_brieskorn_table_dual_route():
 
 def test_local_basis_pair_order_is_pinned():
     # The pair counts pin the pop order of the normal strategy: popping
-    # equal-degree pairs newest first, for one, changes them.
+    # equal-degree pairs newest first, for one, changes them.  The steps
+    # charged pin the division kernel's charge points (one per step).
     f = P("x^6 + y^6 + z^3 + w^3 + x*y*z*w + x^5*z", "x y z w")
-    gb = local_standard_basis([f.partial(j) for j in range(4)])
+    budget = Budget()
+    gb = local_standard_basis([f.partial(j) for j in range(4)], budget)
     assert gb.stats == {"s_pairs": 142, "reductions_to_zero": 103, "skip_coprime": 47, "skip_chain": 714}
+    assert budget.used == 1439
     assert len(gb.generators) == 18
     # Milnor-Orlik: weights (1/6, 1/6, 1/3, 1/3) give mu = prod(1/w - 1) = 5*5*2*2
     assert quotient_dimension(gb) == 100

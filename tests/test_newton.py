@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from germlab.exact import rank
 from germlab.newton import (
     face_restriction,
     face_weight_report,
@@ -16,6 +17,17 @@ from germlab.poly import Poly, infer_weights
 from germlab.qi import QI
 
 from conftest import F, P
+
+
+def test_exact_rank_known_values():
+    assert rank([]) == 0
+    assert rank([(0, 0, 0)]) == 0
+    assert rank([(1, 2, 3), (2, 4, 6)]) == 1
+    assert rank([(1, 0, -1), (0, 1, -1), (1, 1, -2)]) == 2
+    assert rank([(2, 0, 0), (0, 3, 0), (0, 0, 7), (1, 1, 1)]) == 3
+    # rational entries, and a dependency that only holds exactly
+    assert rank([(F(1, 3), F(1, 2)), (F(2, 3), 1)]) == 1
+    assert rank([(F(1, 3), F(1, 2)), (F(2, 3), F(1000001, 1000000))]) == 2
 
 
 def by_dim(diagram, dim):

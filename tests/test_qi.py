@@ -94,3 +94,29 @@ def test_conjugation_is_involutive_and_multiplicative(a):
     assert a.conjugate().conjugate() == a
     norm = a * a.conjugate()
     assert norm.im == 0 and norm.re >= 0
+
+
+reals = st.builds(QI, rationals)
+imaginaries = st.builds(lambda y: QI(0, y), rationals)
+any_qi = st.one_of(scalars, reals, imaginaries)
+
+
+def _parts(x):
+    assert type(x.re) is type(x.im) is Fraction
+    return x.re, x.im
+
+
+@given(any_qi, any_qi)
+def test_arithmetic_matches_textbook_formulas(a, b):
+    (p, q), (r, s) = _parts(a), _parts(b)
+    assert _parts(a * b) == (p * r - q * s, p * s + q * r)
+    assert _parts(a + b) == (p + r, q + s)
+    assert _parts(a - b) == (p - r, q - s)
+    assert _parts(-a) == (-p, -q)
+    if a:
+        norm = p * p + q * q
+        assert _parts(a.inverse()) == (p / norm, -q / norm)
+    # results hash, compare and print like freshly constructed values
+    for x in (a * b, a + b, a - b, -a):
+        fresh = QI(x.re, x.im)
+        assert x == fresh and hash(x) == hash(fresh) and format_qi(x) == format_qi(fresh)
