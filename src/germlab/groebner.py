@@ -10,6 +10,8 @@ Design points, fixed by the package contract:
   always;
 * both classical Buchberger criteria (coprime leading monomials; chain
   criterion) are applied before any reduction;
+* each basis element's leading data is found once, when it joins the basis
+  (or is interreduced), and ``division`` reads it from there;
 * every long-running loop draws from an explicit step budget and raises
   :class:`BudgetExhausted` instead of spinning - callers convert that into an
   "undetermined" report entry, never into a silent wrong answer;
@@ -96,11 +98,19 @@ def make_monic(f: Poly, order: MonomialOrder) -> Poly:
     return f.scale(c.inverse())
 
 
+def _head(d: Poly, order: MonomialOrder) -> tuple[Monomial, QI, dict[Monomial, QI]]:
+    """Leading monomial, negated inverse leading coefficient and terms of d."""
+    dm, dc = leading_term(d, order)
+    return dm, -dc.inverse(), d.terms
+
+
 def division(
     f: Poly,
     divisors: list[Poly],
     order: MonomialOrder,
     budget: Budget | None = None,
+    *,
+    heads: list[tuple] | None = None,
 ) -> Poly:
     """Multivariate division: the remainder r of f = sum q_k * divisors[k] + r,
     no term of r divisible by any divisor's leading monomial.  Divisors are
@@ -109,15 +119,15 @@ def division(
 
     Reduces in place on a copy of f's term dict (subtracting c*x^q*divisor
     term by term, deleting cancelled terms) and builds one Poly at the end.
-    Divisor leading terms are found once per call, order keys are memoized
-    per call, and each reduction or remainder step charges one budget step."""
+    Divisor heads are ``heads`` when given (``_head`` of each divisor, kept
+    by ``buchberger`` and ``_interreduce`` from the moment an element joins
+    the basis), else found once per call.  Order keys are memoized per call,
+    and each reduction or remainder step charges one budget step."""
     if not order.is_global:
         raise ValueError("division requires a global monomial order")
     budget = budget or Budget()
-    heads = []
-    for d in divisors:
-        dm, dc = leading_term(d, order)
-        heads.append((dm, -dc.inverse(), d.terms))
+    if heads is None:
+        heads = [_head(d, order) for d in divisors]
     cached_key = lru_cache(maxsize=None)(order.key)
     remainder_terms: dict[Monomial, QI] = {}
     work = dict(f.terms)
@@ -189,7 +199,8 @@ def buchberger(
     if any(g.is_constant() for g in basis):
         return GroebnerBasis([one], order, stats)
 
-    lt = [leading_monomial(g, order) for g in basis]
+    heads = [_head(g, order) for g in basis]
+    lt = [h[0] for h in heads]
     pairs = [(sum(mono_lcm(lt[i], lt[j])), i, j) for j in range(len(basis)) for i in range(j)]
     heapify(pairs)
     done: set[tuple[int, int]] = set()
@@ -218,7 +229,7 @@ def buchberger(
         budget.charge()
         stats["s_pairs"] += 1
         s = s_polynomial(basis[i], basis[j], order)
-        r = division(s, basis, order, budget)
+        r = division(s, basis, order, budget, heads=heads)
         if r.is_zero():
             stats["reductions_to_zero"] += 1
             continue
@@ -226,21 +237,21 @@ def buchberger(
             return GroebnerBasis([one], order, stats)
         r = make_monic(r, order)
         basis.append(r)
-        lt.append(leading_monomial(r, order))
+        heads.append(_head(r, order))
+        lt.append(heads[-1][0])
         new = len(basis) - 1
         for k in range(new):
             heappush(pairs, (sum(mono_lcm(lt[k], lt[new])), k, new))
 
-    reduced = _interreduce(_minimalize(basis, order), order, budget)
+    reduced = _interreduce(_minimalize(basis, lt, order), order, budget)
     reduced.sort(key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
     return GroebnerBasis(reduced, order, stats)
 
 
-def _minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
+def _minimalize(basis: list[Poly], lt: list[Monomial], order: MonomialOrder) -> list[Poly]:
     # A leading monomial survives iff no surviving leading monomial divides
     # it; processing in increasing order keeps the minimal ones first.
-    lts = [(leading_monomial(g, order), g) for g in basis]
-    lts_sorted = sorted(lts, key=lambda t: order.key(t[0]))
+    lts_sorted = sorted(zip(lt, basis), key=lambda t: order.key(t[0]))
     survivors: list[tuple[Monomial, Poly]] = []
     for m, g in lts_sorted:
         if not any(mono_div(m, sm) is not None for sm, _ in survivors):
@@ -249,17 +260,15 @@ def _minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
 
 
 def _interreduce(basis: list[Poly], order: MonomialOrder, budget: Budget) -> list[Poly]:
+    # Elements arrive monic; each is reduced by all the others, and its head
+    # entry is replaced so later divisions by it read the reduced tail.
     out = list(basis)
-    for k in range(len(out)):
-        others = out[:k] + out[k + 1:]
-        if not others:
-            out[k] = make_monic(out[k], order)
-            continue
-        r = division(out[k], others, order, budget)
-        if r.is_zero():
-            # cannot happen on a minimal basis, but keep the guard honest
-            continue
-        out[k] = make_monic(r, order)
+    heads = [_head(g, order) for g in out]
+    for k in range(len(out) if len(out) > 1 else 0):
+        r = division(out[k], out[:k] + out[k + 1:], order, budget, heads=heads[:k] + heads[k + 1:])
+        if r:  # never zero on a minimal basis, but keep the guard honest
+            out[k] = make_monic(r, order)
+            heads[k] = _head(out[k], order)
     return out
 
 

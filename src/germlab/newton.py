@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from germlab.exact import nullspace, primitive_integer_vector, rank
+from germlab.exact import nullspace, primitive_integer_vector, rank, rref
 from germlab.groebner import DEFAULT_BUDGET, Budget, BudgetExhausted, saturation
 from germlab.poly import Monomial, NumericEvaluator, Poly, jacobian, jacobian_evaluator
 from germlab.qi import QI
@@ -207,32 +207,39 @@ class NondegeneracyReport:
 
 def _torus_search(f_sigma: Poly, seed: int = 0, attempts: int = 40) -> bool:
     """Monte-Carlo fallback: hunt for a torus critical point of a face
-    polynomial by damped Newton from random torus starts.  Returns True when
-    a convincing critical point with all coordinates away from zero is found
-    (certifying degeneracy up to float error)."""
+    polynomial by damped Gauss-Newton on its gradient from random torus
+    starts; True when a convincing critical point with all coordinates away
+    from zero is found (certifying degeneracy up to float error).  The face is
+    quasi-homogeneous for every weight in the null space of its exponent
+    differences, so its torus critical locus is a union of orbits of that
+    weighted torus: the search runs on a slice that sets one coordinate per
+    orbit dimension to 1, away from the origin, where the gradient vanishes
+    to high order."""
     import numpy as np
 
     nvars = f_sigma.nvars
+    m0 = next(iter(f_sigma.terms))
+    weights = nullspace([[a - b for a, b in zip(m, m0)] for m in f_sigma.terms], nvars)
+    _, fixed = rref([w[::-1] for w in weights])  # last coordinates first
+    free = [j for j in range(nvars) if nvars - 1 - j not in fixed]
     partials = jacobian([f_sigma])[0]
     gradient, hessian = NumericEvaluator(partials), jacobian_evaluator(partials)
     rng = np.random.default_rng(seed)
     for _ in range(attempts):
-        radius = rng.uniform(0.4, 1.8, size=nvars)
-        phase = rng.uniform(0.0, 2.0 * np.pi, size=nvars)
-        x = radius * np.exp(1j * phase)
-        for _ in range(60):
+        radius = rng.uniform(0.4, 1.8, size=len(free))
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=len(free))
+        x = np.ones(nvars, dtype=complex)
+        x[free] = radius * np.exp(1j * phase)
+        for _ in range(60 if free else 0):
             val = np.array(gradient(x))
             if np.max(np.abs(val)) < 1e-12:
                 break
-            jac = np.array(hessian(x)).reshape(nvars, nvars)
+            jac = np.array(hessian(x)).reshape(nvars, nvars)[:, free]
             step, *_ = np.linalg.lstsq(jac, -val, rcond=None)
-            if not np.all(np.isfinite(step)):
+            if not np.all(np.isfinite(step)) or np.max(np.abs(step)) < 1e-14:
                 break
             # damped update, keeps the iteration from shooting off to 0/inf
-            scale = 1.0
-            if np.max(np.abs(step)) > 1.0:
-                scale = 1.0 / np.max(np.abs(step))
-            x = x + scale * step
+            x[free] += step / max(1.0, np.max(np.abs(step)))
         val = np.array(gradient(x))
         if np.max(np.abs(val)) < 1e-10 and np.min(np.abs(x)) > 5e-2 and np.max(np.abs(x)) < 1e3:
             return True

@@ -62,6 +62,8 @@ class QI:
 
     def __add__(self, other) -> "QI":
         other = QI.coerce(other)
+        if not self.im and not other.im:
+            return _make(self.re + other.re, _FZERO)
         return _make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -71,6 +73,8 @@ class QI:
 
     def __sub__(self, other) -> "QI":
         other = QI.coerce(other)
+        if not self.im and not other.im:
+            return _make(self.re - other.re, _FZERO)
         return _make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other) -> "QI":

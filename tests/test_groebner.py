@@ -4,12 +4,15 @@ numbers — frozen worked examples plus randomized soundness audits."""
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germlab.groebner import (
     Budget,
     BudgetExhausted,
+    _head,
     buchberger,
     determinant,
     division,
@@ -27,6 +30,7 @@ from germlab.groebner import (
     saturation,
 )
 from germlab.orders import eliminate_last, grevlex, homogenized_local, local_antigraded, weighted_grevlex
+from germlab.parse import poly_to_string
 from germlab.poly import Poly, mono_div
 from germlab.qi import QI
 
@@ -34,8 +38,6 @@ from conftest import P
 
 
 def strs(basis, variables="x y z"):
-    from germlab.parse import poly_to_string
-
     names = variables.split()
     return sorted(poly_to_string(g, names) for g in basis.generators)
 
@@ -122,12 +124,15 @@ def test_division_matches_the_poly_level_reference():
                 f = sum((d * _random_qi_poly(rng, nvars) for d in divisors), Poly.zero(nvars))
                 f = f + _random_qi_poly(rng, nvars)
             nonreal += any(c.im for d in divisors for c in d.terms.values())
-            expected_budget, got_budget = Budget(), Budget()
+            expected_budget = Budget()
             expected = _reference_division(f, divisors, order, expected_budget)
-            got = division(f, divisors, order, got_budget)
-            assert got == expected
-            assert list(got.terms) == list(expected.terms)
-            assert got_budget.used == expected_budget.used
+            # heads found by division itself, and heads kept by the caller
+            for heads in (None, [_head(d, order) for d in divisors]):
+                got_budget = Budget()
+                got = division(f, divisors, order, got_budget, heads=heads)
+                assert got == expected
+                assert list(got.terms) == list(expected.terms)
+                assert got_budget.used == expected_budget.used
             zero_remainders += expected.is_zero()
     assert zero_remainders >= 80 and nonreal >= 100
 
@@ -239,6 +244,49 @@ def test_milnor_brieskorn_table_dual_route():
             assert milnor_number(f) == expected
 
 
+def _milnor_orlik(weights) -> int:
+    """Milnor-Orlik: an isolated weighted-homogeneous germ of weighted degree 1
+    with weights w_i has mu = prod(1/w_i - 1)."""
+    mu = prod(1 / Fraction(w) - 1 for w in weights)
+    assert mu.denominator == 1
+    return int(mu)
+
+
+# two-variable weighted-homogeneous normal forms (degree 1) and their weights
+_SIMPLE_NORMAL_FORMS = {
+    **{f"D{k}": (f"x^2*y + y^{k - 1}", (Fraction(k - 2, 2 * (k - 1)), Fraction(1, k - 1))) for k in range(4, 10)},
+    "E6": ("x^3 + y^4", (Fraction(1, 3), Fraction(1, 4))),
+    "E7": ("x^3 + x*y^3", (Fraction(1, 3), Fraction(2, 9))),
+    "E8": ("x^3 + y^5", (Fraction(1, 3), Fraction(1, 5))),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponents=st.lists(st.integers(2, 6), min_size=3, max_size=4), mix=st.sampled_from([-3, -1, 1, 2]))
+def test_milnor_number_matches_milnor_orlik_on_brieskorn_pham(exponents, mix):
+    # sum of (x_j + mix*x_{j+1})^a_j over runs of equal exponents: a linear,
+    # weight-preserving change of the Brieskorn-Pham germ, so the Jacobian
+    # ideal is not monomial but mu is still prod(a_j - 1)
+    n = len(exponents)
+    f = Poly.zero(n)
+    for j, a in enumerate(exponents):
+        base = Poly.variable(n, j)
+        if j + 1 < n and exponents[j + 1] == a:
+            base = base + Poly.variable(n, j + 1).scale(mix)
+        f = f + base ** a
+    assert milnor_number(f) == _milnor_orlik(Fraction(1, a) for a in exponents)
+
+
+@settings(max_examples=40, deadline=None)
+@given(form=st.sampled_from(sorted(_SIMPLE_NORMAL_FORMS)), extra=st.lists(st.integers(2, 6), min_size=1, max_size=2))
+def test_milnor_number_matches_milnor_orlik_on_simple_normal_forms(form, extra):
+    # D_k, E6, E7, E8 plus Brieskorn-Pham terms in the remaining variables
+    text, weights = _SIMPLE_NORMAL_FORMS[form]
+    names = "x y z w".split()[: 2 + len(extra)]
+    f = P(text + "".join(f" + {v}^{a}" for v, a in zip(names[2:], extra)), " ".join(names))
+    assert milnor_number(f) == _milnor_orlik([*weights, *(Fraction(1, a) for a in extra)])
+
+
 def test_local_basis_pair_order_is_pinned():
     # The pair counts pin the pop order of the normal strategy: popping
     # equal-degree pairs newest first, for one, changes them.  The steps
@@ -251,6 +299,34 @@ def test_local_basis_pair_order_is_pinned():
     assert len(gb.generators) == 18
     # Milnor-Orlik: weights (1/6, 1/6, 1/3, 1/3) give mu = prod(1/w - 1) = 5*5*2*2
     assert quotient_dimension(gb) == 100
+
+
+def test_global_basis_and_saturation_are_pinned():
+    # Recorded from the kernel that rescanned every divisor's head on each
+    # division: interreduction and the S-pair reductions must keep the same
+    # pairs, the same charge points and the same reduced generators.
+    names = "x y z".split()
+    gens = [P("x^3 - 2*x*y + i*z"), P("x^2*y - 2*y^2 + x"), P("y*z^2 - x*z + 3*y")]
+    budget = Budget()
+    gb = buchberger(gens, budget=budget)
+    assert gb.stats == {"s_pairs": 15, "reductions_to_zero": 8, "skip_coprime": 12, "skip_chain": 18}
+    assert budget.used == 128
+    assert [poly_to_string(g, names) for g in gb.generators] == [
+        "x*z^2 - i*z^2 + 3*x",
+        "y*z^2 - x*z + 3*y",
+        "z^3 - 2*x*z - 3*i*y*z - z^2 - 3*i*x + 6*y + 3*z",
+        "x^2 - i*y*z",
+        "x*y + i*x*z + z^2 - 3*i*y - 2*i*z",
+        "y^2 + (-2-i)*x*z + 2*i*z^2 - 2*x + 6*y + 3*z",
+    ]
+    gens = [P("x*y^2 - z^2*x"), P("x^2*z - y*z^2 + i*x*y*z"), P("y^3*x - x^3")]
+    budget = Budget()
+    sat = saturation(gens, P("x*y"), budget)
+    assert sat.stats == {"s_pairs": 66, "reductions_to_zero": 40, "skip_coprime": 93, "skip_chain": 276}
+    assert budget.used == 407
+    assert [poly_to_string(g, names) for g in sat.generators] == [
+        "y^2 + y - 2*z + 1", "z^2 + y - 2*z + 1", "x + i*y - i*z + i",
+    ]
 
 
 # -- budget ------------------------------------------------------------------

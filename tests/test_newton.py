@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from germlab.exact import rank
 from germlab.newton import (
+    _torus_search,
     face_restriction,
     face_weight_report,
     is_newton_nondegenerate,
@@ -118,6 +119,24 @@ def test_degenerate_square_of_linear():
     report = is_newton_nondegenerate(P("x^2 + 2*x*y + y^2 + z^2"))
     assert report.overall is False
     assert "degenerate" in report.statuses
+
+
+@pytest.mark.parametrize(
+    "face, variables, degenerate",
+    [
+        # critical all along x = -y, where the Hessian is singular
+        ("x^2*y^2 + 2*x*y^3 + y^4", "x y", True),  # y^2 (x+y)^2
+        ("x^3*y + 3*x^2*y^2 + 3*x*y^3 + y^4", "x y", True),  # (x+y)^3 y
+        # a segment in three variables: the critical orbits are 2-dimensional
+        ("x^2*y^2*z^2 + 2*x*y^3*z^2 + y^4*z^2", "x y z", True),  # y^2 z^2 (x+y)^2
+        ("x^2 + y^3", "x y", False),
+        ("x^3 + y^3 + z^3", "x y z", False),
+        ("x^4 + y^4 + x^2*y^2", "x y", False),
+    ],
+)
+def test_torus_search_finds_exactly_the_degenerate_faces(face, variables, degenerate):
+    for seed in range(3):
+        assert _torus_search(P(face, variables), seed=seed) is degenerate
 
 
 def test_nondegeneracy_requires_convenient():
