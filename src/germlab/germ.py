@@ -21,6 +21,7 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -43,7 +44,7 @@ from germlab.newton import (
     is_newton_nondegenerate,
     newton_diagram,
 )
-from germlab.poly import NumericEvaluator, Poly, jacobian, jacobian_evaluator
+from germlab.poly import NumericEvaluator, Poly, infer_weights, jacobian, jacobian_evaluator
 from germlab.qi import QI
 
 __all__ = [
@@ -143,17 +144,7 @@ def germ_system(
     if len(principal) >= nvars:
         raise ValueError("need fewer equations than variables (positive-dimensional germ)")
     if weights is None:
-        from germlab.poly import infer_weights
-
-        inf = infer_weights(principal, variables)
-        if inf.status == "underdetermined":
-            raise ValueError(
-                "weights are underdetermined (free: %s); supply them explicitly"
-                % ", ".join(inf.free_variables)
-            )
-        if inf.status != "unique":
-            raise ValueError("principal part is not weighted-homogeneous for any weights")
-        weights = inf.weights
+        weights = _inferred_weights(principal, variables)
     weights = [Fraction(w) for w in weights]
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
@@ -184,6 +175,21 @@ def germ_system(
     return GermSystem(
         tuple(variables), tuple(principal), tuple(perturbation), tuple(weights), tuple(degrees)
     )
+
+
+def _inferred_weights(polys: list[Poly], variables: list[str]) -> list[Fraction]:
+    """The unique weights for which every one of ``polys`` is
+    weighted-homogeneous; ValueError when there are none or several."""
+    inference = infer_weights(polys, variables)
+    if inference.status == "underdetermined":
+        free = ", ".join(inference.free_variables)
+        raise ValueError(f'weights are underdetermined (free: {free}); add a "weights" entry')
+    if inference.status != "unique":
+        raise ValueError(
+            'equations are not weighted-homogeneous; give "weights" (the principal part is then '
+            'read off at the minimal weighted order) or an explicit "split"'
+        )
+    return list(inference.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +447,15 @@ def analyze(
     w_1 < w_l; a clean ledger with w_1 = w_l gives NO_OBSTRUCTION_FOUND;
     anything failed or unchecked gives HYPOTHESES_UNVERIFIED.  The surface
     branch (n = 2 with a non-contractible section component) is available
-    only through the "noncontractible-component" assumption.  Once an entry
-    exhausts the shared budget, each later entry that needs it is unchecked
-    as not attempted, naming that entry, and charges nothing."""
+    only through the "noncontractible-component" assumption.
+
+    Entries (a)-(e) run through one local runner, ``entry(key, statement,
+    check)``: ``check()`` returns (status, evidence), and the runner alone
+    turns BudgetExhausted into "unchecked".  Once an entry exhausts the
+    shared budget, each later entry that needs it is unchecked as not
+    attempted, naming that entry, and charges nothing.  An entry's statement
+    is the same whether it ran or not.  A user-asserted (c) and the
+    "perturbation trivial" (d) need no budget and bypass the runner."""
     if system.n < 2:
         raise ValueError("analysis requires a germ of dimension at least 2")
     budget = budget or Budget()
@@ -459,164 +471,88 @@ def analyze(
 
     # (pre) perturbation order
     d = delta(system)
-    if not perturbed:
-        ledger.append(
-            HypothesisEntry("order", "perturbation has strictly higher weighted order", "verified", "perturbation is zero")
-        )
-    elif d is not None and d > 0:
-        ledger.append(
-            HypothesisEntry("order", "perturbation has strictly higher weighted order", "verified", f"delta = {d}")
-        )
+    if d is None or d > 0:
+        order = ("verified", "perturbation is zero" if d is None else f"delta = {d}")
     else:
-        ledger.append(
-            HypothesisEntry(
-                "order",
-                "perturbation has strictly higher weighted order",
-                "failed",
-                "same-order perturbation (delta = 0); the weight criterion does not cover this family",
-            )
-        )
+        order = ("failed", "same-order perturbation (delta = 0); the weight criterion does not cover this family")
         notes.append(
             "same-order families fall outside the fast-cycle criterion; only the foliation construction applies"
         )
+    ledger.append(HypothesisEntry("order", "perturbation has strictly higher weighted order", *order))
 
-    exhausted_by: list[str] = []
+    exhausted_by: str | None = None
 
-    def not_attempted(key: str, statement: str) -> bool:
-        if exhausted_by:
-            evidence = f"not attempted: the shared budget was exhausted in entry ({exhausted_by[0]})"
-            ledger.append(HypothesisEntry(key, statement, "unchecked", evidence))
-        return bool(exhausted_by)
+    def entry(key: str, statement: str, check: Callable[[], tuple[str, str]]) -> None:
+        nonlocal exhausted_by
+        if exhausted_by is not None:
+            status, evidence = "unchecked", f"not attempted: the shared budget was exhausted in entry ({exhausted_by})"
+        else:
+            try:
+                status, evidence = check()
+            except BudgetExhausted as exc:
+                exhausted_by, status, evidence = key, "unchecked", str(exc)
+        ledger.append(HypothesisEntry(key, statement, status, evidence))
 
-    # (a) X reduced
-    try:
-        ok, ev = is_reduced_ci(full, r, local=perturbed, budget=budget)
-        ledger.append(HypothesisEntry("a", "X is a reduced complete intersection", "verified" if ok else "failed", ev))
-    except BudgetExhausted as exc:
-        exhausted_by.append("a")
-        ledger.append(HypothesisEntry("a", "X is a reduced complete intersection", "unchecked", str(exc)))
+    def reduced(gens: list[Poly], codim: int) -> tuple[str, str]:
+        ok, ev = is_reduced_ci(gens, codim, local=perturbed, budget=budget)
+        return ("verified" if ok else "failed"), ev
 
-    # (b) slice reduced CI of dimension n-1
+    # (a) X reduced; (b) slice reduced CI of dimension n-1
     slice_gens = full + [Poly.variable(nvars, 0)]
-    if not not_attempted("b", f"X n V({x1}) is a reduced complete intersection"):
-        try:
-            ok, ev = is_reduced_ci(slice_gens, r + 1, local=perturbed, budget=budget)
-            ledger.append(
-                HypothesisEntry(
-                    "b",
-                    f"X n V({x1}) is a reduced complete intersection of dimension {n - 1}",
-                    "verified" if ok else "failed",
-                    ev,
-                )
-            )
-        except BudgetExhausted as exc:
-            exhausted_by.append("b")
-            ledger.append(HypothesisEntry("b", f"X n V({x1}) is a reduced complete intersection", "unchecked", str(exc)))
+    entry("a", "X is a reduced complete intersection", lambda: reduced(full, r))
+    entry("b", f"X n V({x1}) is a reduced complete intersection of dimension {n - 1}",
+          lambda: reduced(slice_gens, r + 1))
 
     # (c) Milnor-fibre hypothesis (sufficient condition, else user-asserted)
+    def milnor_fibre() -> tuple[str, str]:
+        hint = "(pass the milnor-fibre assumption to override)"
+        icis_ok, icis_ev = is_icis(slice_gens, local=perturbed, budget=budget)
+        if not icis_ok:
+            return "failed", f"slice is not ICIS ({icis_ev}); the Milnor-fibre property is not automatic here {hint}"
+        # every section is computed, so the budget charged does not depend on which one fails
+        sections = [full + [Poly.variable(nvars, 0) - Poly.constant(nvars, t0)] for t0 in _random_slice_values(seed)]
+        if all([variety_dimension(singular_locus_ideal(s), budget) == -1 for s in sections]):
+            return "verified", f"slice is ICIS ({icis_ev}); three random sections are smooth (empty singular scheme)"
+        return "failed", f"slice is ICIS but a random section has a singular point; sufficient condition not met {hint}"
+
     statement_c = f"the generic section X n V({x1} - t0) is the Milnor fibre of the slice germ"
     if "milnor-fibre" in assumptions:
         ledger.append(HypothesisEntry("c", statement_c, "user-asserted", "assumption flag supplied"))
-    elif not not_attempted("c", statement_c):
-        try:
-            icis_ok, icis_ev = is_icis(slice_gens, local=perturbed, budget=budget)
-            if icis_ok:
-                smooth = []
-                for t0 in _random_slice_values(seed):
-                    section = full + [Poly.variable(nvars, 0) - Poly.constant(nvars, t0)]
-                    ds = variety_dimension(singular_locus_ideal(section), budget)
-                    smooth.append(ds == -1)
-                if all(smooth):
-                    ledger.append(
-                        HypothesisEntry(
-                            "c",
-                            statement_c,
-                            "verified",
-                            f"slice is ICIS ({icis_ev}); three random sections are smooth (empty singular scheme)",
-                        )
-                    )
-                else:
-                    ledger.append(
-                        HypothesisEntry(
-                            "c",
-                            statement_c,
-                            "failed",
-                            "slice is ICIS but a random section has a singular point; "
-                            "sufficient condition not met (pass the milnor-fibre assumption to override)",
-                        )
-                    )
-            else:
-                ledger.append(
-                    HypothesisEntry(
-                        "c",
-                        statement_c,
-                        "failed",
-                        f"slice is not ICIS ({icis_ev}); the Milnor-fibre property is not automatic here "
-                        "(pass the milnor-fibre assumption to override)",
-                    )
-                )
-        except BudgetExhausted as exc:
-            exhausted_by.append("c")
-            ledger.append(HypothesisEntry("c", statement_c, "unchecked", str(exc)))
+    else:
+        entry("c", statement_c, milnor_fibre)
 
     # (d) perturbation trivial, or the singular-overlap slice is small
+    def small_overlap() -> tuple[str, str]:
+        overlap = full + singular_locus_ideal(list(system.principal))
+        dims = [
+            variety_dimension(overlap + [Poly.variable(nvars, 0) - Poly.constant(nvars, t0)], budget)
+            for t0 in _random_slice_values(seed + 1)
+        ]
+        bound = Fraction(n - 1, 2)
+        if len(set(dims)) != 1:
+            return "unchecked", f"slice dimensions disagree across samples: {dims}"
+        if dims[0] < bound:
+            return "verified", f"dimension {dims[0]} < {bound} at three random t0"
+        return "failed", f"dimension {dims[0]} >= {bound}"
+
     statement_d = f"dim[X n Sing(X0) n V({x1} - t0)] < (n-1)/2"
     if not perturbed:
         ledger.append(HypothesisEntry("d", statement_d, "verified", "perturbation trivial"))
-    elif not not_attempted("d", statement_d):
-        try:
-            dims = []
-            for t0 in _random_slice_values(seed + 1):
-                gens = full + singular_locus_ideal(list(system.principal))
-                gens = gens + [Poly.variable(nvars, 0) - Poly.constant(nvars, t0)]
-                dims.append(variety_dimension(gens, budget))
-            if len(set(dims)) != 1:
-                ledger.append(
-                    HypothesisEntry(
-                        "d", statement_d, "unchecked", f"slice dimensions disagree across samples: {dims}"
-                    )
-                )
-            elif Fraction(dims[0]) < Fraction(n - 1, 2):
-                ledger.append(
-                    HypothesisEntry(
-                        "d", statement_d, "verified", f"dimension {dims[0]} < {Fraction(n - 1, 2)} at three random t0"
-                    )
-                )
-            else:
-                ledger.append(
-                    HypothesisEntry("d", statement_d, "failed", f"dimension {dims[0]} >= {Fraction(n - 1, 2)}")
-                )
-        except BudgetExhausted as exc:
-            exhausted_by.append("d")
-            ledger.append(HypothesisEntry("d", statement_d, "unchecked", str(exc)))
+    else:
+        entry("d", statement_d, small_overlap)
 
     # (e) l = n - dim Sing[slice germ]
     l: int | None = None
-    if not not_attempted("e", "l := n - dim Sing[X n V(x_1)]"):
-        try:
-            sing_dim = variety_dimension(singular_locus_ideal(slice_gens), budget, local=perturbed)
-            l = n - sing_dim
-            if 2 <= l <= n:
-                ledger.append(
-                    HypothesisEntry(
-                        "e",
-                        "l := n - dim Sing[X n V(x_1)] with 2 <= l <= n",
-                        "verified",
-                        f"dim Sing = {sing_dim}, l = {l}",
-                    )
-                )
-            else:
-                ledger.append(
-                    HypothesisEntry(
-                        "e",
-                        "l := n - dim Sing[X n V(x_1)] with 2 <= l <= n",
-                        "failed",
-                        f"l = {l} outside [2, {n}]",
-                    )
-                )
-                l = None
-        except BudgetExhausted as exc:
-            ledger.append(HypothesisEntry("e", "l := n - dim Sing[X n V(x_1)]", "unchecked", str(exc)))
+
+    def slice_singularity() -> tuple[str, str]:
+        nonlocal l
+        sing_dim = variety_dimension(singular_locus_ideal(slice_gens), budget, local=perturbed)
+        if not 2 <= n - sing_dim <= n:
+            return "failed", f"l = {n - sing_dim} outside [2, {n}]"
+        l = n - sing_dim
+        return "verified", f"dim Sing = {sing_dim}, l = {l}"
+
+    entry("e", "l := n - dim Sing[X n V(x_1)] with 2 <= l <= n", slice_singularity)
 
     # surface branch, user-asserted only
     surface_asserted = "noncontractible-component" in assumptions and n == 2

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from germlab.germ import GermSystem, germ_system
+from germlab.germ import GermSystem, _inferred_weights, germ_system
 from germlab.parse import ParseError, parse_poly
-from germlab.poly import Poly, infer_weights
+from germlab.poly import Poly
 
 __all__ = [
     "ASSUMPTION_NAMES",
@@ -212,14 +212,17 @@ def load_system(data: dict) -> LoadedGerm:
     weights = _parse_weights(data)
     assumptions = frozenset(data.get("assumptions", []))
 
-    if "split" in data:
+    split = "split" in data
+    if split:
         principal, perturbation = _parse_split(data["split"], variables)
-        if weights is None:
-            weights = _infer(principal, variables)
     else:
         equations = _parse_list(data["equations"], variables, "equations")
-        if weights is None:
-            weights = _infer(equations, variables)
+    if weights is None:
+        try:
+            weights = _inferred_weights(principal if split else equations, variables)
+        except ValueError as exc:
+            raise GermFileError(str(exc)) from exc
+    if not split:
         principal = []
         perturbation = []
         for i, f in enumerate(equations):
@@ -244,23 +247,6 @@ def load_system(data: dict) -> LoadedGerm:
         assumptions=assumptions,
         original_variables=tuple(variables),
         permutation=tuple(order),
-    )
-
-
-def _infer(polys: list[Poly], variables: list[str]) -> list[Fraction]:
-    inference = infer_weights(polys, variables)
-    if inference.status == "unique":
-        assert inference.weights is not None
-        return list(inference.weights)
-    if inference.status == "underdetermined":
-        free = ", ".join(inference.free_variables)
-        raise GermFileError(
-            f"weights are underdetermined (free: {free}); add a \"weights\" entry"
-        )
-    raise GermFileError(
-        "equations are not weighted-homogeneous; give \"weights\" (the principal "
-        "part is then read off at the minimal weighted order) or an explicit "
-        "\"split\""
     )
 
 

@@ -23,7 +23,7 @@ from itertools import combinations
 from math import gcd
 
 from germlab.exact import nullspace, primitive_integer_vector, rank, rref
-from germlab.groebner import DEFAULT_BUDGET, Budget, BudgetExhausted, saturation
+from germlab.groebner import Budget, BudgetExhausted, saturation
 from germlab.poly import Monomial, NumericEvaluator, Poly, jacobian, jacobian_evaluator
 from germlab.qi import QI
 
@@ -260,7 +260,9 @@ def is_newton_nondegenerate(
     ``probabilistic`` is set, in which case a random torus search substitutes
     and the face is marked with method "probabilistic" (search finds a
     critical point -> degenerate; finds none -> nondegenerate by sampling
-    only)."""
+    only).  All faces charge the one budget (a fresh default one when None is
+    given), so once it runs out every later face is exhausted too."""
+    budget = budget or Budget()
     diagram = newton_diagram(f)
     if not diagram.convenient:
         raise ValueError("non-degeneracy check requires a convenient diagram")
@@ -274,13 +276,13 @@ def is_newton_nondegenerate(
             p = f_sigma.partial(j)
             if not p.is_zero():
                 partials.append(p)
-        remaining = (budget.limit - budget.used) if budget is not None else DEFAULT_BUDGET
-        sub = Budget(max(remaining, 0))
         try:
-            sat = saturation(partials, torus, sub)
+            sat = saturation(partials, torus, budget)
             statuses.append("nondegenerate" if sat.generators[0].is_constant() else "degenerate")
             methods.append("exact")
         except BudgetExhausted:
+            # an exhausted face spends exactly the rest of the budget, not the overshoot
+            budget.used = budget.limit
             if probabilistic:
                 found = _torus_search(f_sigma, seed=seed + k)
                 statuses.append("degenerate" if found else "nondegenerate")
@@ -288,9 +290,6 @@ def is_newton_nondegenerate(
             else:
                 statuses.append("undetermined")
                 methods.append("exact")
-        if budget is not None:
-            # book the spent steps without tripping the parent's exception
-            budget.used = min(budget.used + sub.used, budget.limit)
     return NondegeneracyReport(list(diagram.faces), statuses, methods)
 
 

@@ -25,9 +25,6 @@ class MonomialOrder:
         self.key = key
         self.is_global = is_global
 
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
-
     def __repr__(self) -> str:
         return f"MonomialOrder({self.name}, nvars={self.nvars})"
 

@@ -261,16 +261,6 @@ class Poly:
 
     # -- evaluation ----------------------------------------------------
 
-    def evaluate_exact(self, point: Sequence[QI]) -> QI:
-        total = QI.zero()
-        for mono, c in self.terms.items():
-            v = c
-            for e, x in zip(mono, point):
-                if e:
-                    v = v * _qi_pow(x, e)
-            total = total + v
-        return total
-
     def evaluate_numeric(self, point: Sequence[complex]) -> complex:
         """Reference numeric evaluation (term-by-term Horner-free sum).
 

@@ -103,9 +103,6 @@ class QI:
     def __rtruediv__(self, other) -> "QI":
         return QI.coerce(other) * self.inverse()
 
-    def conjugate(self) -> "QI":
-        return _make(self.re, -self.im)
-
     # -- conversions ---------------------------------------------------
 
     def to_complex(self) -> complex:

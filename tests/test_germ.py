@@ -300,6 +300,15 @@ def test_analyze_budget_exhaustion_is_unchecked_not_wrong():
     # (d) needs no budget on an unperturbed germ, and nothing is charged after (a)
     assert entries["d"].status == "verified"
     assert budget.used == 6
+    # an entry's statement does not depend on whether it ran, here or on a
+    # perturbed germ, where (d) is not attempted either
+    perturbed = germ_system(["z", "x", "y"], [P("z^3 + x^2 + y^2", "z x y")], [P("z^2*x", "z x y")])
+    for system in (g, perturbed):
+        budgeted = {e.key: e for e in analyze(system, budget=Budget(5)).hypothesis_ledger}
+        unbudgeted = {e.key: e for e in analyze(system).hypothesis_ledger}
+        for key in ("b", "c", "d", "e"):
+            assert budgeted[key].statement == unbudgeted[key].statement
+    assert budgeted["d"].evidence == "not attempted: the shared budget was exhausted in entry (a)"
 
 
 # -- the diagram-route analyzer ----------------------------------------------

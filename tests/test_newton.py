@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germlab.exact import rank
+from germlab.groebner import Budget
 from germlab.newton import (
     _torus_search,
     face_restriction,
@@ -137,6 +138,18 @@ def test_degenerate_square_of_linear():
 def test_torus_search_finds_exactly_the_degenerate_faces(face, variables, degenerate):
     for seed in range(3):
         assert _torus_search(P(face, variables), seed=seed) is degenerate
+
+
+def test_nondegeneracy_charges_one_budget_across_faces():
+    # the equation of bench/germs/bs_6633.json: the budget runs out on the
+    # eleventh face, which books it as fully spent, and every later face is
+    # undetermined without charging more
+    f = P("x^6 + y^6 + z^3 + w^3 + x*y*z*w + x^5*z", "x y z w")
+    budget = Budget(150)
+    report = is_newton_nondegenerate(f, budget=budget)
+    assert report.statuses == ["nondegenerate"] * 10 + ["undetermined"] * 5
+    assert set(report.methods) == {"exact"}
+    assert budget.used == 150
 
 
 def test_nondegeneracy_requires_convenient():
