@@ -18,6 +18,11 @@ invertibility certificate: it vanishes exactly over the obstruction locus
 Sigma, and its smallness predicts non-convergence, which is reported (the
 radius of convergence shrinks to zero near Link[Sigma]), never hidden.
 
+The link, cloud and arc solvers run in lockstep over blocks of points, each
+point with its own convergence and line-search state; every result is bit
+for bit the one solving that point alone gives, and the samplers keep their
+successes in attempt order.
+
 Everything here is sampled pointwise in floating point; no symbolic Puiseux
 expansion is constructed.  Exactness claims are limited to coordinate-plane
 preservation: when a link sample has its first block of coordinates exactly
@@ -169,70 +174,119 @@ class FoliationReport:
 # link sampling
 
 
+def _row_dots(a: np.ndarray) -> np.ndarray:
+    """``np.vdot(row, row).real`` for every row of ``a``, bit for bit: a
+    stacked (1, n) @ (n, 1) matmul runs numpy's dot kernel once per row, as
+    vdot does (a sum of squares over split parts, or einsum, differs)."""
+    return (a.conj()[:, None, :] @ a[:, :, None])[:, 0, 0].real
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(row)`` for every row of ``a``, bit for bit."""
+    return np.sqrt(_row_dots(a.real) + _row_dots(a.imag))
+
+
 def _gauss_newton_project(
     equations: NumericEvaluator,
     partials: NumericEvaluator,
-    start: np.ndarray,
+    starts: np.ndarray,
     tolerance: float,
     max_iterations: int = 60,
-) -> tuple[np.ndarray, float, bool]:
-    """Project ``start`` onto {f = 0} ∩ {|x| = 1} by damped Gauss-Newton on
-    the real form of the augmented system, given ``equations`` and their
-    ``partials`` (:func:`jacobian_evaluator`).  Returns (point, max |f_i|,
-    ok); ok additionally demands | |x|^2 - 1 | <= 1e-12."""
-    x = np.asarray(start, dtype=complex)
-    nvars = x.shape[0]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project each row of ``starts`` onto {f = 0} ∩ {|x| = 1} by damped
+    Gauss-Newton on the real form of the augmented system, given
+    ``equations`` and their ``partials`` (:func:`jacobian_evaluator`).
+
+    The rows run in lockstep, each with its own convergence and line-search
+    state, and every row's iterates are bit for bit those of projecting it
+    alone; only the least-squares steps are taken row by row.  Returns
+    (points, max |f_i| per row, ok per row); ok additionally demands
+    | |x|^2 - 1 | <= 1e-12."""
+    x = np.array(starts, dtype=complex)
+    nvars = x.shape[1]
+    neq = len(equations.polys)
+
+    def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        vals = equations.rows(points)
+        sphere = _row_dots(points)[:, np.newaxis] - 1.0
+        return vals, np.concatenate([vals.real, vals.imag, sphere], axis=1)
+
+    def converged(vals: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        residual = np.max(np.abs(vals), axis=1, initial=0.0)
+        return residual, (residual <= tolerance) & (np.abs(res[:, -1]) <= 1e-12)
+
+    vals, res = evaluate(x)
+    live = np.arange(len(x))
     for _ in range(max_iterations):
-        vals = np.asarray(equations(x), dtype=complex)
-        sphere = float(np.vdot(x, x).real) - 1.0
-        residual = float(np.max(np.abs(vals))) if len(vals) else 0.0
-        if residual <= tolerance and abs(sphere) <= 1e-12:
-            return x, residual, True
-        res_real = np.concatenate([vals.real, vals.imag, [sphere]])
-        jac = np.asarray(partials(x), dtype=complex).reshape(len(vals), nvars)
-        jac_real = np.zeros((2 * len(vals) + 1, 2 * nvars))
-        jac_real[: len(vals), :nvars] = jac.real
-        jac_real[: len(vals), nvars:] = -jac.imag
-        jac_real[len(vals) : 2 * len(vals), :nvars] = jac.imag
-        jac_real[len(vals) : 2 * len(vals), nvars:] = jac.real
-        jac_real[-1, :nvars] = 2.0 * x.real
-        jac_real[-1, nvars:] = 2.0 * x.imag
-        step, *_ = np.linalg.lstsq(jac_real, -res_real, rcond=None)
-        delta = step[:nvars] + 1j * step[nvars:]
-        norm_old = float(np.linalg.norm(res_real))
-        lam = 1.0
-        accepted = False
-        while lam >= 2.0**-20:
-            x_try = x + lam * delta
-            vals_try = np.asarray(equations(x_try), dtype=complex)
-            sphere_try = float(np.vdot(x_try, x_try).real) - 1.0
-            norm_try = float(
-                np.linalg.norm(
-                    np.concatenate([vals_try.real, vals_try.imag, [sphere_try]])
-                )
-            )
-            if norm_try < norm_old or norm_try <= tolerance:
-                x = x_try
-                accepted = True
-                break
-            lam /= 2.0
-        if not accepted:
+        live = live[~converged(vals[live], res[live])[1]]
+        if not len(live):
             break
-    vals = np.asarray(equations(x), dtype=complex)
-    sphere = float(np.vdot(x, x).real) - 1.0
-    residual = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    return x, residual, residual <= tolerance and abs(sphere) <= 1e-12
+        jac = partials.rows(x[live]).reshape(len(live), neq, nvars)
+        x_live = x[live][:, np.newaxis]
+        jac_real = np.block(
+            [[jac.real, -jac.imag], [jac.imag, jac.real], [2.0 * x_live.real, 2.0 * x_live.imag]]
+        )
+        pairs = zip(jac_real, res[live])
+        step = np.array([np.linalg.lstsq(a, -b, rcond=None)[0] for a, b in pairs])
+        delta = step[:, :nvars] + 1j * step[:, nvars:]
+        norm_old = _row_norms(res[live])
+        pending = np.ones(len(live), dtype=bool)
+        lam = 1.0
+        while lam >= 2.0**-20 and pending.any():
+            idx = np.nonzero(pending)[0]
+            x_try = x[live[idx]] + lam * delta[idx]
+            vals_try, res_try = evaluate(x_try)
+            norm_try = _row_norms(res_try)
+            good = (norm_try < norm_old[idx]) | (norm_try <= tolerance)
+            rows = live[idx[good]]
+            x[rows], vals[rows], res[rows] = x_try[good], vals_try[good], res_try[good]
+            pending[idx[good]] = False
+            lam /= 2.0
+        live = live[~pending]
+    residual, ok = converged(*evaluate(x))
+    return x, residual, ok
 
 
-def _distance_to_cloud(
-    point: np.ndarray, cloud: Sequence[Sequence[complex]] | None
-) -> float:
-    if not cloud:
+def _project_attempts(
+    equations: NumericEvaluator, partials: NumericEvaluator, nvars: int, want: int, limit: int,
+    seed: tuple[int, ...], tolerance: float, max_iterations: int,
+) -> tuple[list[np.ndarray], list[float], int]:
+    """The first ``want`` successful projections, in attempt order, of random
+    complex unit vectors; attempt ``a`` draws from its own generator seeded
+    by ``(*seed, a)``, and at most ``limit`` attempts are made.
+
+    Attempts are projected in blocks of as many as are still wanted, so no
+    attempt is made that a one-at-a-time loop would not make.  Returns
+    (points, residuals, attempts made)."""
+    points: list[np.ndarray] = []
+    residuals: list[float] = []
+    attempts = 0
+    while len(points) < want and attempts < limit:
+        block = range(attempts, min(limit, attempts + want - len(points)))
+        starts = []
+        for attempt in block:
+            rng = np.random.default_rng([*seed, attempt])
+            start = rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars)
+            start /= np.linalg.norm(start)
+            starts.append(start)
+        x, residual, ok = _gauss_newton_project(
+            equations, partials, np.array(starts), tolerance, max_iterations
+        )
+        points.extend(x[ok])
+        residuals.extend(residual[ok].tolist())
+        attempts = block.stop
+    return points, residuals, attempts
+
+
+def _distance_to_cloud(point: np.ndarray, cloud: np.ndarray | None) -> float:
+    """min |point - q| over the rows q of ``cloud`` (inf without a cloud),
+    each norm that of ``np.linalg.norm``; like ``min`` in a loop, nan
+    distances are skipped."""
+    if cloud is None or not len(cloud):
         return math.inf
-    best = math.inf
-    for q in cloud:
-        best = min(best, float(np.linalg.norm(point - np.asarray(q, dtype=complex))))
-    return best
+    distances = _row_norms(point - cloud)
+    distances = distances[~np.isnan(distances)]
+    return float(distances.min()) if len(distances) else math.inf
 
 
 def sample_link(
@@ -249,10 +303,12 @@ def sample_link(
     Random complex unit vectors are projected by damped Gauss-Newton on the
     augmented system (f_p = 0, |s|^2 = 1); failed projections are discarded
     and resampled.  Each attempt draws from its own generator seeded by
-    (seed, attempt), so results are deterministic under a fixed seed and
-    independent of scheduling.  If fewer than ``count`` projections succeed
-    after ``max_attempt_factor * count`` attempts (e.g. an empty link at
-    this tolerance), the partial list is returned with a warning.
+    (seed, attempt), and the first ``count`` successes are kept in attempt
+    order, so results are deterministic under a fixed seed.  Attempts are
+    projected in lockstep blocks; each result equals projecting that attempt
+    alone.  If fewer than ``count`` projections succeed after
+    ``max_attempt_factor * count`` attempts (e.g. an empty link at this
+    tolerance), the partial list is returned with a warning.
 
     In place of a germ system a bare equation list is accepted (any
     nonconstant polynomials — e.g. a hyperplane, which the germ constructor
@@ -273,26 +329,20 @@ def sample_link(
             raise ValueError("link sampling needs nonconstant equations")
         equations, partials = NumericEvaluator(principal), jacobian_evaluator(principal)
         nvars = principal[0].nvars
-    samples: list[LinkSample] = []
-    attempts = 0
-    limit = max_attempt_factor * count
-    while len(samples) < count and attempts < limit:
-        rng = np.random.default_rng([seed, attempts])
-        attempts += 1
-        start = rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars)
-        start /= np.linalg.norm(start)
-        point, residual, ok = _gauss_newton_project(
-            equations, partials, start, tolerance
+    cloud = None
+    if sigma_cloud is not None and len(sigma_cloud):
+        cloud = np.asarray(sigma_cloud, dtype=complex)
+    points, residuals, attempts = _project_attempts(
+        equations, partials, nvars, count, max_attempt_factor * count, (seed,), tolerance, 60
+    )
+    samples = [
+        LinkSample(
+            s=tuple(point.tolist()),
+            residual=residual,
+            distance_to_sigma=_distance_to_cloud(point, cloud),
         )
-        if not ok:
-            continue
-        samples.append(
-            LinkSample(
-                s=tuple(complex(v) for v in point),
-                residual=residual,
-                distance_to_sigma=_distance_to_cloud(point, sigma_cloud),
-            )
-        )
+        for point, residual in zip(points, residuals)
+    ]
     if len(samples) < count:
         warnings.warn(
             f"link sampling produced {len(samples)}/{count} points after "
@@ -314,8 +364,9 @@ def sigma_link_cloud(
     """A numeric point cloud on Link[Sigma], for distance estimates.
 
     Positive-dimensional components of the obstruction locus are sampled by
-    the same Gauss-Newton projection as :func:`sample_link`, onto
-    {component generators = 0} ∩ {|x| = 1}.  Components of dimension <= 0
+    the same lockstep Gauss-Newton projection as :func:`sample_link`, onto
+    {component generators = 0} ∩ {|x| = 1}, keeping each component's first
+    successes in attempt order.  Components of dimension <= 0
     (the origin) have empty link and contribute nothing; an empty return
     therefore means Sigma = {o} as far as the computed components go.
     A heuristic cloud: density is not certified, and generator multiplicity
@@ -328,25 +379,15 @@ def sigma_link_cloud(
     ]
     if not positive:
         return []
-    nvars = system.nvars
     per_component = max(1, -(-count // len(positive)))
     cloud: list[tuple[complex, ...]] = []
     for comp_index, comp in enumerate(positive):
         gens = list(comp.basis.generators) if comp.basis is not None else comp.generators
-        equations, partials = NumericEvaluator(gens), jacobian_evaluator(gens)
-        found = 0
-        attempts = 0
-        while found < per_component and attempts < 20 * per_component:
-            rng = np.random.default_rng([seed, comp_index, attempts])
-            attempts += 1
-            start = rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars)
-            start /= np.linalg.norm(start)
-            point, _, ok = _gauss_newton_project(
-                equations, partials, start, LINK_TOLERANCE, max_iterations=80
-            )
-            if ok:
-                cloud.append(tuple(complex(v) for v in point))
-                found += 1
+        points, _, _ = _project_attempts(
+            NumericEvaluator(gens), jacobian_evaluator(gens), system.nvars,
+            per_component, 20 * per_component, (seed, comp_index), LINK_TOLERANCE, 80,
+        )
+        cloud.extend(tuple(point.tolist()) for point in points)
     return cloud
 
 
@@ -428,8 +469,26 @@ def deform_arc(
     the convergence radius shrinking to zero), even when a distant root of
     the scaled condition would still be reachable.  Same-order
     perturbations enforce |epsilon| <= ``SAME_ORDER_EPSILON_CAP`` unless
-    ``allow_large_epsilon`` is set."""
+    ``allow_large_epsilon`` is set.
+
+    This is the lockstep solver of :func:`verify_foliation` run on a batch
+    of one sample."""
     sample = _coerce_sample(system, s)
+    return _deform_arcs(
+        system, epsilon, [sample], t_grid, tolerance, max_iterations, z_cap,
+        min_sigma_distance, allow_large_epsilon,
+    )[0]
+
+
+def _deform_arcs(
+    system: GermSystem, epsilon: complex, samples: Sequence[LinkSample], t_grid: Sequence[float],
+    tolerance: float = NEWTON_TOLERANCE, max_iterations: int = 40, z_cap: float = 1e3,
+    min_sigma_distance: float = 0.0, allow_large_epsilon: bool = False,
+) -> list[ArcSample]:
+    """:func:`deform_arc` for every sample at once.  The Newton runs move
+    down the t-grid in lockstep, each arc with its own convergence, ``z_cap``,
+    failure and line-search state, and every arc is bit for bit the one its
+    sample gives alone."""
     epsilon = complex(epsilon)
     if (
         system.is_same_order()
@@ -440,119 +499,110 @@ def deform_arc(
             f"|epsilon| = {abs(epsilon):g} exceeds the same-order cap "
             f"{SAME_ORDER_EPSILON_CAP}; pass allow_large_epsilon=True to override"
         )
-    if min_sigma_distance > 0.0 and sample.distance_to_sigma < min_sigma_distance:
-        raise ValueError(
-            "sample lies inside the exclusion radius around the obstruction locus "
-            f"(distance {sample.distance_to_sigma:g} < {min_sigma_distance:g})"
-        )
+    for sample in samples:
+        if min_sigma_distance > 0.0 and sample.distance_to_sigma < min_sigma_distance:
+            raise ValueError(
+                "sample lies inside the exclusion radius around the obstruction locus "
+                f"(distance {sample.distance_to_sigma:g} < {min_sigma_distance:g})"
+            )
     grid = [float(t) for t in t_grid]
     if not grid or any(t <= 0.0 for t in grid) or any(
         later >= earlier for later, earlier in zip(grid[1:], grid)
     ):
         raise ValueError("t_grid must be a decreasing sequence of positive reals")
 
-    nvars = system.nvars
-    r = system.c
-    s_arr = np.asarray(sample.s, dtype=complex)
+    m, nvars, r = len(samples), system.nvars, system.c
+    s_arr = np.array([sample.s for sample in samples], dtype=complex).reshape(m, nvars)
     w_float = np.array([float(w) for w in system.weights])
     p_float = np.array([float(d) for d in system.degrees])
-    grad = rescaled_gradient(system, s_arr)
-    gram = grad @ grad.conj().T
-    gram_determinant = float(np.linalg.det(gram).real)
-    conj_t = grad.conj().T  # N x r
-    zero_rows = np.all(conj_t == 0.0, axis=1)
+    grads = np.array([rescaled_gradient(system, s) for s in s_arr]).reshape(m, r, nvars)
+    gram_determinants = [float(np.linalg.det(g @ g.conj().T).real) for g in grads]
+    # conj[i].T is sample i's N x r map z -> h; a transposed view, as its
+    # layout decides which BLAS kernel runs
+    conj = grads.conj()
+    eps_conj = epsilon * conj
+    zero_rows = np.all(conj == 0.0, axis=1)
 
     f_p, f_q, df_p, df_q = system.evaluators
 
-    def arc_point(t_pow: np.ndarray, z: np.ndarray) -> np.ndarray:
-        h = conj_t @ z
-        h[zero_rows] = 0.0
-        return t_pow * (s_arr + epsilon * h)
+    def scaled_residual(rows: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
+        h = (conj[rows].transpose(0, 2, 1) @ z[:, :, np.newaxis])[:, :, 0]
+        h[zero_rows[rows]] = 0.0
+        x = t_pow * (s_arr[rows] + epsilon * h)
+        f_scaled = t_neg * (f_p.rows(x) + epsilon * f_q.rows(x))
+        return x, f_scaled, np.max(np.abs(f_scaled), axis=1)
 
-    def scaled_residual(
-        t_neg: np.ndarray, t_pow: np.ndarray, z: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        x = arc_point(t_pow, z)
-        values = np.asarray(f_p(x), dtype=complex) + epsilon * np.asarray(f_q(x), dtype=complex)
-        f_scaled = t_neg * values
-        return x, f_scaled, float(np.max(np.abs(f_scaled)))
+    def settled(z: np.ndarray, resid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cap = np.all(np.isfinite(z), axis=1) & (np.max(np.abs(z), axis=1, initial=0.0) <= z_cap)
+        return cap, (resid <= tolerance) & cap
 
-    z_rows: list[tuple[complex, ...]] = []
-    point_rows: list[tuple[complex, ...]] = []
-    residual_rows: list[float] = []
-    converged_rows: list[bool] = []
-    history_rows: list[tuple[float, ...]] = []
-
-    z = np.zeros(r, dtype=complex)
-    failed = False
+    everyone = np.arange(m)
+    z = np.zeros((m, r), dtype=complex)
+    failed = np.zeros(m, dtype=bool)
+    columns: list[tuple[np.ndarray, ...]] = []
+    histories: list[list[tuple[float, ...]]] = [[] for _ in everyone]
     for t in grid:
         t_pow = t**w_float
         t_neg = t ** (-p_float)
-        if failed or epsilon == 0:
-            # z stays 0 at epsilon = 0 (converged) or at the last iterate after a failure
-            x, _, resid = scaled_residual(t_neg, t_pow, z)
-            z_rows.append(tuple(complex(v) for v in z))
-            point_rows.append(tuple(complex(v) for v in x))
-            residual_rows.append(resid)
-            converged_rows.append(not failed)
-            history_rows.append(())
-            continue
-        history: list[float] = []
-        x, f_scaled, resid = scaled_residual(t_neg, t_pow, z)
-        history.append(resid)
-        within_cap = bool(np.all(np.isfinite(z)) and np.max(np.abs(z), initial=0.0) <= z_cap)
-        ok = resid <= tolerance and within_cap
+        # z stays 0 at epsilon = 0 (converged) or at the last iterate after a failure
+        newton = ~failed if epsilon != 0 else np.zeros(m, dtype=bool)
+        x, f_scaled, resid = scaled_residual(everyone, z)
+        history = [[value] for value in resid.tolist()]
+        within_cap, ok = settled(z, resid)
+        live = np.nonzero(newton & ~ok & within_cap)[0]
         for _ in range(max_iterations):
-            if ok or not within_cap:
+            if not len(live):
                 break
-            jac = np.asarray(df_p(x), dtype=complex) + epsilon * np.asarray(df_q(x), dtype=complex)
-            jac = jac.reshape(r, nvars)
-            j_z = (t_neg[:, np.newaxis] * (jac * t_pow[np.newaxis, :])) @ (
-                epsilon * conj_t
-            )
+            jac = (df_p.rows(x[live]) + epsilon * df_q.rows(x[live])).reshape(len(live), r, nvars)
+            j_z = t_neg[:, np.newaxis] * (jac * t_pow[np.newaxis, :])
+            j_z = j_z @ eps_conj[live].transpose(0, 2, 1)
             try:
-                delta = np.linalg.solve(j_z, -f_scaled)
+                delta = np.linalg.solve(j_z, -f_scaled[live][:, :, np.newaxis])[:, :, 0]
             except np.linalg.LinAlgError:
-                delta, *_ = np.linalg.lstsq(j_z, -f_scaled, rcond=None)
+                delta = np.array([_solve_or_lstsq(a, -b) for a, b in zip(j_z, f_scaled[live])])
+            pending = np.ones(len(live), dtype=bool)
             lam = 1.0
-            accepted = False
-            while lam >= 2.0**-16:
-                z_try = z + lam * delta
-                if not np.all(np.isfinite(z_try)):
-                    lam /= 2.0
-                    continue
-                x_try, f_try, resid_try = scaled_residual(t_neg, t_pow, z_try)
-                if resid_try < resid or resid_try <= tolerance:
-                    z, x, f_scaled, resid = z_try, x_try, f_try, resid_try
-                    accepted = True
-                    break
+            while lam >= 2.0**-16 and pending.any():
+                idx = np.nonzero(pending)[0]
+                z_try = z[live[idx]] + lam * delta[idx]
+                finite = np.all(np.isfinite(z_try), axis=1)
+                idx, z_try = idx[finite], z_try[finite]
+                x_try, f_try, resid_try = scaled_residual(live[idx], z_try)
+                good = (resid_try < resid[live[idx]]) | (resid_try <= tolerance)
+                rows = live[idx[good]]
+                z[rows], x[rows] = z_try[good], x_try[good]
+                f_scaled[rows], resid[rows] = f_try[good], resid_try[good]
+                pending[idx[good]] = False
                 lam /= 2.0
-            history.append(resid)
-            if not accepted:
-                break
-            within_cap = bool(
-                np.all(np.isfinite(z)) and np.max(np.abs(z), initial=0.0) <= z_cap
-            )
-            ok = resid <= tolerance and within_cap
-        z_rows.append(tuple(complex(v) for v in z))
-        point_rows.append(tuple(complex(v) for v in x))
-        residual_rows.append(resid)
-        converged_rows.append(ok)
-        history_rows.append(tuple(history))
-        if not ok:
-            failed = True
+            for row in live:
+                history[row].append(float(resid[row]))
+            live = live[~pending]
+            within_cap[live], ok[live] = settled(z[live], resid[live])
+            live = live[~ok[live] & within_cap[live]]
+        converged = np.where(newton, ok, ~failed)
+        columns.append((z.copy(), x, resid, converged))
+        for i in everyone:
+            histories[i].append(tuple(history[i]) if newton[i] else ())
+        failed |= ~converged
 
-    return ArcSample(
-        s=sample,
-        epsilon=epsilon,
-        t_grid=tuple(grid),
-        z_values=tuple(z_rows),
-        points=tuple(point_rows),
-        residuals=tuple(residual_rows),
-        converged=tuple(converged_rows),
-        gram_determinant=gram_determinant,
-        iteration_residuals=tuple(history_rows),
-    )
+    z_rows, x_rows, res_rows, ok_rows = (np.stack(c, axis=1) for c in zip(*columns))
+    return [
+        ArcSample(
+            s=samples[i], epsilon=epsilon, t_grid=tuple(grid),
+            z_values=tuple(map(tuple, z_rows[i].tolist())),
+            points=tuple(map(tuple, x_rows[i].tolist())),
+            residuals=tuple(res_rows[i].tolist()), converged=tuple(ok_rows[i].tolist()),
+            gram_determinant=gram_determinants[i], iteration_residuals=tuple(histories[i]),
+        )
+        for i in everyone
+    ]
+
+
+def _solve_or_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -660,17 +710,10 @@ def verify_foliation(
     if len(samples) < 2:
         raise ValueError("verify_foliation needs at least 2 samples")
     arcs = tuple(
-        deform_arc(
-            system,
-            epsilon,
-            s,
-            t_grid,
-            tolerance=tolerance,
-            allow_large_epsilon=allow_large_epsilon,
-        )
-        for s in samples
+        _deform_arcs(system, epsilon, samples, t_grid, tolerance,
+                     allow_large_epsilon=allow_large_epsilon)
     )
-    reference = tuple(deform_arc(system, 0.0, s, t_grid) for s in samples)
+    reference = tuple(_deform_arcs(system, 0.0, samples, t_grid))
     failures: list[str] = []
 
     total = sum(len(a.converged) for a in arcs)
@@ -706,27 +749,31 @@ def verify_foliation(
 
     min_separation = math.inf
     separation_ok = True
-    for i, j in all_pairs:
-        common = [
-            k
-            for k in range(len(t_grid))
-            if arcs[i].converged[k] and arcs[j].converged[k]
-        ]
-        if not common:
-            failures.append(f"separation pair ({i}, {j}): no common converged t")
+    # One arc against all later ones at a time, in pair order: the last
+    # commonly converged grid index (the smallest t), then the norms
+    # np.linalg.norm gives, with max and min treating nan as the builtins do.
+    converged = np.array([arc.converged for arc in arcs], dtype=bool)
+    points = np.array([arc.points for arc in arcs], dtype=complex)
+    norms = _row_norms(points.reshape(-1, system.nvars)).reshape(converged.shape)
+    for i in range(len(arcs) - 1):
+        common = converged[i] & converged[i + 1 :]
+        has_common = common.any(axis=1)
+        k = len(t_grid) - 1 - np.argmax(common[:, ::-1], axis=1)
+        j, kj = np.arange(i + 1, len(arcs))[has_common], k[has_common]
+        denom = np.where(norms[j, kj] > norms[i, kj], norms[j, kj], norms[i, kj])
+        distance = _row_norms(points[i, kj] - points[j, kj])
+        rel = np.full(len(common), math.nan)
+        rel[has_common] = np.where(denom > 0.0, distance / np.where(denom > 0.0, denom, 1.0), 0.0)
+        if has_common.any():
+            min_separation = min(min_separation, float(np.nanmin(rel)))
+        for n in np.nonzero(~has_common | (rel < separation_floor))[0]:
             separation_ok = False
-            continue
-        k = max(common)  # grid is decreasing: largest index = smallest t
-        x_i = np.asarray(arcs[i].points[k], dtype=complex)
-        x_j = np.asarray(arcs[j].points[k], dtype=complex)
-        denom = max(float(np.linalg.norm(x_i)), float(np.linalg.norm(x_j)))
-        rel = float(np.linalg.norm(x_i - x_j)) / denom if denom > 0.0 else 0.0
-        min_separation = min(min_separation, rel)
-        if rel < separation_floor:
-            separation_ok = False
+            if not has_common[n]:
+                failures.append(f"separation pair ({i}, {i + 1 + n}): no common converged t")
+                continue
             failures.append(
-                f"separation pair ({i}, {j}): relative distance {rel:.3e} "
-                f"below {separation_floor:g} at t = {t_grid[k]:g}"
+                f"separation pair ({i}, {i + 1 + n}): relative distance {float(rel[n]):.3e} "
+                f"below {separation_floor:g} at t = {t_grid[k[n]]:g}"
             )
 
     splitting = weight_splitting(list(system.weights))

@@ -177,17 +177,21 @@ def germ_system(
     )
 
 
-def _inferred_weights(polys: list[Poly], variables: list[str]) -> list[Fraction]:
+def _inferred_weights(polys: list[Poly], variables: list[str], split: bool = False) -> list[Fraction]:
     """The unique weights for which every one of ``polys`` is
-    weighted-homogeneous; ValueError when there are none or several."""
+    weighted-homogeneous; ValueError when there are none or several.
+    ``split`` marks ``polys`` as a germ file's ``split.principal``."""
     inference = infer_weights(polys, variables)
     if inference.status == "underdetermined":
         free = ", ".join(inference.free_variables)
         raise ValueError(f'weights are underdetermined (free: {free}); add a "weights" entry')
     if inference.status != "unique":
         raise ValueError(
-            'equations are not weighted-homogeneous; give "weights" (the principal part is then '
-            'read off at the minimal weighted order) or an explicit "split"'
+            '"split.principal" is not weighted-homogeneous for any positive weights; move its '
+            'higher-order terms to "split.perturbation", or give "equations" with "weights"'
+            if split
+            else 'equations are not weighted-homogeneous; give "weights" (the principal part is '
+            'then read off at the minimal weighted order) or an explicit "split"'
         )
     return list(inference.weights)
 

@@ -219,7 +219,7 @@ def load_system(data: dict) -> LoadedGerm:
         equations = _parse_list(data["equations"], variables, "equations")
     if weights is None:
         try:
-            weights = _inferred_weights(principal if split else equations, variables)
+            weights = _inferred_weights(principal if split else equations, variables, split=split)
         except ValueError as exc:
             raise GermFileError(str(exc)) from exc
     if not split:

@@ -18,6 +18,8 @@ from itertools import chain
 from operator import add, ge, sub
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from germlab.exact import nullspace, rref
 from germlab.qi import QI
 
@@ -331,6 +333,28 @@ class NumericEvaluator:
                 total += v
             values.append(total)
         return values
+
+    def rows(self, points: np.ndarray) -> np.ndarray:
+        """Evaluate at every row of an (m, nvars) complex array, bit for bit as
+        calling on each row: products are taken on split real and imaginary
+        arrays, ``(ar*br - ai*bi, ar*bi + ai*br)`` as the scalar does (numpy's
+        complex array multiply may fuse them), and powers use numpy's complex
+        ``np.power`` loop, which runs the scalar power's algorithm (npy_cpow)."""
+        points = np.asarray(points, dtype=complex)
+        out = np.zeros((len(points), len(self.polys)), dtype=complex)
+        powers = {
+            (j, e): np.power(points[:, j], e)
+            for terms in self.polys for _, pairs in terms for j, e in pairs
+        }
+        for k, terms in enumerate(self.polys):
+            for c, pairs in terms:
+                ar, ai = c.real, c.imag
+                for key in pairs:
+                    br, bi = powers[key].real, powers[key].imag
+                    ar, ai = ar * br - ai * bi, ar * bi + ai * br
+                out.real[:, k] += ar
+                out.imag[:, k] += ai
+        return out
 
 
 def jacobian_evaluator(polys: Sequence[Poly]) -> NumericEvaluator:

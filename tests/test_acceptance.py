@@ -217,9 +217,10 @@ def test_criterion_08_divergence_near_sigma_statistics():
             direction = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
             start = anchor + rng.uniform(0.01, 0.045) * direction
-            point, residual, ok = _gauss_newton_project(
-                equations, partials, start, LINK_TOLERANCE
+            points, residuals, oks = _gauss_newton_project(
+                equations, partials, start[np.newaxis], LINK_TOLERANCE
             )
+            point, residual, ok = points[0], float(residuals[0]), bool(oks[0])
             if not ok:
                 continue
             distance = float(np.min(np.linalg.norm(cloud_arr - point, axis=1)))

@@ -11,7 +11,9 @@ the y-axis, so its link is the circle (0, e^{i*theta}, 0)).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,15 +22,20 @@ from hypothesis import strategies as st
 
 from germlab.foliation import (
     DEFAULT_T_GRID,
+    ArcSample,
     LinkSample,
+    _distance_to_cloud,
+    _gauss_newton_project,
     deform_arc,
+    rescaled_gradient,
     sample_link,
     sigma_link_cloud,
     tangency_exponent,
     verify_foliation,
     write_arc_csv,
 )
-from germlab.germ import germ_system
+from germlab.germ import germ_system, sigma
+from germlab.poly import NumericEvaluator, jacobian_evaluator
 
 from conftest import P, F
 
@@ -395,3 +402,326 @@ def test_write_arc_csv_layout(tmp_path, sphere):
     # values round-trip through repr: the recorded point matches the arc
     point = complex(float(first[10]), float(first[11]))
     assert point == arcs[0].points[0][0]
+
+
+# ---------------------------------------------------------------------------
+# lockstep solvers against the one-point-at-a-time solvers they replaced
+#
+# The oracles below are the sequential implementations as they stood before
+# the solvers ran in lockstep.  Every batched result must equal them bit for
+# bit: projections as bytes, arcs by repr.
+
+
+def _oracle_project(equations, partials, start, tolerance, max_iterations=60):
+    x = np.asarray(start, dtype=complex)
+    nvars = x.shape[0]
+    for _ in range(max_iterations):
+        vals = np.asarray(equations(x), dtype=complex)
+        sphere = float(np.vdot(x, x).real) - 1.0
+        residual = float(np.max(np.abs(vals))) if len(vals) else 0.0
+        if residual <= tolerance and abs(sphere) <= 1e-12:
+            return x, residual, True
+        res_real = np.concatenate([vals.real, vals.imag, [sphere]])
+        jac = np.asarray(partials(x), dtype=complex).reshape(len(vals), nvars)
+        jac_real = np.zeros((2 * len(vals) + 1, 2 * nvars))
+        jac_real[: len(vals), :nvars] = jac.real
+        jac_real[: len(vals), nvars:] = -jac.imag
+        jac_real[len(vals) : 2 * len(vals), :nvars] = jac.imag
+        jac_real[len(vals) : 2 * len(vals), nvars:] = jac.real
+        jac_real[-1, :nvars] = 2.0 * x.real
+        jac_real[-1, nvars:] = 2.0 * x.imag
+        step, *_ = np.linalg.lstsq(jac_real, -res_real, rcond=None)
+        delta = step[:nvars] + 1j * step[nvars:]
+        norm_old = float(np.linalg.norm(res_real))
+        lam = 1.0
+        accepted = False
+        while lam >= 2.0**-20:
+            x_try = x + lam * delta
+            vals_try = np.asarray(equations(x_try), dtype=complex)
+            sphere_try = float(np.vdot(x_try, x_try).real) - 1.0
+            norm_try = float(
+                np.linalg.norm(np.concatenate([vals_try.real, vals_try.imag, [sphere_try]]))
+            )
+            if norm_try < norm_old or norm_try <= tolerance:
+                x = x_try
+                accepted = True
+                break
+            lam /= 2.0
+        if not accepted:
+            break
+    vals = np.asarray(equations(x), dtype=complex)
+    sphere = float(np.vdot(x, x).real) - 1.0
+    residual = float(np.max(np.abs(vals))) if len(vals) else 0.0
+    return x, residual, residual <= tolerance and abs(sphere) <= 1e-12
+
+
+def _oracle_attempts(equations, partials, nvars, want, limit, seed, tolerance, max_iterations):
+    found = []
+    attempts = 0
+    while len(found) < want and attempts < limit:
+        rng = np.random.default_rng([*seed, attempts])
+        attempts += 1
+        start = rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars)
+        start /= np.linalg.norm(start)
+        point, residual, ok = _oracle_project(
+            equations, partials, start, tolerance, max_iterations
+        )
+        if ok:
+            found.append((point, residual))
+    return found, attempts
+
+
+def _oracle_arc(system, epsilon, sample, t_grid=DEFAULT_T_GRID, *, tolerance=1e-11,
+                max_iterations=40, z_cap=1e3):
+    epsilon = complex(epsilon)
+    grid = [float(t) for t in t_grid]
+    nvars = system.nvars
+    r = system.c
+    s_arr = np.asarray(sample.s, dtype=complex)
+    w_float = np.array([float(w) for w in system.weights])
+    p_float = np.array([float(d) for d in system.degrees])
+    grad = rescaled_gradient(system, s_arr)
+    gram = grad @ grad.conj().T
+    gram_determinant = float(np.linalg.det(gram).real)
+    conj_t = grad.conj().T
+    zero_rows = np.all(conj_t == 0.0, axis=1)
+    f_p, f_q, df_p, df_q = system.evaluators
+
+    def scaled_residual(t_neg, t_pow, z):
+        h = conj_t @ z
+        h[zero_rows] = 0.0
+        x = t_pow * (s_arr + epsilon * h)
+        values = np.asarray(f_p(x), dtype=complex) + epsilon * np.asarray(f_q(x), dtype=complex)
+        f_scaled = t_neg * values
+        return x, f_scaled, float(np.max(np.abs(f_scaled)))
+
+    z_rows, point_rows, residual_rows, converged_rows, history_rows = [], [], [], [], []
+    z = np.zeros(r, dtype=complex)
+    failed = False
+    for t in grid:
+        t_pow = t**w_float
+        t_neg = t ** (-p_float)
+        if failed or epsilon == 0:
+            x, _, resid = scaled_residual(t_neg, t_pow, z)
+            z_rows.append(tuple(complex(v) for v in z))
+            point_rows.append(tuple(complex(v) for v in x))
+            residual_rows.append(resid)
+            converged_rows.append(not failed)
+            history_rows.append(())
+            continue
+        history = []
+        x, f_scaled, resid = scaled_residual(t_neg, t_pow, z)
+        history.append(resid)
+        within_cap = bool(np.all(np.isfinite(z)) and np.max(np.abs(z), initial=0.0) <= z_cap)
+        ok = resid <= tolerance and within_cap
+        for _ in range(max_iterations):
+            if ok or not within_cap:
+                break
+            jac = np.asarray(df_p(x), dtype=complex) + epsilon * np.asarray(df_q(x), dtype=complex)
+            jac = jac.reshape(r, nvars)
+            j_z = (t_neg[:, np.newaxis] * (jac * t_pow[np.newaxis, :])) @ (epsilon * conj_t)
+            try:
+                delta = np.linalg.solve(j_z, -f_scaled)
+            except np.linalg.LinAlgError:
+                delta, *_ = np.linalg.lstsq(j_z, -f_scaled, rcond=None)
+            lam = 1.0
+            accepted = False
+            while lam >= 2.0**-16:
+                z_try = z + lam * delta
+                if not np.all(np.isfinite(z_try)):
+                    lam /= 2.0
+                    continue
+                x_try, f_try, resid_try = scaled_residual(t_neg, t_pow, z_try)
+                if resid_try < resid or resid_try <= tolerance:
+                    z, x, f_scaled, resid = z_try, x_try, f_try, resid_try
+                    accepted = True
+                    break
+                lam /= 2.0
+            history.append(resid)
+            if not accepted:
+                break
+            within_cap = bool(np.all(np.isfinite(z)) and np.max(np.abs(z), initial=0.0) <= z_cap)
+            ok = resid <= tolerance and within_cap
+        z_rows.append(tuple(complex(v) for v in z))
+        point_rows.append(tuple(complex(v) for v in x))
+        residual_rows.append(resid)
+        converged_rows.append(ok)
+        history_rows.append(tuple(history))
+        if not ok:
+            failed = True
+    return ArcSample(
+        s=sample, epsilon=epsilon, t_grid=tuple(grid), z_values=tuple(z_rows),
+        points=tuple(point_rows), residuals=tuple(residual_rows),
+        converged=tuple(converged_rows), gram_determinant=gram_determinant,
+        iteration_residuals=tuple(history_rows),
+    )
+
+
+def _assert_projections_match(equations, partials, starts, tolerance=1e-10):
+    x, residual, ok = _gauss_newton_project(equations, partials, starts, tolerance)
+    for i, start in enumerate(starts):
+        point, res, good = _oracle_project(equations, partials, start, tolerance)
+        assert (point.tobytes(), repr(res), good) == (
+            x[i].tobytes(), repr(float(residual[i])), bool(ok[i])
+        )
+    return ok
+
+
+def _unit_starts(count, nvars, seed):
+    rng = np.random.default_rng(seed)
+    starts = rng.standard_normal((count, nvars)) + 1j * rng.standard_normal((count, nvars))
+    return starts / np.linalg.norm(starts, axis=1)[:, np.newaxis]
+
+
+def test_lockstep_projection_matches_the_per_point_oracle(sphere, briancon_speder):
+    for system in (sphere, briancon_speder):
+        equations, _, partials, _ = system.evaluators
+        ok = _assert_projections_match(equations, partials, _unit_starts(24, 3, 11))
+        assert ok.all()
+        # a tolerance below what some rows reach: converged and failed rows mix
+        ok = _assert_projections_match(
+            equations, partials, _unit_starts(24, 3, 12), tolerance=1e-17
+        )
+        assert ok.any() and not ok.all()
+
+
+def test_lockstep_projection_of_huge_starts_matches_the_oracle(sphere, briancon_speder):
+    starts = _unit_starts(6, 3, 13)
+    starts[::2] *= 1e200
+    equations, _, partials, _ = sphere.evaluators
+    with pytest.warns(RuntimeWarning):
+        ok = _assert_projections_match(equations, partials, starts)
+    assert list(ok) == [False, True] * 3
+    # here the overflowing rows stop least squares itself, in both solvers
+    equations, _, partials, _ = briancon_speder.evaluators
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(np.linalg.LinAlgError):
+            _oracle_project(equations, partials, starts[0], 1e-10)
+        with pytest.raises(np.linalg.LinAlgError):
+            _gauss_newton_project(equations, partials, starts, 1e-10)
+
+
+def test_link_sampling_over_several_blocks_matches_the_oracle(sphere):
+    # At tolerance 1e-16 about half the attempts fail, so filling the sample
+    # takes several blocks; with too few attempts allowed it runs out.
+    equations, _, partials, _ = sphere.evaluators
+    for count, factor in ((12, 100), (12, 1)):
+        found, attempts = _oracle_attempts(
+            equations, partials, 3, count, factor * count, (4,), 1e-16, 60
+        )
+        assert attempts > count if factor > 1 else len(found) < count
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            samples = sample_link(sphere, count, 4, tolerance=1e-16, max_attempt_factor=factor)
+        assert [(s.s, s.residual) for s in samples] == [
+            (tuple(point.tolist()), residual) for point, residual in found
+        ]
+        assert [str(w.message) for w in caught] == (
+            [] if len(found) == count else [
+                f"link sampling produced {len(found)}/{count} points after {attempts} "
+                "attempts; the link may be empty at tolerance 1e-16"
+            ]
+        )
+
+
+def test_sigma_cloud_over_several_blocks_matches_the_oracle():
+    # Sigma of this codim-3 germ is a curve whose projections often fail, so
+    # the cloud fills over several blocks.
+    system = germ_system(
+        ["x", "y", "z", "w"],
+        [P("x^2 - y*z", "x y z w"), P("y^2 - z*w", "x y z w"), P("z^2 - x*w", "x y z w")],
+        [P("w^3", "x y z w"), P("x^3", "x y z w"), P("y^3", "x y z w")],
+    )
+    cloud = sigma_link_cloud(system, count=30, seed=2)
+    (comp,) = [c for c in sigma(system).components if c.dimension and c.dimension >= 1]
+    gens = list(comp.basis.generators) if comp.basis is not None else comp.generators
+    found, attempts = _oracle_attempts(
+        NumericEvaluator(gens), jacobian_evaluator(gens), 4, 30, 600, (2, 0), 1e-10, 80
+    )
+    assert attempts > 30
+    assert cloud == [tuple(point.tolist()) for point, _ in found]
+
+
+def test_distance_to_cloud_matches_the_norm_loop(briancon_speder):
+    cloud = sigma_link_cloud(briancon_speder, count=40, seed=0)
+    samples = sample_link(briancon_speder, 8, seed=0, sigma_cloud=cloud)
+    for s in samples:
+        point = np.asarray(s.s, dtype=complex)
+        best = math.inf
+        for q in cloud:
+            best = min(best, float(np.linalg.norm(point - np.asarray(q, dtype=complex))))
+        assert repr(s.distance_to_sigma) == repr(best)
+    with_nan = np.array(cloud[:3] + [(math.nan, 0j, 0j)], dtype=complex)
+    assert _distance_to_cloud(np.asarray(samples[0].s), with_nan) == min(
+        float(np.linalg.norm(np.asarray(samples[0].s) - q)) for q in with_nan[:3]
+    )
+    assert _distance_to_cloud(np.zeros(3, dtype=complex), with_nan[3:]) == math.inf
+
+
+def _assert_arcs_match(system, epsilon, samples, **kwargs):
+    arcs = verify_foliation(system, epsilon, samples, **kwargs).arcs
+    for sample, arc in zip(samples, arcs):
+        assert repr(arc) == repr(_oracle_arc(system, epsilon, sample))
+        assert repr(deform_arc(system, epsilon, sample, **kwargs)) == repr(arc)
+    return arcs
+
+
+def test_lockstep_arcs_match_the_per_arc_oracle(sphere, briancon_speder):
+    samples = sample_link(sphere, 8, seed=3)
+    _assert_arcs_match(sphere, 0.5, samples)
+    _assert_arcs_match(sphere, 0.0, samples)
+    # Near Sigma one arc diverges: an escape past z_cap, every smaller t
+    # marked failed, while its batch mates converge on the whole grid.
+    near = _bs_link_point_near_axis(briancon_speder, 1e-10)
+    samples = [near] + sample_link(briancon_speder, 5, seed=0)
+    arcs = _assert_arcs_match(briancon_speder, 0.1, samples)
+    assert not any(arcs[0].converged)
+    assert max(abs(c) for z in arcs[0].z_values for c in z) > 1e3
+    assert any(all(arc.converged) for arc in arcs[1:])
+
+
+def test_singular_newton_matrix_falls_back_per_row(briancon_speder):
+    # At (0, 1, 0) the rescaled gradient vanishes, so that arc's Newton
+    # matrix is zero while the perturbation y^8 keeps the residual nonzero:
+    # the stacked solve fails and each row is solved (or least-squared) alone.
+    system = germ_system(
+        ["x", "y", "z"],
+        [P("z^5 + x^15 + x*y^7")],
+        [P("y^8")],
+        [F(1, 15), F(2, 15), F(3, 15)],
+    )
+    axis = LinkSample(s=(0j, 1 + 0j, 0j), residual=0.0)
+    samples = [axis] + sample_link(system, 3, seed=1)
+    arcs = _assert_arcs_match(system, 0.1, samples)
+    assert arcs[0].gram_determinant == 0.0
+    assert not arcs[0].converged[0]
+    assert all(arcs[1].converged)
+
+
+def test_separation_scan_matches_the_pair_loop(briancon_speder):
+    near = _bs_link_point_near_axis(briancon_speder, 1e-10)
+    samples = sample_link(briancon_speder, 7, seed=0) + [near, near]
+    report = verify_foliation(briancon_speder, 0.1, samples)
+    arcs = report.arcs
+    failures, min_separation = [], math.inf
+    for i, j in itertools.combinations(range(len(arcs)), 2):
+        common = [k for k in range(len(DEFAULT_T_GRID)) if arcs[i].converged[k] and arcs[j].converged[k]]
+        if not common:
+            failures.append(f"separation pair ({i}, {j}): no common converged t")
+            continue
+        k = max(common)
+        x_i = np.asarray(arcs[i].points[k], dtype=complex)
+        x_j = np.asarray(arcs[j].points[k], dtype=complex)
+        denom = max(float(np.linalg.norm(x_i)), float(np.linalg.norm(x_j)))
+        rel = float(np.linalg.norm(x_i - x_j)) / denom if denom > 0.0 else 0.0
+        min_separation = min(min_separation, rel)
+        if rel < 1e-8:
+            failures.append(
+                f"separation pair ({i}, {j}): relative distance {rel:.3e} "
+                f"below 1e-08 at t = {DEFAULT_T_GRID[k]:g}"
+            )
+    assert any("no common converged t" in f for f in failures)
+    assert [f for f in report.failures if f.startswith("separation")] == failures
+    assert repr(report.min_separation) == repr(min_separation)
+    assert not report.separation_ok

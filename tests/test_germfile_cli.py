@@ -123,6 +123,19 @@ def test_weight_inference_failures_are_germ_file_errors():
         load_system({"variables": ["x", "y"], "equations": ["x^2"]})
 
 
+def test_cli_split_principal_without_weights_gets_split_advice(capsys, tmp_path):
+    # The file already has a split, so the advice must not ask for one.
+    path = write_germ(
+        tmp_path,
+        {"variables": ["x", "y", "z"], "split": {"principal": ["x^2 + x*y^3 + y^2 + z^2"]}},
+    )
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert '"split.principal" is not weighted-homogeneous' in err
+    assert '"split.perturbation"' in err
+    assert 'explicit "split"' not in err
+
+
 def test_system_validation_surfaces_as_germ_file_error():
     with pytest.raises(GermFileError):
         load_system({"variables": ["x", "y"], "equations": ["x + y"]})  # order 1

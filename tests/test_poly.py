@@ -211,6 +211,67 @@ def test_numeric_evaluator_overflows_like_the_reference():
     assert (RuntimeWarning, "overflow encountered in scalar power") in records[0][1]
 
 
+# The row-batched entry point must equal calling on each row.  Values are
+# compared as float64 words: equal, or both nan with the same sign bit.
+
+
+def _same_words(got, want) -> bool:
+    a = np.asarray(got, dtype=complex).view(np.float64)
+    b = np.asarray(want, dtype=complex).view(np.float64)
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    return a.shape == b.shape and bool(np.all(same & (np.signbit(a) == np.signbit(b))))
+
+
+def _per_row(evaluator, points):
+    return np.array([evaluator(p) for p in points], dtype=complex).reshape(len(points), -1)
+
+
+polys3_to_12 = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 12)] * 3), gaussian_rationals), max_size=6
+).map(lambda pairs: Poly.from_terms(3, pairs))
+coords = st.one_of(
+    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e200 + 0j, -1e200j, 1e200 - 1e200j, 0j, complex(-0.0, 0.0), complex(0.0, -0.0)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(polys3_to_12, gaussian_rationals.map(lambda c: Poly.constant(3, c)), st.just(Poly.zero(3))), max_size=4),
+    st.lists(st.lists(coords, min_size=3, max_size=3), min_size=1, max_size=5),
+)
+def test_numeric_evaluator_rows_are_bitwise_the_per_row_calls(polys, rows):
+    points = np.array(rows, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for evaluator in (NumericEvaluator(polys), jacobian_evaluator(polys or [Poly.zero(3)])):
+            assert _same_words(evaluator.rows(points), _per_row(evaluator, points))
+
+
+def test_numeric_evaluator_rows_cover_every_small_exponent():
+    # numpy's array square differs from the scalar one on thousands of such
+    # points; every exponent must still match.
+    rng = np.random.default_rng(0)
+    points = 3 * (rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2)))
+    c = QI(Fraction(2, 3), -1)
+    evaluator = NumericEvaluator(
+        [Poly.from_terms(2, [((e, 1), c), ((0, e), QI.one())]) for e in range(13)]
+    )
+    assert _same_words(evaluator.rows(points), _per_row(evaluator, points))
+
+
+def test_numeric_evaluator_rows_overflow_like_the_per_row_calls():
+    polys = [P("x^2*y + 3*y^3", "x y"), P("(1/2 - i)*x^5", "x y"), P("x - 1", "x y")]
+    points = np.array([[1e200 + 1e200j, -1e200 + 0j], [0.5 - 2j, 3 + 0j]])
+    evaluator = NumericEvaluator(polys)
+    with pytest.warns(RuntimeWarning):
+        got = evaluator.rows(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _same_words(got, _per_row(evaluator, points))
+    assert np.isnan(got[0, 0]) and np.isnan(got[0, 1]) and np.all(np.isfinite(got[1]))
+
+
 def test_substitute_and_drop():
     f = P("x^2 + x*y + z")
     g = f.substitute_constant(0, QI(2))
