@@ -6,7 +6,9 @@ Five subcommands over JSON germ files:
 ``sigma``     the obstruction locus of the principal part
 ``newton``    diagram route for a single hypersurface equation
 ``foliate``   numerically deform the weighted foliation and check it
-``milnor``    Milnor number of one isolated hypersurface singularity
+``milnor``    Milnor number of one isolated hypersurface singularity (from the
+              weighted initial form when that is isolated, else a local
+              standard basis)
 
 Every run ends in one of the documented exit codes:
 

@@ -199,9 +199,10 @@ def _gauss_newton_project(
 
     The rows run in lockstep, each with its own convergence and line-search
     state, and every row's iterates are bit for bit those of projecting it
-    alone; only the least-squares steps are taken row by row.  Returns
-    (points, max |f_i| per row, ok per row); ok additionally demands
-    | |x|^2 - 1 | <= 1e-12."""
+    alone; only the least-squares steps are taken row by row.  A row whose
+    real Newton matrix or residual has a non-finite entry takes no step: it
+    stops where it is, unconverged.  Returns (points, max |f_i| per row, ok
+    per row); ok additionally demands | |x|^2 - 1 | <= 1e-12."""
     x = np.array(starts, dtype=complex)
     nvars = x.shape[1]
     neq = len(equations.polys)
@@ -226,6 +227,10 @@ def _gauss_newton_project(
         jac_real = np.block(
             [[jac.real, -jac.imag], [jac.imag, jac.real], [2.0 * x_live.real, 2.0 * x_live.imag]]
         )
+        finite = np.isfinite(jac_real).all(axis=(1, 2)) & np.isfinite(res[live]).all(axis=1)
+        live, jac_real = live[finite], jac_real[finite]
+        if not len(live):
+            break
         pairs = zip(jac_real, res[live])
         step = np.array([np.linalg.lstsq(a, -b, rcond=None)[0] for a, b in pairs])
         delta = step[:, :nvars] + 1j * step[:, nvars:]

@@ -1,5 +1,8 @@
 """Buchberger engine over Q(i): global bases, dimensions, saturation, and
-local standard bases via homogenization; Milnor numbers on top.
+local standard bases via homogenization; Milnor numbers on top, from a
+global basis of the weighted initial form's Jacobian ideal when that form
+is isolated (semi-quasihomogeneous germs), else from the local standard
+basis.
 
 Design points, fixed by the package contract:
 
@@ -25,6 +28,7 @@ Design points, fixed by the package contract:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -494,7 +498,16 @@ def local_standard_basis(gens: list[Poly], budget: Budget | None = None) -> Groe
 
 def milnor_number(f: Poly, budget: Budget | None = None) -> int | None:
     """Milnor number of a hypersurface germ: the local quotient dimension of
-    the Jacobian ideal.  None means the singularity is not isolated."""
+    the Jacobian ideal.  None means the singularity is not isolated.
+
+    Certificate first: when every variable x_j has a pure power in f, let
+    a_j be the smallest, w_j = 1/a_j, and f_o the part of f of minimal
+    w-degree d.  The Jacobian ideal J_o of f_o is w-homogeneous for positive
+    weights, so V(J_o) is C*-stable; a finite global (grevlex) colength
+    therefore means V(J_o) = {0}, and then it is the local one, mu(f_o).
+    As f - f_o has w-order > d, mu(f) = mu(f_o) (Arnold, semi-quasihomogeneous
+    germs).  Otherwise the local standard basis of J(f) decides, on the same
+    budget; running out inside the certificate names "weighted initial form"."""
     if f.is_zero():
         raise ValueError("zero polynomial has no Milnor number")
     if not f.constant_term().is_zero():
@@ -503,5 +516,15 @@ def milnor_number(f: Poly, budget: Budget | None = None) -> int | None:
     if all(p.is_zero() for p in partials):
         return None
     budget = budget or Budget()
+    exponents = [min((m[j] for m in f.terms if m[j] == sum(m)), default=0) for j in range(f.nvars)]
+    if all(exponents):
+        f_o = f.split_by_weight([Fraction(1, a) for a in exponents])[0]
+        try:
+            gb = buchberger([f_o.partial(j) for j in range(f.nvars)], grevlex(f.nvars), budget)
+            mu = quotient_dimension(gb, budget)
+        except BudgetExhausted as exc:
+            raise BudgetExhausted("weighted initial form", exc.used) from None
+        if mu is not None:
+            return mu
     basis = local_standard_basis([p for p in partials if not p.is_zero()], budget)
     return quotient_dimension(basis, budget)

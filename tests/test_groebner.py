@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from germlab.groebner import (
     Budget,
@@ -287,6 +287,75 @@ def test_milnor_number_matches_milnor_orlik_on_simple_normal_forms(form, extra):
     assert milnor_number(f) == _milnor_orlik([*weights, *(Fraction(1, a) for a in extra)])
 
 
+def _local_route_milnor(f: Poly, budget: Budget) -> int | None:
+    """The local standard basis route alone: the local colength of J(f)."""
+    partials = [p for p in (f.partial(j) for j in range(f.nvars)) if p]
+    return quotient_dimension(local_standard_basis(partials, budget), budget)
+
+
+def test_milnor_number_routes_are_pinned():
+    # bs_pert4 and bs_6633: with w_j = 1/a_j from the pure powers x_j^a_j, the
+    # initial form is isolated, so a grevlex basis of its Jacobian ideal
+    # decides.  x^5 + y^5 + x^2*y^2: the initial form x^2*y^2 is not isolated,
+    # so the certificate's 3 steps come on top of the local route's 26.  The
+    # last two lack a pure power of one variable and skip the certificate.
+    for text, variables, mu, used, local_used in (
+        ("x^12 + y^6 + z^4 + w^3 + x^3*y*z*w + y^5*z", "x y z w", 330, 860, 12441),
+        ("x^6 + y^6 + z^3 + w^3 + x*y*z*w + x^5*z", "x y z w", 100, 261, 1539),
+        ("x^5 + y^5 + x^2*y^2", "x y", 11, 29, 26),
+        ("x^2*y + y^5", "x y", 6, 13, 13),
+        ("x^3 + x*y^3", "x y", 7, 14, 14),
+    ):
+        f = P(text, variables)
+        budget, local = Budget(), Budget()
+        assert milnor_number(f, budget) == mu == _local_route_milnor(f, local)
+        assert (budget.used, local.used) == (used, local_used)
+
+
+@st.composite
+def _perturbed_brieskorn_pham(draw):
+    """(f, principal part, exponents, whether the principal part stays
+    initial): x_1^a_1 + ... + x_n^a_n, n = 2 or 3, a_j in 2..6, plus up to two
+    monomials on its degree-1 hyperplane, plus 0-3 monomials of w-degree
+    below 1 or in (1, 3/2) (w_j = 1/a_j); added coefficients are in Z[i]."""
+    n = draw(st.integers(2, 3))
+    exponents = draw(st.lists(st.integers(2, 6), min_size=n, max_size=n))
+    coefficient = st.sampled_from([QI(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b])
+
+    def degree(m):
+        return sum(Fraction(e, a) for e, a in zip(m, exponents))
+
+    box = itertools.product(*(range(a + 1) for a in exponents))
+    monomials = [m for m in box if 0 < degree(m) < Fraction(3, 2)]
+    hyperplane = [m for m in monomials if degree(m) == 1 and max(m) < sum(m)]
+    terms = {tuple(a if k == j else 0 for k in range(n)): QI.one() for j, a in enumerate(exponents)}
+    for m in draw(st.lists(st.sampled_from(hyperplane), max_size=2, unique=True)) if hyperplane else ():
+        terms[m] = draw(coefficient)
+    principal = Poly(n, terms)
+    extra = draw(st.lists(st.sampled_from([m for m in monomials if degree(m) != 1]), max_size=3, unique=True))
+    f = principal + Poly(n, {m: draw(coefficient) for m in extra})
+    return f, principal, exponents, all(degree(m) > 1 for m in extra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_perturbed_brieskorn_pham())
+def test_milnor_number_matches_the_local_route_on_perturbed_brieskorn_pham(case):
+    # The certificate route must agree with the local standard basis whichever
+    # route milnor_number takes; where the principal part is isolated and stays
+    # initial, both must also give the Milnor-Orlik number prod(a_j - 1).
+    f, principal, exponents, stays_initial = case
+    try:
+        expected = _local_route_milnor(f, Budget(1500))
+        principal_mu = _local_route_milnor(principal, Budget(1500))
+    except BudgetExhausted:
+        assume(False)
+    assert milnor_number(f, Budget(1500)) == expected
+    if principal_mu is not None:
+        assert principal_mu == _milnor_orlik(Fraction(1, a) for a in exponents)
+        if stays_initial:
+            assert expected == principal_mu
+
+
 def test_local_basis_pair_order_is_pinned():
     # The pair counts pin the pop order of the normal strategy: popping
     # equal-degree pairs newest first, for one, changes them.  The steps
@@ -337,10 +406,17 @@ def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExhausted) as plain:
         buchberger(gens, budget=Budget(3))
     assert plain.value.context == "buchberger"
-    # the message names the stage that ran out, not the kernel under it
+    # the message names the stage that ran out, not the kernel under it:
+    # bs_6633 has a pure power of every variable, so its Milnor number starts
+    # with the weighted initial form; briancon_speder has no pure power of y
+    # and goes to the local standard basis at once
     f = P("x^6 + y^6 + z^3 + w^3 + x*y*z*w + x^5*z", "x y z w")
-    with pytest.raises(BudgetExhausted) as local:
+    with pytest.raises(BudgetExhausted) as initial:
         milnor_number(f, Budget(20))
+    assert initial.value.context == "weighted initial form"
+    assert "during weighted initial form" in str(initial.value)
+    with pytest.raises(BudgetExhausted) as local:
+        milnor_number(P("z^5 + x^15 + x*y^7 + z*y^6"), Budget(20))
     assert local.value.context == "local standard basis"
     assert "during local standard basis" in str(local.value)
 
