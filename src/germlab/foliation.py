@@ -21,7 +21,8 @@ radius of convergence shrinks to zero near Link[Sigma]), never hidden.
 The link, cloud and arc solvers run in lockstep over blocks of points, each
 point with its own convergence and line-search state; every result is bit
 for bit the one solving that point alone gives, and the samplers keep their
-successes in attempt order.
+successes in attempt order.  A block's Gauss-Newton least-squares steps are
+one stacked call of the gufunc behind ``np.linalg.lstsq``.
 
 Everything here is sampled pointwise in floating point; no symbolic Puiseux
 expansion is constructed.  Exactness claims are limited to coordinate-plane
@@ -31,7 +32,6 @@ zero, the ansatz forces the matching arc coordinates to stay bitwise zero.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import random
@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from germlab.germ import (
     Budget,
@@ -186,6 +187,22 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(a.real) + _row_dots(a.imag))
 
 
+def _raise_lstsq_error(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _stacked_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(a[i], b[i], rcond=None)[0]`` for every i, bit for
+    bit, in one call of the gufunc that function wraps (the wrapper refuses
+    a stack).  The rcond and the error state are the wrapper's: a row whose
+    SVD does not converge raises its LinAlgError."""
+    rcond = np.finfo(float).eps * max(a.shape[-2:])
+    with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(a, b[..., np.newaxis], rcond, signature="ddd->ddid")[0]
+    return x[..., 0]
+
+
 def _gauss_newton_project(
     equations: NumericEvaluator,
     partials: NumericEvaluator,
@@ -199,10 +216,11 @@ def _gauss_newton_project(
 
     The rows run in lockstep, each with its own convergence and line-search
     state, and every row's iterates are bit for bit those of projecting it
-    alone; only the least-squares steps are taken row by row.  A row whose
-    real Newton matrix or residual has a non-finite entry takes no step: it
-    stops where it is, unconverged.  Returns (points, max |f_i| per row, ok
-    per row); ok additionally demands | |x|^2 - 1 | <= 1e-12."""
+    alone; the least-squares steps of all rows are one stacked call
+    (:func:`_stacked_lstsq`).  A row whose real Newton matrix or residual has
+    a non-finite entry takes no step: it stops where it is, unconverged.
+    Returns (points, max |f_i| per row, ok per row); ok additionally demands
+    | |x|^2 - 1 | <= 1e-12."""
     x = np.array(starts, dtype=complex)
     nvars = x.shape[1]
     neq = len(equations.polys)
@@ -231,8 +249,7 @@ def _gauss_newton_project(
         live, jac_real = live[finite], jac_real[finite]
         if not len(live):
             break
-        pairs = zip(jac_real, res[live])
-        step = np.array([np.linalg.lstsq(a, -b, rcond=None)[0] for a, b in pairs])
+        step = _stacked_lstsq(jac_real, -res[live])
         delta = step[:, :nvars] + 1j * step[:, nvars:]
         norm_old = _row_norms(res[live])
         pending = np.ones(len(live), dtype=bool)
@@ -401,21 +418,22 @@ def sigma_link_cloud(
 
 
 def _block_scales(system: GermSystem, s: np.ndarray) -> np.ndarray:
-    """Per-variable factors sqrt(sum_{i <= r_l} |s_i|^2), where r_l is the
-    weight-splitting boundary of the variable's block.  The sums are
-    cumulative from the first coordinate, so a sample with its whole first
-    block at exactly zero gets exactly-zero factors there."""
-    splitting = weight_splitting(list(system.weights))
-    cumulative = np.cumsum(np.abs(s) ** 2)
-    scales = np.empty(system.nvars)
-    for j in range(system.nvars):
-        boundary = next(b for b in splitting.breakpoints if b >= j + 1)
-        block = s[:boundary]
-        if np.all(block == 0.0):
-            scales[j] = 0.0
-        else:
-            scales[j] = math.sqrt(float(cumulative[boundary - 1]))
-    return scales
+    """Per-variable factors sqrt(sum_{i <= r_l} |s_i|^2) for every row of
+    ``s``, where r_l is the weight-splitting boundary of the variable's
+    block.  The sums are cumulative from the first coordinate, so a sample
+    with its whole first block at exactly zero gets exactly-zero factors
+    there."""
+    breakpoints = weight_splitting(list(system.weights)).breakpoints
+    boundaries = [next(b for b in breakpoints if b > j) - 1 for j in range(system.nvars)]
+    return np.sqrt(np.cumsum(np.abs(s) ** 2, axis=1))[:, boundaries]
+
+
+def _rescaled_gradients(system: GermSystem, s: np.ndarray) -> np.ndarray:
+    """:func:`rescaled_gradient` at every row of the (m, N) array ``s``, as
+    an (m, r, N) array."""
+    _, _, df_p, _ = system.evaluators
+    grads = df_p.rows(s).reshape(len(s), system.c, system.nvars)
+    return grads * _block_scales(system, s)[:, np.newaxis, :]
 
 
 def rescaled_gradient(system: GermSystem, s: Sequence[complex]) -> np.ndarray:
@@ -426,11 +444,7 @@ def rescaled_gradient(system: GermSystem, s: Sequence[complex]) -> np.ndarray:
     unit sphere); a sample with its first block exactly zero gets exactly
     zero columns there, which is what forces coordinate-plane preservation
     of the deformed arcs."""
-    s_arr = np.asarray(s, dtype=complex)
-    scales = _block_scales(system, s_arr)
-    _, _, df_p, _ = system.evaluators
-    grad = np.asarray(df_p(s_arr), dtype=complex).reshape(system.c, system.nvars)
-    return grad * scales[np.newaxis, :]
+    return _rescaled_gradients(system, np.asarray(s, dtype=complex)[np.newaxis])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -480,30 +494,33 @@ def deform_arc(
     of one sample."""
     sample = _coerce_sample(system, s)
     return _deform_arcs(
-        system, epsilon, [sample], t_grid, tolerance, max_iterations, z_cap,
+        system, [epsilon], [sample], t_grid, tolerance, max_iterations, z_cap,
         min_sigma_distance, allow_large_epsilon,
-    )[0]
+    )[0][0]
 
 
 def _deform_arcs(
-    system: GermSystem, epsilon: complex, samples: Sequence[LinkSample], t_grid: Sequence[float],
-    tolerance: float = NEWTON_TOLERANCE, max_iterations: int = 40, z_cap: float = 1e3,
-    min_sigma_distance: float = 0.0, allow_large_epsilon: bool = False,
-) -> list[ArcSample]:
-    """:func:`deform_arc` for every sample at once.  The Newton runs move
-    down the t-grid in lockstep, each arc with its own convergence, ``z_cap``,
-    failure and line-search state, and every arc is bit for bit the one its
-    sample gives alone."""
-    epsilon = complex(epsilon)
-    if (
-        system.is_same_order()
-        and abs(epsilon) > SAME_ORDER_EPSILON_CAP
-        and not allow_large_epsilon
-    ):
-        raise ValueError(
-            f"|epsilon| = {abs(epsilon):g} exceeds the same-order cap "
-            f"{SAME_ORDER_EPSILON_CAP}; pass allow_large_epsilon=True to override"
-        )
+    system: GermSystem, epsilons: Sequence[complex], samples: Sequence[LinkSample],
+    t_grid: Sequence[float], tolerance: float = NEWTON_TOLERANCE, max_iterations: int = 40,
+    z_cap: float = 1e3, min_sigma_distance: float = 0.0, allow_large_epsilon: bool = False,
+) -> list[list[ArcSample]]:
+    """:func:`deform_arc` for every sample at once, at each scale in
+    ``epsilons``; the rescaled gradients and Gram determinants are computed
+    once and shared by the scales.  The Newton runs move down the t-grid in
+    lockstep, each arc with its own convergence, ``z_cap``, failure and
+    line-search state, and every arc is bit for bit the one its sample gives
+    alone."""
+    epsilons = [complex(epsilon) for epsilon in epsilons]
+    for epsilon in epsilons:
+        if (
+            system.is_same_order()
+            and abs(epsilon) > SAME_ORDER_EPSILON_CAP
+            and not allow_large_epsilon
+        ):
+            raise ValueError(
+                f"|epsilon| = {abs(epsilon):g} exceeds the same-order cap "
+                f"{SAME_ORDER_EPSILON_CAP}; pass allow_large_epsilon=True to override"
+            )
     for sample in samples:
         if min_sigma_distance > 0.0 and sample.distance_to_sigma < min_sigma_distance:
             raise ValueError(
@@ -520,12 +537,11 @@ def _deform_arcs(
     s_arr = np.array([sample.s for sample in samples], dtype=complex).reshape(m, nvars)
     w_float = np.array([float(w) for w in system.weights])
     p_float = np.array([float(d) for d in system.degrees])
-    grads = np.array([rescaled_gradient(system, s) for s in s_arr]).reshape(m, r, nvars)
+    grads = _rescaled_gradients(system, s_arr)
     gram_determinants = [float(np.linalg.det(g @ g.conj().T).real) for g in grads]
     # conj[i].T is sample i's N x r map z -> h; a transposed view, as its
     # layout decides which BLAS kernel runs
     conj = grads.conj()
-    eps_conj = epsilon * conj
     zero_rows = np.all(conj == 0.0, axis=1)
 
     f_p, f_q, df_p, df_q = system.evaluators
@@ -542,65 +558,69 @@ def _deform_arcs(
         return cap, (resid <= tolerance) & cap
 
     everyone = np.arange(m)
-    z = np.zeros((m, r), dtype=complex)
-    failed = np.zeros(m, dtype=bool)
-    columns: list[tuple[np.ndarray, ...]] = []
-    histories: list[list[tuple[float, ...]]] = [[] for _ in everyone]
-    for t in grid:
-        t_pow = t**w_float
-        t_neg = t ** (-p_float)
-        # z stays 0 at epsilon = 0 (converged) or at the last iterate after a failure
-        newton = ~failed if epsilon != 0 else np.zeros(m, dtype=bool)
-        x, f_scaled, resid = scaled_residual(everyone, z)
-        history = [[value] for value in resid.tolist()]
-        within_cap, ok = settled(z, resid)
-        live = np.nonzero(newton & ~ok & within_cap)[0]
-        for _ in range(max_iterations):
-            if not len(live):
-                break
-            jac = (df_p.rows(x[live]) + epsilon * df_q.rows(x[live])).reshape(len(live), r, nvars)
-            j_z = t_neg[:, np.newaxis] * (jac * t_pow[np.newaxis, :])
-            j_z = j_z @ eps_conj[live].transpose(0, 2, 1)
-            try:
-                delta = np.linalg.solve(j_z, -f_scaled[live][:, :, np.newaxis])[:, :, 0]
-            except np.linalg.LinAlgError:
-                delta = np.array([_solve_or_lstsq(a, -b) for a, b in zip(j_z, f_scaled[live])])
-            pending = np.ones(len(live), dtype=bool)
-            lam = 1.0
-            while lam >= 2.0**-16 and pending.any():
-                idx = np.nonzero(pending)[0]
-                z_try = z[live[idx]] + lam * delta[idx]
-                finite = np.all(np.isfinite(z_try), axis=1)
-                idx, z_try = idx[finite], z_try[finite]
-                x_try, f_try, resid_try = scaled_residual(live[idx], z_try)
-                good = (resid_try < resid[live[idx]]) | (resid_try <= tolerance)
-                rows = live[idx[good]]
-                z[rows], x[rows] = z_try[good], x_try[good]
-                f_scaled[rows], resid[rows] = f_try[good], resid_try[good]
-                pending[idx[good]] = False
-                lam /= 2.0
-            for row in live:
-                history[row].append(float(resid[row]))
-            live = live[~pending]
-            within_cap[live], ok[live] = settled(z[live], resid[live])
-            live = live[~ok[live] & within_cap[live]]
-        converged = np.where(newton, ok, ~failed)
-        columns.append((z.copy(), x, resid, converged))
-        for i in everyone:
-            histories[i].append(tuple(history[i]) if newton[i] else ())
-        failed |= ~converged
+    families: list[list[ArcSample]] = []
+    for epsilon in epsilons:
+        eps_conj = epsilon * conj
+        z = np.zeros((m, r), dtype=complex)
+        failed = np.zeros(m, dtype=bool)
+        columns: list[tuple[np.ndarray, ...]] = []
+        histories: list[list[tuple[float, ...]]] = [[] for _ in everyone]
+        for t in grid:
+            t_pow = t**w_float
+            t_neg = t ** (-p_float)
+            # z stays 0 at epsilon = 0 (converged) or at the last iterate after a failure
+            newton = ~failed if epsilon != 0 else np.zeros(m, dtype=bool)
+            x, f_scaled, resid = scaled_residual(everyone, z)
+            history = [[value] for value in resid.tolist()]
+            within_cap, ok = settled(z, resid)
+            live = np.nonzero(newton & ~ok & within_cap)[0]
+            for _ in range(max_iterations):
+                if not len(live):
+                    break
+                jac = (df_p.rows(x[live]) + epsilon * df_q.rows(x[live])).reshape(len(live), r, nvars)
+                j_z = t_neg[:, np.newaxis] * (jac * t_pow[np.newaxis, :])
+                j_z = j_z @ eps_conj[live].transpose(0, 2, 1)
+                try:
+                    delta = np.linalg.solve(j_z, -f_scaled[live][:, :, np.newaxis])[:, :, 0]
+                except np.linalg.LinAlgError:
+                    delta = np.array([_solve_or_lstsq(a, -b) for a, b in zip(j_z, f_scaled[live])])
+                pending = np.ones(len(live), dtype=bool)
+                lam = 1.0
+                while lam >= 2.0**-16 and pending.any():
+                    idx = np.nonzero(pending)[0]
+                    z_try = z[live[idx]] + lam * delta[idx]
+                    finite = np.all(np.isfinite(z_try), axis=1)
+                    idx, z_try = idx[finite], z_try[finite]
+                    x_try, f_try, resid_try = scaled_residual(live[idx], z_try)
+                    good = (resid_try < resid[live[idx]]) | (resid_try <= tolerance)
+                    rows = live[idx[good]]
+                    z[rows], x[rows] = z_try[good], x_try[good]
+                    f_scaled[rows], resid[rows] = f_try[good], resid_try[good]
+                    pending[idx[good]] = False
+                    lam /= 2.0
+                for row in live:
+                    history[row].append(float(resid[row]))
+                live = live[~pending]
+                within_cap[live], ok[live] = settled(z[live], resid[live])
+                live = live[~ok[live] & within_cap[live]]
+            converged = np.where(newton, ok, ~failed)
+            columns.append((z.copy(), x, resid, converged))
+            for i in everyone:
+                histories[i].append(tuple(history[i]) if newton[i] else ())
+            failed |= ~converged
 
-    z_rows, x_rows, res_rows, ok_rows = (np.stack(c, axis=1) for c in zip(*columns))
-    return [
-        ArcSample(
-            s=samples[i], epsilon=epsilon, t_grid=tuple(grid),
-            z_values=tuple(map(tuple, z_rows[i].tolist())),
-            points=tuple(map(tuple, x_rows[i].tolist())),
-            residuals=tuple(res_rows[i].tolist()), converged=tuple(ok_rows[i].tolist()),
-            gram_determinant=gram_determinants[i], iteration_residuals=tuple(histories[i]),
-        )
-        for i in everyone
-    ]
+        z_rows, x_rows, res_rows, ok_rows = (np.stack(c, axis=1) for c in zip(*columns))
+        families.append([
+            ArcSample(
+                s=samples[i], epsilon=epsilon, t_grid=tuple(grid),
+                z_values=tuple(map(tuple, z_rows[i].tolist())),
+                points=tuple(map(tuple, x_rows[i].tolist())),
+                residuals=tuple(res_rows[i].tolist()), converged=tuple(ok_rows[i].tolist()),
+                gram_determinant=gram_determinants[i], iteration_residuals=tuple(histories[i]),
+            )
+            for i in everyone
+        ])
+    return families
 
 
 def _solve_or_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -714,11 +734,11 @@ def verify_foliation(
     vanishes exactly.  Any failure names the offending pair or sample."""
     if len(samples) < 2:
         raise ValueError("verify_foliation needs at least 2 samples")
-    arcs = tuple(
-        _deform_arcs(system, epsilon, samples, t_grid, tolerance,
-                     allow_large_epsilon=allow_large_epsilon)
-    )
-    reference = tuple(_deform_arcs(system, 0.0, samples, t_grid))
+    # the tolerance is not read at epsilon = 0, where no Newton run is made
+    arcs, reference = map(tuple, _deform_arcs(
+        system, [epsilon, 0.0], samples, t_grid, tolerance,
+        allow_large_epsilon=allow_large_epsilon,
+    ))
     failures: list[str] = []
 
     total = sum(len(a.converged) for a in arcs)
@@ -818,12 +838,20 @@ def verify_foliation(
 # CSV dump
 
 
+def _parts(values: Sequence[complex]) -> list[str]:
+    return [part for v in values for part in (repr(v.real), repr(v.imag))]
+
+
 def write_arc_csv(
     destination: str | Path | IO[str], arcs: Sequence[ArcSample], seed: int
 ) -> None:
     """Tabulate arcs as CSV: one row per (arc, t) with columns seed, the
     sample coordinates (re/im), epsilon (re/im), t, the arc point (re/im),
-    the scaled residual, and converged as 0/1."""
+    the scaled residual, and converged as 0/1.
+
+    Rows are the bytes of the excel dialect of :mod:`csv` (``\\r\\n``
+    line ends), which quotes only fields holding ``,``, ``"``, ``\\r`` or
+    ``\\n``; no int or float repr does, so fields are joined as they are."""
     if not arcs:
         raise ValueError("no arcs to write")
     nvars = len(arcs[0].s.s)
@@ -834,21 +862,16 @@ def write_arc_csv(
     header += ["residual", "converged"]
 
     def emit(handle: IO[str]) -> None:
-        writer = csv.writer(handle)
-        writer.writerow(header)
+        handle.write(",".join(header) + "\r\n")
         for arc in arcs:
-            s_cols = [part for v in arc.s.s for part in (repr(v.real), repr(v.imag))]
-            for k, t in enumerate(arc.t_grid):
-                row = [str(seed)]
-                row += s_cols
-                row += [repr(arc.epsilon.real), repr(arc.epsilon.imag), repr(t)]
-                row += [
-                    part
-                    for v in arc.points[k]
-                    for part in (repr(v.real), repr(v.imag))
-                ]
-                row += [repr(arc.residuals[k]), str(int(arc.converged[k]))]
-                writer.writerow(row)
+            prefix = ",".join(
+                [str(seed), *_parts(arc.s.s), repr(arc.epsilon.real), repr(arc.epsilon.imag)]
+            )
+            handle.writelines(
+                ",".join([prefix, repr(t), *_parts(arc.points[k]), repr(arc.residuals[k]),
+                          str(int(arc.converged[k]))]) + "\r\n"
+                for k, t in enumerate(arc.t_grid)
+            )
 
     if isinstance(destination, (str, Path)):
         with open(destination, "w", newline="") as handle:

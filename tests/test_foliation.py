@@ -11,9 +11,11 @@ the y-axis, so its link is the circle (0, e^{i*theta}, 0)).
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from germlab.foliation import (
     LinkSample,
     _distance_to_cloud,
     _gauss_newton_project,
+    _stacked_lstsq,
     deform_arc,
     rescaled_gradient,
     sample_link,
@@ -34,7 +37,7 @@ from germlab.foliation import (
     verify_foliation,
     write_arc_csv,
 )
-from germlab.germ import germ_system, sigma
+from germlab.germ import germ_system, sigma, weight_splitting
 from germlab.poly import NumericEvaluator, jacobian_evaluator
 
 from conftest import P, F
@@ -471,6 +474,21 @@ def _oracle_attempts(equations, partials, nvars, want, limit, seed, tolerance, m
     return found, attempts
 
 
+def _oracle_rescaled_gradient(system, s):
+    splitting = weight_splitting(list(system.weights))
+    cumulative = np.cumsum(np.abs(s) ** 2)
+    scales = np.empty(system.nvars)
+    for j in range(system.nvars):
+        boundary = next(b for b in splitting.breakpoints if b >= j + 1)
+        if np.all(s[:boundary] == 0.0):
+            scales[j] = 0.0
+        else:
+            scales[j] = math.sqrt(float(cumulative[boundary - 1]))
+    _, _, df_p, _ = system.evaluators
+    grad = np.asarray(df_p(s), dtype=complex).reshape(system.c, system.nvars)
+    return grad * scales[np.newaxis, :]
+
+
 def _oracle_arc(system, epsilon, sample, t_grid=DEFAULT_T_GRID, *, tolerance=1e-11,
                 max_iterations=40, z_cap=1e3):
     epsilon = complex(epsilon)
@@ -480,7 +498,7 @@ def _oracle_arc(system, epsilon, sample, t_grid=DEFAULT_T_GRID, *, tolerance=1e-
     s_arr = np.asarray(sample.s, dtype=complex)
     w_float = np.array([float(w) for w in system.weights])
     p_float = np.array([float(d) for d in system.degrees])
-    grad = rescaled_gradient(system, s_arr)
+    grad = _oracle_rescaled_gradient(system, s_arr)
     gram = grad @ grad.conj().T
     gram_determinant = float(np.linalg.det(gram).real)
     conj_t = grad.conj().T
@@ -730,3 +748,142 @@ def test_separation_scan_matches_the_pair_loop(briancon_speder):
     assert [f for f in report.failures if f.startswith("separation")] == failures
     assert repr(report.min_separation) == repr(min_separation)
     assert not report.separation_ok
+
+
+def test_rescaled_gradient_matches_the_per_sample_oracle(sphere, briancon_speder):
+    # rescaled_gradient is the batched code on one row; the arc oracles
+    # check whole batches.  (0, 1, 0) has an exactly-zero first block on
+    # briancon_speder.
+    for system in (sphere, briancon_speder):
+        samples = [s.s for s in sample_link(system, 6, seed=5)] + [(0j, 1 + 0j, 0j)]
+        for s in samples:
+            s_arr = np.asarray(s, dtype=complex)
+            assert rescaled_gradient(system, s).tobytes() == (
+                _oracle_rescaled_gradient(system, s_arr).tobytes()
+            )
+
+
+# ---------------------------------------------------------------------------
+# one stacked least-squares call against numpy's per-matrix lstsq
+#
+# _stacked_lstsq calls the private gufunc behind np.linalg.lstsq; these
+# tests also catch a numpy release that changes it.
+
+
+@st.composite
+def _lstsq_stacks(draw):
+    count, m, n = draw(st.integers(1, 4)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = min(m, n)
+    rank = draw(st.integers(0, k))
+    if rank == k:
+        a = rng.standard_normal((count, m, n))
+    elif draw(st.booleans()):
+        a = rng.standard_normal((count, m, rank)) @ rng.standard_normal((count, rank, n))
+    else:
+        # trailing singular values near lstsq's cutoff eps * max(m, n) * s_max
+        sigma = np.ones(k)
+        sigma[rank:] = np.finfo(float).eps * draw(st.floats(0.5, 20.0))
+        u = np.linalg.qr(rng.standard_normal((count, m, k)))[0]
+        v = np.linalg.qr(rng.standard_normal((count, n, k)))[0]
+        a = (u * sigma) @ v.transpose(0, 2, 1)
+    a[rng.random((count, m)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    # rows of wildly different magnitudes, or one magnitude per matrix
+    a *= 10.0 ** rng.integers(-150, 151, size=(count, m if draw(st.booleans()) else 1, 1))
+    b = rng.standard_normal((count, m)) * 10.0 ** rng.integers(-150, 151, size=(count, m))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lstsq_stacks())
+def test_stacked_lstsq_matches_per_matrix_lstsq(stack):
+    a, b = stack
+    try:
+        expected = np.array([np.linalg.lstsq(ai, bi, rcond=None)[0] for ai, bi in zip(a, b)])
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+            _stacked_lstsq(a, b)
+        return
+    assert _stacked_lstsq(a, b).tobytes() == expected.tobytes()
+
+
+def test_stacked_lstsq_raises_like_lstsq_on_nan():
+    a = np.ones((3, 7, 8))
+    a[1, 2, 3] = math.nan
+    b = np.ones((3, 7))
+    with pytest.raises(np.linalg.LinAlgError) as expected:
+        np.linalg.lstsq(a[1], b[1], rcond=None)
+    with pytest.raises(np.linalg.LinAlgError) as stacked:
+        _stacked_lstsq(a, b)
+    assert (type(stacked.value), str(stacked.value)) == (
+        type(expected.value), str(expected.value)
+    )
+    assert str(stacked.value) == "SVD did not converge in Linear Least Squares"
+
+
+# ---------------------------------------------------------------------------
+# the arc CSV against the csv.writer version it replaced
+
+
+def _oracle_write_arc_csv(destination, arcs, seed):
+    if not arcs:
+        raise ValueError("no arcs to write")
+    nvars = len(arcs[0].s.s)
+    header = ["seed"]
+    header += [f"s{i}_{part}" for i in range(nvars) for part in ("re", "im")]
+    header += ["epsilon_re", "epsilon_im", "t"]
+    header += [f"x{i}_{part}" for i in range(nvars) for part in ("re", "im")]
+    header += ["residual", "converged"]
+
+    def emit(handle):
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for arc in arcs:
+            s_cols = [part for v in arc.s.s for part in (repr(v.real), repr(v.imag))]
+            for k, t in enumerate(arc.t_grid):
+                row = [str(seed)]
+                row += s_cols
+                row += [repr(arc.epsilon.real), repr(arc.epsilon.imag), repr(t)]
+                row += [
+                    part
+                    for v in arc.points[k]
+                    for part in (repr(v.real), repr(v.imag))
+                ]
+                row += [repr(arc.residuals[k]), str(int(arc.converged[k]))]
+                writer.writerow(row)
+
+    if isinstance(destination, (str, Path)):
+        with open(destination, "w", newline="") as handle:
+            emit(handle)
+    else:
+        emit(destination)
+
+
+def test_write_arc_csv_matches_the_csv_writer_bytes(tmp_path, sphere):
+    inf, nan = math.inf, math.nan
+    odd = ArcSample(
+        s=LinkSample(s=(complex(nan, -0.0), complex(inf, -inf), complex(5e-324, 1e22)), residual=0.0),
+        epsilon=complex(-0.0, 0.25),
+        t_grid=(2.0, 1e-300, 5e-324),
+        z_values=((0j,), (0j,), (0j,)),
+        points=(
+            (complex(1.0, -2.0), complex(-0.0, 0.0), complex(3.0, 1e22)),
+            (complex(nan, inf), complex(-inf, 5e-324), complex(-5e-324, 1.5e-310)),
+            (complex(0.1, 1 / 3), complex(-1e22, 123456789.0), complex(2.0**-1074, -1e308)),
+        ),
+        residuals=(nan, inf, -0.0),
+        converged=(True, False, False),
+        gram_determinant=0.0,
+        iteration_residuals=((), (), ()),
+    )
+    arcs = [odd] + [deform_arc(sphere, 0.5j, s) for s in sample_link(sphere, 2, seed=0)]
+    for seed in (-3, 0, 12):
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        write_arc_csv(ours, arcs, seed)
+        _oracle_write_arc_csv(theirs, arcs, seed)
+        assert ours.read_bytes() == theirs.read_bytes()
+        ours_text, theirs_text = io.StringIO(), io.StringIO()
+        write_arc_csv(ours_text, arcs, seed)
+        _oracle_write_arc_csv(theirs_text, arcs, seed)
+        assert ours_text.getvalue() == theirs_text.getvalue()
+    assert ours.read_bytes().count(b"\r\n") == 1 + 3 + 2 * len(DEFAULT_T_GRID)
