@@ -20,8 +20,10 @@ radius of convergence shrinks to zero near Link[Sigma]), never hidden.
 
 The link, cloud and arc solvers run in lockstep over blocks of points, each
 point with its own convergence and line-search state; every result is bit
-for bit the one solving that point alone gives, and the samplers keep their
-successes in attempt order.  A block's Gauss-Newton least-squares steps are
+for bit the one solving that point alone gives.  The samplers size each
+block of attempts from the success rate so far and keep their first
+successes in attempt order, so surplus attempts are projected and discarded
+without changing any result.  A block's Gauss-Newton least-squares steps are
 one stacked call of the gufunc behind ``np.linalg.lstsq``.
 
 Everything here is sampled pointwise in floating point; no symbolic Puiseux
@@ -277,26 +279,49 @@ def _project_attempts(
     complex unit vectors; attempt ``a`` draws from its own generator seeded
     by ``(*seed, a)``, and at most ``limit`` attempts are made.
 
-    Attempts are projected in blocks of as many as are still wanted, so no
-    attempt is made that a one-at-a-time loop would not make.  Returns
-    (points, residuals, attempts made)."""
-    points: list[np.ndarray] = []
-    residuals: list[float] = []
-    attempts = 0
-    while len(points) < want and attempts < limit:
-        block = range(attempts, min(limit, attempts + want - len(points)))
+    The first block holds as many attempts as are wanted; each later one
+    holds what the success rate so far predicts the missing points need,
+    between one and four times as many as are missing (four times after no
+    success).  Each attempt's result is the one projecting it alone gives,
+    so the surplus attempts of a block are projected and discarded without
+    changing any result.  A block with surplus whose least squares raises
+    LinAlgError is projected again without the surplus, so the error comes
+    only from an attempt that a one-at-a-time loop makes too.  Returns
+    (points, residuals, attempts), where attempts is one past the last
+    point kept, or ``limit`` when fewer than ``want`` points were found."""
+
+    def project(block: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         starts = []
         for attempt in block:
             rng = np.random.default_rng([*seed, attempt])
             start = rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars)
             start /= np.linalg.norm(start)
             starts.append(start)
-        x, residual, ok = _gauss_newton_project(
+        return _gauss_newton_project(
             equations, partials, np.array(starts), tolerance, max_iterations
         )
-        points.extend(x[ok])
-        residuals.extend(residual[ok].tolist())
-        attempts = block.stop
+
+    points: list[np.ndarray] = []
+    residuals: list[float] = []
+    attempts = 0
+    while len(points) < want and attempts < limit:
+        missing = want - len(points)
+        size = missing
+        if attempts:
+            size = 4 * missing if not points else -(-missing * attempts // len(points))
+            size = min(4 * missing, max(missing, size))
+        block = range(attempts, min(limit, attempts + size))
+        try:
+            x, residual, ok = project(block)
+        except np.linalg.LinAlgError:
+            if len(block) <= missing:
+                raise
+            block = range(attempts, attempts + missing)
+            x, residual, ok = project(block)
+        kept = np.nonzero(ok)[0][:missing]
+        points.extend(x[kept])
+        residuals.extend(residual[kept].tolist())
+        attempts = block.start + int(kept[-1]) + 1 if len(kept) == missing else block.stop
     return points, residuals, attempts
 
 
@@ -327,10 +352,11 @@ def sample_link(
     and resampled.  Each attempt draws from its own generator seeded by
     (seed, attempt), and the first ``count`` successes are kept in attempt
     order, so results are deterministic under a fixed seed.  Attempts are
-    projected in lockstep blocks; each result equals projecting that attempt
-    alone.  If fewer than ``count`` projections succeed after
-    ``max_attempt_factor * count`` attempts (e.g. an empty link at this
-    tolerance), the partial list is returned with a warning.
+    projected in lockstep blocks sized from the success rate so far; each
+    result equals projecting that attempt alone.  If fewer than ``count``
+    projections succeed after ``max_attempt_factor * count`` attempts (e.g.
+    an empty link at this tolerance), the partial list is returned with a
+    warning.
 
     In place of a germ system a bare equation list is accepted (any
     nonconstant polynomials — e.g. a hyperplane, which the germ constructor
@@ -388,11 +414,18 @@ def sigma_link_cloud(
     Positive-dimensional components of the obstruction locus are sampled by
     the same lockstep Gauss-Newton projection as :func:`sample_link`, onto
     {component generators = 0} ∩ {|x| = 1}, keeping each component's first
-    successes in attempt order.  Components of dimension <= 0
-    (the origin) have empty link and contribute nothing; an empty return
-    therefore means Sigma = {o} as far as the computed components go.
-    A heuristic cloud: density is not certified, and generator multiplicity
-    can slow the projection (iterations are capped)."""
+    successes in attempt order.  Each of the k positive-dimensional
+    components gets ceil(count / k) points, so the cloud holds up to
+    count + k - 1 points (fewer where a component's projections keep
+    failing).  Components of dimension <= 0 (the origin) have empty link and
+    contribute nothing; an empty return therefore means Sigma = {o} as far
+    as the computed components go, or ``count == 0``.  A heuristic cloud:
+    density is not certified, and generator multiplicity can slow the
+    projection (iterations are capped)."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    if count == 0:
+        return []
     locus = locus if locus is not None else sigma(system, budget)
     positive = [
         comp
@@ -401,7 +434,7 @@ def sigma_link_cloud(
     ]
     if not positive:
         return []
-    per_component = max(1, -(-count // len(positive)))
+    per_component = -(-count // len(positive))
     cloud: list[tuple[complex, ...]] = []
     for comp_index, comp in enumerate(positive):
         gens = list(comp.basis.generators) if comp.basis is not None else comp.generators
@@ -527,7 +560,7 @@ def _deform_arcs(
                 "sample lies inside the exclusion radius around the obstruction locus "
                 f"(distance {sample.distance_to_sigma:g} < {min_sigma_distance:g})"
             )
-    grid = [float(t) for t in t_grid]
+    grid = tuple(float(t) for t in t_grid)
     if not grid or any(t <= 0.0 for t in grid) or any(
         later >= earlier for later, earlier in zip(grid[1:], grid)
     ):
@@ -612,7 +645,7 @@ def _deform_arcs(
         z_rows, x_rows, res_rows, ok_rows = (np.stack(c, axis=1) for c in zip(*columns))
         families.append([
             ArcSample(
-                s=samples[i], epsilon=epsilon, t_grid=tuple(grid),
+                s=samples[i], epsilon=epsilon, t_grid=grid,
                 z_values=tuple(map(tuple, z_rows[i].tolist())),
                 points=tuple(map(tuple, x_rows[i].tolist())),
                 residuals=tuple(res_rows[i].tolist()), converged=tuple(ok_rows[i].tolist()),
@@ -863,14 +896,18 @@ def write_arc_csv(
 
     def emit(handle: IO[str]) -> None:
         handle.write(",".join(header) + "\r\n")
+        # the arcs of one solver call share one grid tuple: take its reprs once
+        grid, t_reprs = None, []
         for arc in arcs:
+            if arc.t_grid is not grid:
+                grid, t_reprs = arc.t_grid, [repr(t) for t in arc.t_grid]
             prefix = ",".join(
                 [str(seed), *_parts(arc.s.s), repr(arc.epsilon.real), repr(arc.epsilon.imag)]
             )
             handle.writelines(
-                ",".join([prefix, repr(t), *_parts(arc.points[k]), repr(arc.residuals[k]),
+                ",".join([prefix, t, *_parts(arc.points[k]), repr(arc.residuals[k]),
                           str(int(arc.converged[k]))]) + "\r\n"
-                for k, t in enumerate(arc.t_grid)
+                for k, t in enumerate(t_reprs)
             )
 
     if isinstance(destination, (str, Path)):

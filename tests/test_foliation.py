@@ -19,15 +19,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from germlab import foliation
 from germlab.foliation import (
     DEFAULT_T_GRID,
     ArcSample,
     LinkSample,
     _distance_to_cloud,
     _gauss_newton_project,
+    _project_attempts,
     _stacked_lstsq,
     deform_arc,
     rescaled_gradient,
@@ -38,9 +40,10 @@ from germlab.foliation import (
     write_arc_csv,
 )
 from germlab.germ import germ_system, sigma, weight_splitting
+from germlab.germfile import load_system
 from germlab.poly import NumericEvaluator, jacobian_evaluator
 
-from conftest import P, F
+from conftest import P, F, load_fixture
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +101,13 @@ def test_link_sampling_accepts_bare_equations():
 def test_link_sampling_warns_when_link_is_empty():
     # |x^2 + y^2 + z^2| <= |x|^2 + |y|^2 + |z|^2 = 1 < 5 on the unit
     # sphere, so this affine variety misses the sphere entirely.
-    with pytest.warns(UserWarning, match="link may be empty"):
+    with pytest.warns(UserWarning) as caught:
         out = sample_link([P("x^2 + y^2 + z^2 + 5")], 3, seed=0, max_attempt_factor=5)
     assert out == []
+    assert [str(w.message) for w in caught] == [
+        "link sampling produced 0/3 points after 15 attempts; the link may be "
+        "empty at tolerance 1e-10"
+    ]
 
 
 def test_link_sampling_rejects_constant_equations():
@@ -120,6 +127,23 @@ def test_sigma_cloud_fills_distances(sphere, briancon_speder):
     assert len(cloud) == 30
     samples = sample_link(briancon_speder, 3, seed=0, sigma_cloud=cloud)
     assert all(math.isfinite(s.distance_to_sigma) for s in samples)
+
+
+def test_sigma_link_cloud_count_is_checked_like_sample_link(briancon_speder):
+    # count <= 0 must not fall back to one point per component
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        sigma_link_cloud(briancon_speder, count=-5, seed=0)
+    assert sigma_link_cloud(briancon_speder, count=0, seed=0) == []
+
+
+def test_sigma_link_cloud_gives_each_component_the_rounded_up_share():
+    # each of the k positive-dimensional components of Sigma gets
+    # ceil(count / k) points, so the cloud can hold up to count + k - 1
+    system = load_system(load_fixture("quadric_cone_4d.json")).system
+    locus = sigma(system)
+    k = sum(1 for c in locus.components if c.dimension is not None and c.dimension >= 1)
+    assert k == 3
+    assert len(sigma_link_cloud(system, count=10, seed=0, locus=locus)) == 12
 
 
 def test_sigma_link_cloud_lands_on_singular_circle(briancon_speder):
@@ -458,7 +482,8 @@ def _oracle_project(equations, partials, start, tolerance, max_iterations=60):
     return x, residual, residual <= tolerance and abs(sphere) <= 1e-12
 
 
-def _oracle_attempts(equations, partials, nvars, want, limit, seed, tolerance, max_iterations):
+def _oracle_attempts(equations, partials, nvars, want, limit, seed, tolerance, max_iterations,
+                     project=_oracle_project):
     found = []
     attempts = 0
     while len(found) < want and attempts < limit:
@@ -466,9 +491,7 @@ def _oracle_attempts(equations, partials, nvars, want, limit, seed, tolerance, m
         attempts += 1
         start = rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars)
         start /= np.linalg.norm(start)
-        point, residual, ok = _oracle_project(
-            equations, partials, start, tolerance, max_iterations
-        )
+        point, residual, ok = project(equations, partials, start, tolerance, max_iterations)
         if ok:
             found.append((point, residual))
     return found, attempts
@@ -659,11 +682,92 @@ def test_sigma_cloud_over_several_blocks_matches_the_oracle():
     cloud = sigma_link_cloud(system, count=30, seed=2)
     (comp,) = [c for c in sigma(system).components if c.dimension and c.dimension >= 1]
     gens = list(comp.basis.generators) if comp.basis is not None else comp.generators
-    found, attempts = _oracle_attempts(
-        NumericEvaluator(gens), jacobian_evaluator(gens), 4, 30, 600, (2, 0), 1e-10, 80
-    )
+    args = (NumericEvaluator(gens), jacobian_evaluator(gens), 4, 30, 600, (2, 0), 1e-10, 80)
+    found, attempts = _oracle_attempts(*args)
     assert attempts > 30
     assert cloud == [tuple(point.tolist()) for point, _ in found]
+    assert _project_attempts(*args)[2] == attempts
+
+
+# Stub projections whose success is drawn per attempt: attempt a succeeds iff
+# pattern[a], its residual is a, and a block holding the poisoned attempt
+# raises LinAlgError as a failed least-squares step would.
+
+
+def _stub_projections(pattern, poison, seed, nvars=2):
+    index = {}
+    for attempt in range(len(pattern)):
+        rng = np.random.default_rng([*seed, attempt])
+        start = rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars)
+        start /= np.linalg.norm(start)
+        index[start.tobytes()] = attempt
+    blocks = []
+
+    def project_block(equations, partials, starts, tolerance, max_iterations=60):
+        attempts = [index[start.tobytes()] for start in starts]
+        blocks.append(attempts)
+        if poison in attempts:
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        return starts.copy(), np.array(attempts, dtype=float), np.array([pattern[a] for a in attempts])
+
+    def project_one(equations, partials, start, tolerance, max_iterations):
+        x, residual, ok = project_block(equations, partials, start[np.newaxis], tolerance)
+        return x[0], float(residual[0]), bool(ok[0])
+
+    return project_block, project_one, blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pattern=st.lists(st.booleans(), min_size=1, max_size=80),
+    want=st.integers(1, 20),
+    poison=st.none() | st.integers(0, 79),
+)
+# no success in the first block; the limit cuts the 4x block after it
+@example(pattern=[False] * 4 + [True, False], want=4, poison=None)
+# one success in three; the limit cuts the predicted block short
+@example(pattern=[True, False, False, True, False], want=3, poison=None)
+# the poisoned attempt lies only in the second block's surplus: no error
+@example(pattern=[True, False, False, False, True, True, True] + [False] * 9, want=4, poison=10)
+def test_block_sizing_keeps_the_one_at_a_time_results(pattern, want, poison):
+    seed = (5,)
+    project_block, project_one, blocks = _stub_projections(pattern, poison, seed)
+    try:
+        found, attempts = _oracle_attempts(
+            None, None, 2, want, len(pattern), seed, 1e-10, 60, project=project_one
+        )
+    except np.linalg.LinAlgError:
+        found = None
+    blocks.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(foliation, "_gauss_newton_project", project_block)
+        if found is None:
+            with pytest.raises(np.linalg.LinAlgError):
+                _project_attempts(None, None, 2, want, len(pattern), seed, 1e-10, 60)
+            return
+        points, residuals, ours = _project_attempts(None, None, 2, want, len(pattern), seed, 1e-10, 60)
+    assert [p.tobytes() for p in points] == [p.tobytes() for p, _ in found]
+    assert residuals == [r for _, r in found]
+    assert ours == attempts
+    # a block is never more than four times the points it still needs
+    assert blocks[0] == list(range(min(want, len(pattern))))
+    assert all(len(block) <= 4 * want for block in blocks)
+
+
+def test_blocks_follow_the_success_rate():
+    for pattern, want, expected in (
+        # every other attempt succeeds: the second block is exactly enough
+        ([True, False] * 20, 10, [10, 10]),
+        # no success at all: four times the missing points, up to the limit
+        ([False] * 40, 3, [3, 12, 12, 12, 1]),
+        # two successes in ten: ceil(8 * 10 / 2) = 40 is clamped to 4 * 8
+        ([True] + [False] * 8 + [True] + [False] * 90, 10, [10, 32, 32, 26]),
+    ):
+        project_block, _, blocks = _stub_projections(pattern, None, (0,))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(foliation, "_gauss_newton_project", project_block)
+            _project_attempts(None, None, 2, want, len(pattern), (0,), 1e-10, 60)
+        assert [len(block) for block in blocks] == expected
 
 
 def test_distance_to_cloud_matches_the_norm_loop(briancon_speder):
@@ -876,7 +980,9 @@ def test_write_arc_csv_matches_the_csv_writer_bytes(tmp_path, sphere):
         gram_determinant=0.0,
         iteration_residuals=((), (), ()),
     )
-    arcs = [odd] + [deform_arc(sphere, 0.5j, s) for s in sample_link(sphere, 2, seed=0)]
+    # the arcs of one verify_foliation call share a grid; the odd arc's differs
+    report = verify_foliation(sphere, 0.5j, sample_link(sphere, 2, seed=0))
+    arcs = [odd, *report.arcs, *report.reference_arcs, odd]
     for seed in (-3, 0, 12):
         ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
         write_arc_csv(ours, arcs, seed)
@@ -886,4 +992,4 @@ def test_write_arc_csv_matches_the_csv_writer_bytes(tmp_path, sphere):
         write_arc_csv(ours_text, arcs, seed)
         _oracle_write_arc_csv(theirs_text, arcs, seed)
         assert ours_text.getvalue() == theirs_text.getvalue()
-    assert ours.read_bytes().count(b"\r\n") == 1 + 3 + 2 * len(DEFAULT_T_GRID)
+    assert ours.read_bytes().count(b"\r\n") == 1 + 2 * 3 + 4 * len(DEFAULT_T_GRID)
