@@ -306,10 +306,12 @@ def _project_attempts(
     attempts = 0
     while len(points) < want and attempts < limit:
         missing = want - len(points)
-        size = missing
-        if attempts:
-            size = 4 * missing if not points else -(-missing * attempts // len(points))
-            size = min(4 * missing, max(missing, size))
+        if not attempts:
+            size = missing
+        elif not points:
+            size = 4 * missing
+        else:
+            size = min(4 * missing, max(missing, -(-missing * attempts // len(points))))
         block = range(attempts, min(limit, attempts + size))
         try:
             x, residual, ok = project(block)

@@ -689,12 +689,11 @@ def test_sigma_cloud_over_several_blocks_matches_the_oracle():
     assert _project_attempts(*args)[2] == attempts
 
 
-# Stub projections whose success is drawn per attempt: attempt a succeeds iff
-# pattern[a], its residual is a, and a block holding the poisoned attempt
-# raises LinAlgError as a failed least-squares step would.
-
-
 def _stub_projections(pattern, poison, seed, nvars=2):
+    """Stand-ins for the block and one-point projections: attempt a succeeds
+    iff pattern[a], its residual is a, and a block holding the poisoned
+    attempt raises LinAlgError as a failed least-squares step would.  The
+    attempts of each block are recorded."""
     index = {}
     for attempt in range(len(pattern)):
         rng = np.random.default_rng([*seed, attempt])
