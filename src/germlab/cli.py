@@ -31,6 +31,7 @@ import argparse
 import math
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -238,29 +239,35 @@ def _cmd_foliate(args) -> int:
         raise GermFileError("--samples must be at least 2 (the checks compare pairs of arcs)")
 
     budget = _budget(args)
-    cloud = sigma_link_cloud(system, count=SIGMA_CLOUD_COUNT, seed=args.seed, budget=budget)
-    samples = sample_link(system, args.samples, args.seed, sigma_cloud=cloud)
-    if len(samples) < 2:
-        result = FoliationReport(
-            passed=False,
-            failures=(f"only {len(samples)} of {args.samples} link samples were found; need at least 2",),
-            dichotomy=(),
-            min_separation=math.inf,
-            separation_ok=False,
-            coordinate_planes_ok=False,
-            converged_fraction=0.0,
-            arcs=(),
-            reference_arcs=(),
-        )
-    else:
-        result = verify_foliation(
-            system,
-            complex(epsilon),
-            samples,
-            DEFAULT_T_GRID,
-            seed=args.seed,
-            allow_large_epsilon=allow_large,
-        )
+    # numeric warnings (e.g. float overflow on huge exponents) become report
+    # notes instead of stderr lines; "always" keeps the capture independent
+    # of what this process has already warned about
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cloud = sigma_link_cloud(system, count=SIGMA_CLOUD_COUNT, seed=args.seed, budget=budget)
+        samples = sample_link(system, args.samples, args.seed, sigma_cloud=cloud)
+        if len(samples) < 2:
+            result = FoliationReport(
+                passed=False,
+                failures=(f"only {len(samples)} of {args.samples} link samples were found; need at least 2",),
+                dichotomy=(),
+                min_separation=math.inf,
+                separation_ok=False,
+                coordinate_planes_ok=False,
+                converged_fraction=0.0,
+                arcs=(),
+                reference_arcs=(),
+            )
+        else:
+            result = verify_foliation(
+                system,
+                complex(epsilon),
+                samples,
+                DEFAULT_T_GRID,
+                seed=args.seed,
+                allow_large_epsilon=allow_large,
+            )
+    notes.extend(dict.fromkeys(f"{w.category.__name__}: {w.message}" for w in caught))
     csv_path = None
     if result.arcs or result.reference_arcs:
         write_arc_csv(args.csv, tuple(result.arcs) + tuple(result.reference_arcs), args.seed)

@@ -1,11 +1,14 @@
-"""Small exact linear algebra over Fraction, used by weight inference and
+"""Small exact linear algebra, used by weight inference and
 Newton-polyhedron normal computations.  Everything here is deterministic and
-allocation-light; matrices are lists of lists of Fractions."""
+allocation-light.  ``rref`` and ``nullspace`` work on lists of lists of
+Fractions; ``rank`` and ``integer_determinant`` eliminate fraction-free
+(Bareiss) over the integers, so every intermediate entry is a minor of the
+input."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 
@@ -39,9 +42,49 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return mat, pivots
 
 
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free forward elimination of an integer matrix.
+
+    Returns (rank, d) where d is the last pivot with the sign of the row
+    swaps; for a square matrix of full rank d is its determinant.  After
+    each step every entry is a minor of the input (Sylvester's identity),
+    so the division by the previous pivot is exact."""
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    sign, prev, r = 1, 1, 0
+    for c in range(len(mat[0]) if mat else 0):
+        if r == nrows:
+            break
+        piv = next((k for k in range(r, nrows) if mat[k][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
+            sign = -sign
+        top, p = mat[r], mat[r][c]
+        for k in range(r + 1, nrows):
+            a = mat[k][c]
+            mat[k] = [(x * p - a * y) // prev for x, y in zip(mat[k], top)]
+        prev = p
+        r += 1
+    return r, sign * prev
+
+
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over Q of rational row vectors (0 when there are none)."""
-    return len(rref([[Fraction(x) for x in r] for r in rows])[1])
+    """Rank over Q of rows of ints and Fractions (0 when there are none).
+
+    Each row is scaled to integers by the lcm of its denominators first."""
+    scaled = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    return _bareiss(scaled)[0]
+
+
+def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix (1 for the empty matrix)."""
+    r, d = _bareiss(rows)
+    return d if r == len(rows) else 0
 
 
 def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -56,20 +99,3 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-def primitive_integer_vector(vec: Sequence[Fraction]) -> list[int]:
-    """Scale a rational vector to coprime integers (orientation preserved).
-
-    The zero vector maps to itself."""
-    fracs = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fracs):
-        return [0] * len(fracs)
-    denom_lcm = 1
-    for x in fracs:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return [v // g for v in ints]

@@ -39,9 +39,9 @@ from germlab.groebner import (
 from germlab.newton import (
     NewtonDiagram,
     NondegeneracyReport,
+    face_nondegeneracy,
     face_restriction,
     face_weight_report,
-    is_newton_nondegenerate,
     newton_diagram,
 )
 from germlab.poly import NumericEvaluator, Poly, infer_weights, jacobian, jacobian_evaluator
@@ -677,7 +677,7 @@ def analyze_newton(
     if n < 2:
         raise ValueError("the Newton route requires at least 3 variables (a germ of dimension >= 2)")
     notes: list[str] = []
-    nnd = is_newton_nondegenerate(f, budget=budget, probabilistic=probabilistic, seed=seed)
+    nnd = face_nondegeneracy(f, diagram, budget, probabilistic, seed)
     if any(m == "probabilistic" for m in nnd.methods):
         notes.append("nondegeneracy partially established by random torus search (probabilistic)")
 

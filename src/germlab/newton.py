@@ -13,7 +13,14 @@ for each candidate point set the sum of the normals of all facets containing
 it lies in the relative interior of its normal cone, hence is strictly
 positive exactly when the face is compact and then exposes precisely that
 face.  Each reported face therefore carries an explicit normal certificate
-that is re-checked against every support point."""
+that is re-checked against every support point.
+
+All of it is integer arithmetic: a candidate's normal is the vector of
+signed maximal minors of its matrix of exponent differences, computed by
+fraction-free elimination (``exact.integer_determinant``), and ranks come
+from the same elimination.  ``newton_diagram`` is the costly step, so a
+caller holding a diagram passes it on: ``germ.analyze_newton`` builds one
+per call and hands it to ``face_nondegeneracy``."""
 
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from germlab.exact import nullspace, primitive_integer_vector, rank, rref
+from germlab.exact import integer_determinant, nullspace, rank, rref
 from germlab.groebner import Budget, BudgetExhausted, saturation
 from germlab.poly import Monomial, NumericEvaluator, Poly, jacobian, jacobian_evaluator
 from germlab.qi import QI
@@ -34,6 +41,7 @@ __all__ = [
     "newton_diagram",
     "face_restriction",
     "is_newton_nondegenerate",
+    "face_nondegeneracy",
     "face_weight_report",
 ]
 
@@ -80,32 +88,38 @@ class NewtonDiagram:
 def _facet_data(support: list[Monomial], nvars: int) -> list[tuple[tuple[int, ...], frozenset]]:
     """All facets of conv(support) + positive orthant, as (normal, point set).
 
-    Candidate hyperplanes are spanned by an affinely independent tuple of
-    support points plus a completing set of coordinate directions; a
-    candidate is a facet when its normal is componentwise nonnegative and its
-    face (support argmin plus the rays of its zero coordinates) has affine
-    dimension nvars - 1."""
+    Candidate hyperplanes are spanned by an affinely independent tuple T of
+    support points plus the coordinate directions outside a set C of |T|
+    coordinates.  The candidate's normal vanishes off C, and on C it is the
+    vector of signed maximal minors of the (|T|-1) x |T| matrix of
+    differences T - T[0] restricted to C; all minors vanish exactly when that
+    kernel is not a line (which also covers affinely dependent T).  The
+    minors of each column set of size |T|-1 are shared by every C containing
+    it.  A candidate is a facet when its normal is componentwise nonnegative
+    and its face (support argmin plus the rays of its zero coordinates) has
+    affine dimension nvars - 1."""
     pts = sorted(support)
     unit = [tuple(1 if k == j else 0 for k in range(nvars)) for j in range(nvars)]
     normals: set[tuple[int, ...]] = set()
     for tsize in range(1, min(len(pts), nvars) + 1):
-        esize = nvars - tsize
         for T in combinations(pts, tsize):
             diffs = [tuple(a - b for a, b in zip(t, T[0])) for t in T[1:]]
-            if rank(diffs) != tsize - 1:
+            minors = {
+                S: integer_determinant([[d[j] for j in S] for d in diffs])
+                for S in combinations(range(nvars), tsize - 1)
+            }
+            if not any(minors.values()):
                 continue  # affinely dependent tuple; a smaller one covers it
-            for E in combinations(range(nvars), esize):
-                rows = [[Fraction(x) for x in d] for d in diffs]
-                rows += [[Fraction(x) for x in unit[j]] for j in E]
-                kernel = nullspace(rows, nvars)
-                if len(kernel) != 1:
+            for C in combinations(range(nvars), tsize):
+                nu = [0] * nvars
+                for k, c in enumerate(C):
+                    minor = minors[C[:k] + C[k + 1:]]
+                    nu[c] = -minor if k % 2 else minor
+                if any(c < 0 for c in nu) and any(c > 0 for c in nu):
                     continue
-                nu = tuple(primitive_integer_vector(kernel[0]))
-                if all(c <= 0 for c in nu):
-                    nu = tuple(-c for c in nu)
-                if any(c < 0 for c in nu):
-                    continue
-                normals.add(nu)
+                g = gcd(*nu)
+                if g:
+                    normals.add(tuple(abs(c) // g for c in nu))
     facets = []
     for nu in sorted(normals):
         level = min(_dot(nu, p) for p in pts)
@@ -262,10 +276,21 @@ def is_newton_nondegenerate(
     critical point -> degenerate; finds none -> nondegenerate by sampling
     only).  All faces charge the one budget (a fresh default one when None is
     given), so once it runs out every later face is exhausted too."""
-    budget = budget or Budget()
     diagram = newton_diagram(f)
     if not diagram.convenient:
         raise ValueError("non-degeneracy check requires a convenient diagram")
+    return face_nondegeneracy(f, diagram, budget or Budget(), probabilistic, seed)
+
+
+def face_nondegeneracy(
+    f: Poly,
+    diagram: NewtonDiagram,
+    budget: Budget,
+    probabilistic: bool,
+    seed: int,
+) -> NondegeneracyReport:
+    """The per-face loop of ``is_newton_nondegenerate`` on a diagram the
+    caller has already built from f (and checked to be convenient)."""
     torus = Poly(f.nvars, {tuple(1 for _ in range(f.nvars)): QI.one()})
     statuses: list[str] = []
     methods: list[str] = []

@@ -8,9 +8,14 @@ byte-level determinism.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import germlab
 from germlab.cli import main
 from germlab.germfile import (
     GermFileError,
@@ -286,6 +291,19 @@ def test_cli_newton_needs_three_variables(capsys):
     assert "variables" in err
 
 
+@pytest.mark.parametrize(
+    "fixture, message",
+    [
+        ("cusp_plane", "the Newton route requires at least 3 variables (a germ of dimension >= 2)"),
+        ("quadric_cone_4d", "the Newton route requires a convenient diagram"),
+        ("briancon_speder", "the Newton route requires a convenient diagram"),
+    ],
+)
+def test_cli_newton_input_errors_on_fixtures(capsys, fixture, message):
+    code, out, err = run_cli(capsys, "newton", str(fixture_path(f"{fixture}.json")))
+    assert (code, out, err) == (1, "", f"germlab: {message}\n")
+
+
 def test_cli_milnor(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "milnor", str(fixture_path("cusp_plane.json")))
     assert code == 0
@@ -355,6 +373,25 @@ def test_cli_foliate_large_epsilon_override_warns(capsys, tmp_path):
         "epsilon = 1/2 exceeds the same-order cap 0.1; "
         "the deformation's convergence radius can shrink to zero"
     ]
+
+
+def test_cli_foliate_reports_numeric_warnings_as_notes(tmp_path):
+    # the float64 projections overflow on x^1000; a subprocess shows the real stderr
+    germ = write_germ(tmp_path, {"variables": ["x", "y", "z"], "equations": ["x^1000 + y^2 + z^2"]})
+    env = dict(os.environ)
+    package_root = str(Path(germlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "germlab.cli", "foliate", str(germ), "--csv", str(tmp_path / "arcs.csv")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    notes = json.loads(result.stdout)["foliate"]["notes"]
+    assert notes == ["RuntimeWarning: overflow encountered in matmul"]
 
 
 def test_cli_output_file_and_determinism(capsys, tmp_path):

@@ -2,13 +2,20 @@
 non-degeneracy, and per-face weight summaries."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from germlab.exact import rank
+from germlab import germ, newton
+from germlab.exact import nullspace, rank, rref
+from germlab.germ import analyze_newton
 from germlab.groebner import Budget
 from germlab.newton import (
+    _dot,
+    _facet_data,
     _torus_search,
     face_restriction,
     face_weight_report,
@@ -153,8 +160,27 @@ def test_nondegeneracy_charges_one_budget_across_faces():
 
 
 def test_nondegeneracy_requires_convenient():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-degeneracy check requires a convenient diagram"):
         is_newton_nondegenerate(P("x*y + z^2"))
+
+
+def test_analyze_newton_builds_one_diagram_per_call(monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return newton_diagram(f)
+
+    monkeypatch.setattr(germ, "newton_diagram", counted)
+    monkeypatch.setattr(newton, "newton_diagram", counted)
+    f = P("x^3 + y^4 + z^5 + x*y*z")
+    first = analyze_newton(f)
+    assert len(calls) == 1
+    second = analyze_newton(f)
+    assert len(calls) == 2
+    assert len(first.diagram.top_faces()) > 1
+    assert first.nondegeneracy.statuses == second.nondegeneracy.statuses
+    assert set(first.nondegeneracy.statuses) == {"nondegenerate"}
 
 
 def test_face_weight_report_flags_two_lowest():
@@ -215,3 +241,116 @@ def test_single_top_face_normal_matches_weight_inference(monos):
         # normalized weights agree with the face weights up to the p=1 scale
         scale = inf.degrees[0]
         assert [w / scale for w in inf.weights] == list(face.weights)
+
+
+# -- the integer-minor facet search against the Fraction-nullspace search ----
+
+
+def _oracle_rank(rows):
+    return len(rref([[Fraction(x) for x in r] for r in rows])[1])
+
+
+def _oracle_primitive(vec):
+    denom_lcm = 1
+    for x in vec:
+        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
+    ints = [int(x * denom_lcm) for x in vec]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    return [v // g for v in ints]
+
+
+def _oracle_facet_data(support, nvars):
+    """The facet search as it was before the integer minors: one Fraction
+    null space per (point tuple, coordinate set) candidate."""
+    pts = sorted(support)
+    unit = [tuple(1 if k == j else 0 for k in range(nvars)) for j in range(nvars)]
+    normals: set[tuple[int, ...]] = set()
+    for tsize in range(1, min(len(pts), nvars) + 1):
+        esize = nvars - tsize
+        for T in combinations(pts, tsize):
+            diffs = [tuple(a - b for a, b in zip(t, T[0])) for t in T[1:]]
+            if _oracle_rank(diffs) != tsize - 1:
+                continue  # affinely dependent tuple; a smaller one covers it
+            for E in combinations(range(nvars), esize):
+                rows = [[Fraction(x) for x in d] for d in diffs]
+                rows += [[Fraction(x) for x in unit[j]] for j in E]
+                kernel = nullspace(rows, nvars)
+                if len(kernel) != 1:
+                    continue
+                nu = tuple(_oracle_primitive(kernel[0]))
+                if all(c <= 0 for c in nu):
+                    nu = tuple(-c for c in nu)
+                if any(c < 0 for c in nu):
+                    continue
+                normals.add(nu)
+    facets = []
+    for nu in sorted(normals):
+        level = min(_dot(nu, p) for p in pts)
+        arg = [p for p in pts if _dot(nu, p) == level]
+        rays = [unit[j] for j in range(nvars) if nu[j] == 0]
+        span = [tuple(a - b for a, b in zip(p, arg[0])) for p in arg[1:]] + rays
+        if _oracle_rank(span) == nvars - 1:
+            facets.append((nu, frozenset(arg)))
+    return facets
+
+
+@st.composite
+def small_supports(draw, nvars=st.integers(min_value=2, max_value=4)):
+    """(nvars, support): 1-8 random terms with exponents 0-9, sometimes
+    together with a pure power of every variable."""
+    n = draw(nvars)
+    monos = draw(st.sets(st.tuples(*[st.integers(min_value=0, max_value=9)] * n), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        powers = draw(st.tuples(*[st.integers(min_value=1, max_value=9)] * n))
+        monos |= {tuple(a if k == j else 0 for k in range(n)) for j, a in enumerate(powers)}
+    monos.discard((0,) * n)
+    if not monos:
+        monos = {(1,) * n}
+    return n, sorted(monos)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_supports())
+@example((3, [(0, 0, 999_983), (0, 1_000_003, 0), (314_159, 271_828, 1), (500_000, 0, 500_001), (1_000_000, 0, 0)]))
+@example((4, [(0, 0, 0, 1_000_000), (0, 0, 999_999, 0), (0, 1_000_001, 0, 0), (999_998, 0, 0, 0), (1, 2, 3, 4)]))
+def test_facets_and_faces_match_the_fraction_oracle(case):
+    nvars, support = case
+    assert _facet_data(support, nvars) == _oracle_facet_data(support, nvars)
+    f = Poly(nvars, {m: QI.one() for m in support})
+    with patch.object(newton, "_facet_data", _oracle_facet_data), patch.object(newton, "rank", _oracle_rank):
+        want = newton_diagram(f)
+    assert newton_diagram(f) == want
+
+
+def _lower_hull_faces(points):
+    """Compact faces of a plane Newton polygon, as (dim, points on the face),
+    from the lower convex hull by Andrew's monotone chain: the compact
+    boundary is the part of the lower hull where y strictly falls."""
+    pts = sorted(set(points))
+    hull = []
+    for p in pts:
+        while len(hull) >= 2 and (
+            (hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1]) - (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])
+        ) <= 0:
+            hull.pop()
+        hull.append(p)
+    chain = [hull[0]]
+    for p in hull[1:]:
+        if p[1] >= chain[-1][1]:
+            break
+        chain.append(p)
+    faces = {(0, frozenset([v])) for v in chain}
+    for a, b in zip(chain, chain[1:]):
+        nu = (a[1] - b[1], b[0] - a[0])
+        faces.add((1, frozenset(p for p in pts if _dot(nu, p) == _dot(nu, a))))
+    return faces
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_supports(nvars=st.just(2)))
+def test_plane_faces_match_the_monotone_chain_lower_hull(case):
+    _, support = case
+    d = newton_diagram(Poly(2, {m: QI.one() for m in support}))
+    assert {(fc.dim, frozenset(fc.vertices)) for fc in d.faces} == _lower_hull_faces(support)
