@@ -28,6 +28,7 @@ the opt-in ``--timing`` flag is the one switch that breaks that, by filling
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -79,6 +80,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parse_args leaves the parser as it was; main runs many times a process
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="germlab",

@@ -24,7 +24,8 @@ for bit the one solving that point alone gives.  The samplers size each
 block of attempts from the success rate so far and keep their first
 successes in attempt order, so surplus attempts are projected and discarded
 without changing any result.  A block's Gauss-Newton least-squares steps are
-one stacked call of the gufunc behind ``np.linalg.lstsq``.
+one stacked call of the gufunc behind ``np.linalg.lstsq``, and so are a
+family's tangency fits of one length, each bit for bit ``np.polyfit``'s.
 
 Everything here is sampled pointwise in floating point; no symbolic Puiseux
 expansion is constructed.  Exactness claims are limited to coordinate-plane
@@ -40,7 +41,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -193,16 +194,17 @@ def _raise_lstsq_error(err: str, flag: int) -> None:
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def _stacked_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.lstsq(a[i], b[i], rcond=None)[0]`` for every i, bit for
-    bit, in one call of the gufunc that function wraps (the wrapper refuses
-    a stack).  The rcond and the error state are the wrapper's: a row whose
-    SVD does not converge raises its LinAlgError."""
+def _stacked_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.lstsq(a[i], b[i], rcond=None)`` for every i, bit for bit,
+    in one call of the gufunc that function wraps (the wrapper refuses a
+    stack); returns the solutions and the ranks.  The rcond and the error
+    state are the wrapper's: a row whose SVD does not converge raises its
+    LinAlgError."""
     rcond = np.finfo(float).eps * max(a.shape[-2:])
     with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
-        x = _umath_linalg.lstsq(a, b[..., np.newaxis], rcond, signature="ddd->ddid")[0]
-    return x[..., 0]
+        x, _, rank, _ = _umath_linalg.lstsq(a, b[..., np.newaxis], rcond, signature="ddd->ddid")
+    return x[..., 0], rank
 
 
 def _gauss_newton_project(
@@ -251,7 +253,7 @@ def _gauss_newton_project(
         live, jac_real = live[finite], jac_real[finite]
         if not len(live):
             break
-        step = _stacked_lstsq(jac_real, -res[live])
+        step = _stacked_lstsq(jac_real, -res[live])[0]
         delta = step[:, :nvars] + 1j * step[:, nvars:]
         norm_old = _row_norms(res[live])
         pending = np.ones(len(live), dtype=bool)
@@ -291,15 +293,13 @@ def _project_attempts(
     point kept, or ``limit`` when fewer than ``want`` points were found."""
 
     def project(block: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        starts = []
-        for attempt in block:
-            rng = np.random.default_rng([*seed, attempt])
-            start = rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars)
-            start /= np.linalg.norm(start)
-            starts.append(start)
-        return _gauss_newton_project(
-            equations, partials, np.array(starts), tolerance, max_iterations
-        )
+        # one draw of 2N normals is the words of two draws of N
+        draws = np.array([
+            np.random.default_rng([*seed, attempt]).standard_normal(2 * nvars) for attempt in block
+        ])
+        starts = draws[:, :nvars] + 1j * draws[:, nvars:]
+        starts /= _row_norms(starts)[:, np.newaxis]
+        return _gauss_newton_project(equations, partials, starts, tolerance, max_iterations)
 
     points: list[np.ndarray] = []
     residuals: list[float] = []
@@ -531,14 +531,23 @@ def deform_arc(
     return _deform_arcs(
         system, [epsilon], [sample], t_grid, tolerance, max_iterations, z_cap,
         min_sigma_distance, allow_large_epsilon,
-    )[0][0]
+    )[0].arcs[0]
+
+
+class _ArcFamily(NamedTuple):
+    """The arcs of one scale, with their points (m, T, N) and converged
+    flags (m, T) as the arrays they were tabulated from."""
+
+    arcs: tuple[ArcSample, ...]
+    points: np.ndarray
+    converged: np.ndarray
 
 
 def _deform_arcs(
     system: GermSystem, epsilons: Sequence[complex], samples: Sequence[LinkSample],
     t_grid: Sequence[float], tolerance: float = NEWTON_TOLERANCE, max_iterations: int = 40,
     z_cap: float = 1e3, min_sigma_distance: float = 0.0, allow_large_epsilon: bool = False,
-) -> list[list[ArcSample]]:
+) -> list[_ArcFamily]:
     """:func:`deform_arc` for every sample at once, at each scale in
     ``epsilons``; the rescaled gradients and Gram determinants are computed
     once and shared by the scales.  The Newton runs move down the t-grid in
@@ -593,7 +602,7 @@ def _deform_arcs(
         return cap, (resid <= tolerance) & cap
 
     everyone = np.arange(m)
-    families: list[list[ArcSample]] = []
+    families: list[_ArcFamily] = []
     for epsilon in epsilons:
         eps_conj = epsilon * conj
         z = np.zeros((m, r), dtype=complex)
@@ -645,7 +654,7 @@ def _deform_arcs(
             failed |= ~converged
 
         z_rows, x_rows, res_rows, ok_rows = (np.stack(c, axis=1) for c in zip(*columns))
-        families.append([
+        arcs = tuple(
             ArcSample(
                 s=samples[i], epsilon=epsilon, t_grid=grid,
                 z_values=tuple(map(tuple, z_rows[i].tolist())),
@@ -654,7 +663,8 @@ def _deform_arcs(
                 gram_determinant=gram_determinants[i], iteration_residuals=tuple(histories[i]),
             )
             for i in everyone
-        ])
+        )
+        families.append(_ArcFamily(arcs, x_rows, ok_rows))
     return families
 
 
@@ -683,6 +693,113 @@ def _arc_curve(
     return t, pts, np.ones(len(t), dtype=bool)
 
 
+def _tangency_fits(
+    t_grid: np.ndarray, points: np.ndarray, converged: np.ndarray, pairs: np.ndarray,
+    min_points: int,
+) -> list[TangencyEstimate | ValueError]:
+    """:func:`tangency_exponent` of arcs ``i`` and ``j`` for every row
+    ``(i, j)`` of ``pairs``, over one family: arc points of shape (m, T, N)
+    and converged flags of shape (m, T) on the grid ``t_grid``.  A pair the
+    one-pair fit rejects gets the ValueError it raises.
+
+    Every fit with the same number of points is one stacked least-squares
+    call that repeats ``np.polyfit``'s steps (columns [x, 1] scaled by their
+    root sum of squares, coefficients unscaled), so each result is bit for
+    bit the one-pair fit's.  Polyfit's rcond, len(x) * eps, is lstsq's
+    default eps * max(len(x), 2) except for one point, whose 1 x 2 matrix
+    has one singular value and so no cutoff to apply.  A fit of rank < 2 warns
+    as polyfit does, in pair order; a group whose SVD fails is solved again
+    pair by pair, so the LinAlgError lands on the pair that raises it."""
+    # a window holds at least one point
+    min_points = max(min_points, 1)
+    mask = converged[pairs[:, 0]] & converged[pairs[:, 1]]
+    order = np.argsort(t_grid)
+    if np.all(t_grid[order][1:] > t_grid[order][:-1]):
+        perm = np.broadcast_to(order, mask.shape)
+    else:  # ties or nan: sort each pair's points as a sort of them alone does
+        perm = np.array([
+            np.concatenate([np.flatnonzero(row)[np.argsort(t_grid[row])], np.flatnonzero(~row)])
+            for row in mask
+        ]).reshape(mask.shape)
+    mask = np.take_along_axis(mask, perm, axis=1)
+    counts = mask.sum(axis=1)
+    window_counts = np.minimum(counts, np.maximum(min_points, -(-counts // 2)))
+    window = mask & (np.cumsum(mask, axis=1) <= window_counts[:, np.newaxis])
+    window[counts < min_points] = False
+    # only the window points of pairs with enough of them are read; the
+    # zeros put elsewhere raise no float warnings
+    a, b = (
+        np.where(window[:, :, np.newaxis], points[pairs[:, k, np.newaxis], perm], 0.0)
+        for k in (0, 1)
+    )
+    diff = np.linalg.norm(a - b, axis=2)
+    scale = 0.5 * (np.linalg.norm(a, axis=2) + np.linalg.norm(b, axis=2))
+    keep = window & (diff > 0.0)
+    kept = keep.sum(axis=1)
+    identical = ~(window & (diff != 0.0)).any(axis=1)
+    fit = ~identical & (kept >= min_points)
+
+    slopes, ss_res, ss_tot = np.zeros((3, len(pairs)))
+    poorly_conditioned = np.zeros(len(pairs), dtype=bool)
+    failed: dict[int, np.linalg.LinAlgError] = {}
+    for size in sorted(set(kept[fit].tolist())):
+        rows = np.flatnonzero(fit & (kept == size))
+        x = np.log(scale[rows][keep[rows]]).reshape(len(rows), size)
+        y = np.log(diff[rows][keep[rows]]).reshape(len(rows), size)
+        lhs = np.stack([x, np.ones_like(x)], axis=2)
+        column_scale = np.sqrt((lhs * lhs).sum(axis=1))
+        lhs /= column_scale[:, np.newaxis, :]
+        good = np.ones(len(rows), dtype=bool)
+        try:
+            coefficients, rank = _stacked_lstsq(lhs, y)
+        except np.linalg.LinAlgError:  # solve the group again pair by pair
+            coefficients, rank = np.zeros((len(rows), 2)), np.zeros(len(rows), dtype=int)
+            for n, row in enumerate(rows.tolist()):
+                try:
+                    solution, rank_n = _stacked_lstsq(lhs[n : n + 1], y[n : n + 1])
+                except np.linalg.LinAlgError as exc:
+                    failed[row], good[n] = exc, False
+                    continue
+                coefficients[n], rank[n] = solution[0], rank_n[0]
+        rows, x, y = rows[good], x[good], y[good]
+        slope, intercept = (coefficients[good] / column_scale[good]).T[:, :, np.newaxis]
+        slopes[rows] = slope[:, 0]
+        poorly_conditioned[rows] = rank[good] != 2
+        ss_res[rows] = np.sum((y - (slope * x + intercept)) ** 2, axis=1)
+        ss_tot[rows] = np.sum((y - y.mean(axis=1, keepdims=True)) ** 2, axis=1)
+
+    t_sorted = t_grid[perm]
+    every = np.arange(len(pairs))
+    first = t_sorted[every, np.argmax(window, axis=1)]
+    last = t_sorted[every, window.shape[1] - 1 - np.argmax(window[:, ::-1], axis=1)]
+    results: list[TangencyEstimate | ValueError] = []
+    for p, (count, span, same, fitted, slope_p, res_p, tot_p, poor) in enumerate(zip(
+        counts.tolist(), zip(first.tolist(), last.tolist()), identical.tolist(), fit.tolist(),
+        slopes.tolist(), ss_res.tolist(), ss_tot.tolist(), poorly_conditioned.tolist(),
+    )):
+        if count < min_points:
+            results.append(ValueError(
+                f"insufficient converged points for a tangency fit ({count} < {min_points})"
+            ))
+        elif same:
+            results.append(TangencyEstimate(alpha=math.inf, r2=1.0, window=span))
+        elif not fitted:
+            results.append(ValueError(
+                "arcs coincide at some grid points but not others; "
+                "not enough nonzero separations to fit"
+            ))
+        elif p in failed:
+            results.append(failed[p])
+        else:
+            if poor:
+                warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+            r2 = 1.0 if tot_p == 0.0 and res_p <= 1e-30 else (
+                0.0 if tot_p == 0.0 else 1.0 - res_p / tot_p
+            )
+            results.append(TangencyEstimate(alpha=slope_p, r2=r2, window=span))
+    return results
+
+
 def tangency_exponent(
     a: ArcSample | tuple[Sequence[float], Sequence[Sequence[complex]]],
     b: ArcSample | tuple[Sequence[float], Sequence[Sequence[complex]]],
@@ -697,47 +814,20 @@ def tangency_exponent(
     ones.  Raw arcs may be passed as ``(t_grid, points)`` pairs (all points
     trusted).  Identical arcs over the window report alpha = inf.  Raises
     ValueError on mismatched grids or fewer than ``min_points`` usable
-    points."""
+    points.
+
+    This is the stacked fit of :func:`verify_foliation` run on one pair; its
+    slope is bit for bit ``np.polyfit``'s, which also sets its RankWarning."""
     t_a, pts_a, mask_a = _arc_curve(a)
     t_b, pts_b, mask_b = _arc_curve(b)
     if len(t_a) != len(t_b) or not np.array_equal(t_a, t_b):
         raise ValueError("tangency fit needs a common t-grid")
-    mask = mask_a & mask_b
-    if int(mask.sum()) < min_points:
-        raise ValueError(
-            f"insufficient converged points for a tangency fit "
-            f"({int(mask.sum())} < {min_points})"
-        )
-    t = t_a[mask]
-    order = np.argsort(t)
-    t = t[order]
-    diff = np.linalg.norm(pts_a[mask][order] - pts_b[mask][order], axis=1)
-    scale = 0.5 * (
-        np.linalg.norm(pts_a[mask][order], axis=1)
-        + np.linalg.norm(pts_b[mask][order], axis=1)
+    (estimate,) = _tangency_fits(
+        t_a, np.stack([pts_a, pts_b]), np.stack([mask_a, mask_b]), np.array([[0, 1]]), min_points
     )
-    window_count = min(len(t), max(min_points, -(-len(t) // 2)))
-    t = t[:window_count]
-    diff = diff[:window_count]
-    scale = scale[:window_count]
-    window = (float(t[0]), float(t[-1]))
-    if np.all(diff == 0.0):
-        return TangencyEstimate(alpha=math.inf, r2=1.0, window=window)
-    keep = diff > 0.0
-    if int(keep.sum()) < min_points:
-        raise ValueError(
-            "arcs coincide at some grid points but not others; "
-            "not enough nonzero separations to fit"
-        )
-    x = np.log(scale[keep])
-    y = np.log(diff[keep])
-    slope, intercept = np.polyfit(x, y, 1)
-    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res <= 1e-30 else (
-        0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    )
-    return TangencyEstimate(alpha=float(slope), r2=r2, window=window)
+    if isinstance(estimate, ValueError):
+        raise estimate
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -766,20 +856,24 @@ def verify_foliation(
     above; (2) pairwise separation at the smallest commonly converged t
     (relative distance above ``separation_floor``); (3) bitwise
     coordinate-plane preservation for samples whose leading weight block
-    vanishes exactly.  Any failure names the offending pair or sample."""
+    vanishes exactly.  Any failure names the offending pair or sample.
+
+    The contact orders are :func:`tangency_exponent`'s, fitted for all
+    pairs of a family at once (a pair's perturbed fit only when its
+    unperturbed one succeeds), from the point and flag arrays the arc
+    solver tabulated."""
     if len(samples) < 2:
         raise ValueError("verify_foliation needs at least 2 samples")
     # the tolerance is not read at epsilon = 0, where no Newton run is made
-    arcs, reference = map(tuple, _deform_arcs(
+    perturbed, reference = _deform_arcs(
         system, [epsilon, 0.0], samples, t_grid, tolerance,
         allow_large_epsilon=allow_large_epsilon,
-    ))
+    )
+    arcs = perturbed.arcs
     failures: list[str] = []
 
-    total = sum(len(a.converged) for a in arcs)
-    converged_fraction = (
-        sum(sum(a.converged) for a in arcs) / total if total else 0.0
-    )
+    total = perturbed.converged.size
+    converged_fraction = int(perturbed.converged.sum()) / total if total else 0.0
 
     all_pairs = list(itertools.combinations(range(len(samples)), 2))
     if len(all_pairs) > max_pairs:
@@ -788,13 +882,22 @@ def verify_foliation(
     else:
         fit_pairs = all_pairs
 
+    # a pair's perturbed fit is made only when its reference fit succeeds
+    grid = np.asarray(arcs[0].t_grid)
+    pairs = np.array(fit_pairs, dtype=int).reshape(-1, 2)
+    reference_fits = _tangency_fits(
+        grid, reference.points, reference.converged, pairs, min_points=6
+    )
+    fitted = [n for n, fit in enumerate(reference_fits) if isinstance(fit, TangencyEstimate)]
+    perturbed_fits = dict(zip(fitted, _tangency_fits(
+        grid, perturbed.points, perturbed.converged, pairs[fitted], min_points=6
+    )))
     dichotomy: list[PairDichotomy] = []
-    for i, j in fit_pairs:
-        try:
-            alpha_0 = tangency_exponent(reference[i], reference[j])
-            alpha_e = tangency_exponent(arcs[i], arcs[j])
-        except ValueError as exc:
-            failures.append(f"dichotomy pair ({i}, {j}): {exc}")
+    for n, (i, j) in enumerate(fit_pairs):
+        alpha_0 = reference_fits[n]
+        alpha_e = perturbed_fits.get(n, alpha_0)
+        if not isinstance(alpha_e, TangencyEstimate):  # the error of the fit that failed
+            failures.append(f"dichotomy pair ({i}, {j}): {alpha_e}")
             continue
         if alpha_0.alpha <= 1.0 + margin:
             ok = alpha_e.alpha <= 1.0 + margin + fit_tolerance
@@ -812,8 +915,7 @@ def verify_foliation(
     # One arc against all later ones at a time, in pair order: the last
     # commonly converged grid index (the smallest t), then the norms
     # np.linalg.norm gives, with max and min treating nan as the builtins do.
-    converged = np.array([arc.converged for arc in arcs], dtype=bool)
-    points = np.array([arc.points for arc in arcs], dtype=complex)
+    converged, points = perturbed.converged, perturbed.points
     norms = _row_norms(points.reshape(-1, system.nvars)).reshape(converged.shape)
     for i in range(len(arcs) - 1):
         common = converged[i] & converged[i + 1 :]
@@ -865,7 +967,7 @@ def verify_foliation(
         coordinate_planes_ok=coordinate_planes_ok,
         converged_fraction=converged_fraction,
         arcs=arcs,
-        reference_arcs=reference,
+        reference_arcs=reference.arcs,
     )
 
 

@@ -14,6 +14,7 @@ import csv
 import io
 import itertools
 import math
+import random
 import warnings
 from pathlib import Path
 
@@ -27,6 +28,8 @@ from germlab.foliation import (
     DEFAULT_T_GRID,
     ArcSample,
     LinkSample,
+    PairDichotomy,
+    TangencyEstimate,
     _distance_to_cloud,
     _gauss_newton_project,
     _project_attempts,
@@ -689,6 +692,27 @@ def test_sigma_cloud_over_several_blocks_matches_the_oracle():
     assert _project_attempts(*args)[2] == attempts
 
 
+def test_nine_variable_attempts_over_several_blocks_match_the_oracle():
+    # Each attempt draws its 18 start words at once; at tolerance 3e-17 half
+    # of these projections fail, so the points come from several blocks, and
+    # with 15 attempts allowed the search runs out.
+    names = "a b c d e f g h k"
+    equations = [
+        P("a^2 + b^2 + c^2 + d^2 + e^2 + f^2 + g^2 + h^2 + k^2", names),
+        P("a*b - c*d + e*f - g*h + k^3", names),
+    ]
+    evaluators = (NumericEvaluator(equations), jacobian_evaluator(equations), 9)
+    for limit in (200, 15):
+        args = (*evaluators, 10, limit, (3,), 3e-17, 60)
+        found, attempts = _oracle_attempts(*args)
+        assert attempts > 10 if limit > 15 else len(found) < 10
+        points, residuals, made = _project_attempts(*args)
+        assert [(point.tobytes(), repr(residual)) for point, residual in zip(points, residuals)] == [
+            (point.tobytes(), repr(residual)) for point, residual in found
+        ]
+        assert made == attempts
+
+
 def _stub_projections(pattern, poison, seed, nvars=2):
     """Stand-ins for the block and one-point projections: attempt a succeeds
     iff pattern[a], its residual is a, and a block holding the poisoned
@@ -867,6 +891,218 @@ def test_rescaled_gradient_matches_the_per_sample_oracle(sphere, briancon_speder
 
 
 # ---------------------------------------------------------------------------
+# stacked tangency fits against the per-pair polyfit fit they replaced
+#
+# _oracle_tangency_exponent is tangency_exponent's body as it stood while
+# each pair was its own np.polyfit call.  The stacked fits must give the
+# same float words, the same error texts and the same RankWarnings.
+
+
+def _oracle_tangency_exponent(a, b, *, min_points=6):
+    t_a, pts_a, mask_a = foliation._arc_curve(a)
+    t_b, pts_b, mask_b = foliation._arc_curve(b)
+    if len(t_a) != len(t_b) or not np.array_equal(t_a, t_b):
+        raise ValueError("tangency fit needs a common t-grid")
+    mask = mask_a & mask_b
+    if int(mask.sum()) < min_points:
+        raise ValueError(
+            f"insufficient converged points for a tangency fit "
+            f"({int(mask.sum())} < {min_points})"
+        )
+    t = t_a[mask]
+    order = np.argsort(t)
+    t = t[order]
+    diff = np.linalg.norm(pts_a[mask][order] - pts_b[mask][order], axis=1)
+    scale = 0.5 * (
+        np.linalg.norm(pts_a[mask][order], axis=1)
+        + np.linalg.norm(pts_b[mask][order], axis=1)
+    )
+    window_count = min(len(t), max(min_points, -(-len(t) // 2)))
+    t = t[:window_count]
+    diff = diff[:window_count]
+    scale = scale[:window_count]
+    window = (float(t[0]), float(t[-1]))
+    if np.all(diff == 0.0):
+        return TangencyEstimate(alpha=math.inf, r2=1.0, window=window)
+    keep = diff > 0.0
+    if int(keep.sum()) < min_points:
+        raise ValueError(
+            "arcs coincide at some grid points but not others; "
+            "not enough nonzero separations to fit"
+        )
+    x = np.log(scale[keep])
+    y = np.log(diff[keep])
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 and ss_res <= 1e-30 else (
+        0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    )
+    return TangencyEstimate(alpha=float(slope), r2=r2, window=window)
+
+
+def _family_arcs(grid, points, converged):
+    return [
+        ArcSample(
+            s=LinkSample(s=tuple(pts[0].tolist()), residual=0.0), epsilon=0j,
+            t_grid=tuple(grid.tolist()), z_values=(), points=tuple(map(tuple, pts.tolist())),
+            residuals=(0.0,) * len(grid), converged=tuple(flags.tolist()),
+            gram_determinant=0.0, iteration_residuals=(),
+        )
+        for pts, flags in zip(points, converged)
+    ]
+
+
+def _fit_words(fit):
+    """A fit's float words, or its error's type and text."""
+    if isinstance(fit, ValueError):
+        return type(fit), str(fit)
+    return np.array([fit.alpha, fit.r2, *fit.window]).tobytes()
+
+
+def _recorded(call):
+    """``call()``'s result (or ValueError) and its warnings as (category, text)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except ValueError as exc:
+            result = exc
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_fits_match_the_oracle(grid, points, converged, pairs, min_points=6):
+    arcs = _family_arcs(grid, points, converged)
+    expected, expected_warnings = [], []
+    for i, j in pairs:
+        fit, caught = _recorded(
+            lambda: _oracle_tangency_exponent(arcs[i], arcs[j], min_points=min_points)
+        )
+        expected.append(fit)
+        expected_warnings += caught
+    fits, caught = _recorded(lambda: foliation._tangency_fits(
+        np.asarray(grid, dtype=float), points, converged, np.array(pairs).reshape(-1, 2), min_points
+    ))
+    assert [_fit_words(fit) for fit in fits] == [_fit_words(fit) for fit in expected]
+    rank = (np.exceptions.RankWarning, "Polyfit may be poorly conditioned")
+    assert caught.count(rank) == expected_warnings.count(rank)
+    assert set(caught) == set(expected_warnings)
+    for (i, j), fit in zip(pairs, expected):
+        one, _ = _recorded(lambda: tangency_exponent(arcs[i], arcs[j], min_points=min_points))
+        assert _fit_words(one) == _fit_words(fit)
+    return fits
+
+
+@st.composite
+def _fit_families(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 12))
+    grid_kind = draw(st.sampled_from(["default", "random", "ties"]))
+    if grid_kind == "default":
+        grid = np.array(DEFAULT_T_GRID)
+    else:
+        grid = np.cumprod(rng.uniform(0.3, 0.9, draw(st.integers(6, 20))))
+        if grid_kind == "ties":
+            k = int(rng.integers(1, len(grid)))
+            grid[k] = grid[k - 1]
+    n = draw(st.integers(1, 4))
+    # power laws in t, scaled arc by arc from 1e-135 to 1e135
+    powers = rng.uniform(0.0, 1.0, (m, 1, n))
+    points = (rng.standard_normal((m, len(grid), n)) + 1j * rng.standard_normal((m, len(grid), n)))
+    points *= grid[np.newaxis, :, np.newaxis] ** powers
+    points *= 10.0 ** rng.integers(-135, 136, size=(m, 1, 1))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = rng.integers(0, m, 2)
+        shared = rng.random(len(grid)) < draw(st.sampled_from([1.0, 0.5, 0.2]))
+        points[j, shared] = points[i, shared]
+    converged = rng.random((m, len(grid))) < draw(st.sampled_from([1.0, 0.9, 0.6, 0.3]))
+    if draw(st.booleans()):  # arcs that stop converging at some t, as solved ones do
+        converged &= np.arange(len(grid)) < rng.integers(0, len(grid) + 1, (m, 1))
+    pairs = list(itertools.combinations(range(m), 2))
+    return grid, points, converged, pairs, draw(st.integers(1, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fit_families())
+def test_stacked_tangency_fits_match_the_per_pair_oracle(family):
+    _assert_fits_match_the_oracle(*family)
+
+
+def test_constant_distance_scale_warns_as_polyfit_does():
+    # every point has norm 2, so the fit's x column is constant: rank 1
+    t = np.array(DEFAULT_T_GRID[:12])
+    angles = np.arange(12.0)
+    points = np.stack([
+        2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1),
+        2.0 * np.stack([np.cos(angles**1.5), np.sin(angles**1.5)], axis=1),
+        2.0 * np.stack([np.cos(-angles), np.sin(-angles)], axis=1),
+    ]).astype(complex)
+    fits = _assert_fits_match_the_oracle(t, points, np.ones((3, 12), dtype=bool), [(0, 1), (0, 2), (1, 2)])
+    assert all(isinstance(fit, TangencyEstimate) for fit in fits)
+    _, caught = _recorded(lambda: tangency_exponent((t, points[0]), (t, points[1])))
+    assert caught == [(np.exceptions.RankWarning, "Polyfit may be poorly conditioned")]
+
+
+def test_a_failed_svd_lands_on_its_own_pair():
+    # An infinite point puts inf into its pairs' x and y, and the column
+    # scaling makes nan of it: their least squares raise, and the other pairs
+    # of the same stacked group are solved again one by one.  (A nan point
+    # drops out of a fit instead: its distance is nan, never > 0.)
+    rng = np.random.default_rng(5)
+    t = np.array(DEFAULT_T_GRID)
+    points = (rng.standard_normal((4, 20, 3)) + 1j * rng.standard_normal((4, 20, 3))) * t[:, None]
+    points[2, 15, 1] = math.inf
+    pairs = list(itertools.combinations(range(4), 2))
+    fits = _assert_fits_match_the_oracle(t, points, np.ones((4, 20), dtype=bool), pairs)
+    failed = {pair: _fit_words(fit) for pair, fit in zip(pairs, fits) if not isinstance(fit, TangencyEstimate)}
+    assert failed == dict.fromkeys(
+        [(0, 2), (1, 2), (2, 3)], (np.linalg.LinAlgError, "SVD did not converge in Linear Least Squares")
+    )
+
+
+def _oracle_dichotomy(report, margin=0.1, seed=0, max_pairs=60, fit_tolerance=0.05):
+    """verify_foliation's pair loop as it stood, over the report's own arcs."""
+    arcs, reference = report.arcs, report.reference_arcs
+    all_pairs = list(itertools.combinations(range(len(arcs)), 2))
+    if len(all_pairs) > max_pairs:
+        all_pairs = sorted(random.Random(seed).sample(all_pairs, max_pairs))
+    dichotomy, failures = [], []
+    for i, j in all_pairs:
+        try:
+            alpha_0 = _oracle_tangency_exponent(reference[i], reference[j])
+            alpha_e = _oracle_tangency_exponent(arcs[i], arcs[j])
+        except ValueError as exc:
+            failures.append(f"dichotomy pair ({i}, {j}): {exc}")
+            continue
+        if alpha_0.alpha <= 1.0 + margin:
+            ok = alpha_e.alpha <= 1.0 + margin + fit_tolerance
+        else:
+            ok = alpha_e.alpha >= 1.0 + margin - fit_tolerance
+        dichotomy.append(PairDichotomy((i, j), alpha_0, alpha_e, ok))
+        if not ok:
+            failures.append(
+                f"dichotomy pair ({i}, {j}): unperturbed contact "
+                f"{alpha_0.alpha:.4f}, perturbed {alpha_e.alpha:.4f}"
+            )
+    return dichotomy, failures
+
+
+def test_verify_foliation_fits_match_the_pair_loop(sphere, briancon_speder):
+    near = _bs_link_point_near_axis(briancon_speder, 1e-10)
+    for system, epsilon, samples, seed in (
+        (sphere, 0.5, sample_link(sphere, 12, seed=2), 4),
+        (briancon_speder, 0.1, [near] + sample_link(briancon_speder, 7, seed=0), 0),
+    ):
+        report = verify_foliation(system, epsilon, samples, seed=seed)
+        dichotomy, failures = _oracle_dichotomy(report, seed=seed)
+        assert repr(report.dichotomy) == repr(tuple(dichotomy))
+        assert [f for f in report.failures if f.startswith("dichotomy")] == failures
+    # the near-axis arc never converges: each of its pairs fails the fit
+    assert any("insufficient converged points" in f for f in failures)
+    assert len(report.dichotomy) > 0
+
+
+# ---------------------------------------------------------------------------
 # one stacked least-squares call against numpy's per-matrix lstsq
 #
 # _stacked_lstsq calls the private gufunc behind np.linalg.lstsq; these
@@ -907,7 +1143,7 @@ def test_stacked_lstsq_matches_per_matrix_lstsq(stack):
         with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
             _stacked_lstsq(a, b)
         return
-    assert _stacked_lstsq(a, b).tobytes() == expected.tobytes()
+    assert _stacked_lstsq(a, b)[0].tobytes() == expected.tobytes()
 
 
 def test_stacked_lstsq_raises_like_lstsq_on_nan():

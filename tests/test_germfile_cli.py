@@ -7,16 +7,18 @@ byte-level determinism.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import germlab
-from germlab.cli import main
+from germlab.cli import _build_parser, main
 from germlab.germfile import (
     GermFileError,
     load_raw,
@@ -447,6 +449,42 @@ def test_cli_timing_flag(capsys):
     assert code == 0
     timing = json.loads(out)["timing_seconds"]
     assert isinstance(timing, float) and timing >= 0.0
+
+
+def test_back_to_back_calls_share_one_parser(tmp_path):
+    # main builds its parser once per process; each call must still write to
+    # the streams of its own moment and leave nothing for the next call
+    def call(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    fixture = str(fixture_path("a2.json"))
+    code, out, err = call("frobnicate", fixture)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: germlab") and "invalid choice: 'frobnicate'" in err
+    code, out, err = call("-h")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: germlab") and "foliate" in out
+    code, out, err = call("analyze")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: germlab analyze") and "required: file" in err
+
+    timed, plain, fresh = (tmp_path / f"{name}.json" for name in ("timed", "plain", "fresh"))
+    assert call("analyze", fixture, "--timing", "--out", str(timed))[0] == 10
+    assert call("analyze", fixture, "--out", str(plain))[0] == 10
+    env = dict(os.environ)
+    package_root = str(Path(germlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "germlab.cli", "analyze", fixture, "--out", str(fresh)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (10, "", "")
+    assert json.loads(timed.read_text())["timing_seconds"] is not None
+    assert plain.read_bytes() == fresh.read_bytes()
+    assert _build_parser() is _build_parser()
 
 
 @pytest.mark.parametrize(
