@@ -190,7 +190,7 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(a.real) + _row_dots(a.imag))
 
 
-def _raise_lstsq_error(err: str, flag: int) -> None:
+def _raise_lstsq_error(*_) -> None:
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
@@ -199,7 +199,14 @@ def _stacked_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     in one call of the gufunc that function wraps (the wrapper refuses a
     stack); returns the solutions and the ranks.  The rcond and the error
     state are the wrapper's: a row whose SVD does not converge raises its
-    LinAlgError."""
+    LinAlgError.
+
+    A stack with a non-finite entry in ``a`` raises that LinAlgError without
+    calling LAPACK, which would fail on it too, but only after printing
+    DLASCL's complaint on file descriptor 1, and on some such matrices never
+    returns.  A non-finite ``b`` goes to LAPACK: its solution is nan."""
+    if not np.isfinite(a).all():
+        _raise_lstsq_error()
     rcond = np.finfo(float).eps * max(a.shape[-2:])
     with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):

@@ -14,6 +14,7 @@ import csv
 import io
 import itertools
 import math
+import multiprocessing
 import random
 import warnings
 from pathlib import Path
@@ -1158,6 +1159,101 @@ def test_stacked_lstsq_raises_like_lstsq_on_nan():
         type(expected.value), str(expected.value)
     )
     assert str(stacked.value) == "SVD did not converge in Linear Least Squares"
+
+
+LSTSQ_FAILED = "SVD did not converge in Linear Least Squares"
+LSTSQ_PATIENCE_S = 1.0  # a 9x9 lstsq takes microseconds
+
+
+class _LstsqWorker:
+    """np.linalg.lstsq in a child process, because on some matrices with an
+    infinite entry LAPACK never returns (with OpenBLAS 0.3.31, the example
+    below ran at 100% CPU for minutes, and 3 of 80 draws of the test's
+    strategy, all wide matrices with infinities, did not return within a
+    second); a call that overruns LSTSQ_PATIENCE_S reports "no return", and
+    the worker is replaced."""
+
+    def __init__(self):
+        self._pool = None
+
+    def run(self, a, b):
+        if self._pool is None:
+            self._pool = multiprocessing.get_context("spawn").Pool(1)
+            self._pool.apply_async(np.ones, (1,)).get(120)  # the child is up
+        try:
+            self._pool.apply_async(np.linalg.lstsq, (a, b), {"rcond": None}).get(LSTSQ_PATIENCE_S)
+        except np.linalg.LinAlgError as exc:
+            return str(exc)
+        except multiprocessing.TimeoutError:
+            self.close()
+            return "no return"
+        return "solved"
+
+    def close(self):
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
+
+
+@pytest.fixture(scope="module")
+def lstsq_worker():
+    worker = _LstsqWorker()
+    yield worker
+    worker.close()
+
+
+@st.composite
+def _non_finite_systems(draw):
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = rng.standard_normal((m, n)), rng.standard_normal(m)
+    for k in draw(st.lists(st.integers(0, m * n - 1), min_size=1, unique=True)):
+        a.flat[k] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    return a, b
+
+
+_LSTSQ_NEVER_RETURNS = (
+    np.array([[-math.inf, -0.246396305260956, -0.6411520511801317, -0.4470117958942953],
+              [0.6071701084829668, 1.1189682119808173, 0.4668209498482655, -math.inf],
+              [0.5343699760561508, -0.4386634141582629, 0.18543196122324326, -1.6904959076346031]]),
+    np.array([0.08108277126837858, -0.4276301829378274, 1.2375444969173621]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=_non_finite_systems())
+@example(system=_LSTSQ_NEVER_RETURNS)
+def test_lstsq_solves_no_matrix_with_a_non_finite_entry(lstsq_worker, system):
+    # so _stacked_lstsq may raise lstsq's error for such a matrix up front
+    a, b = system
+    assert lstsq_worker.run(a, b) in (LSTSQ_FAILED, "no return")
+    finite = np.ones((2,) + a.shape)
+    for stack in (a[np.newaxis], np.concatenate([finite, a[np.newaxis]])):
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{LSTSQ_FAILED}$"):
+            _stacked_lstsq(stack, np.ones(stack.shape[:2]))
+
+
+def test_a_non_finite_right_hand_side_still_goes_to_lapack():
+    a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+    for bad in (math.inf, -math.inf, math.nan):
+        b = np.array([[1.0, bad, 2.0], [1.0, 2.0, 3.0]])
+        solution = _stacked_lstsq(np.stack([a, a]), b)[0]
+        assert np.isnan(solution[0]).all()
+        assert solution[1].tobytes() == np.linalg.lstsq(a, b[1], rcond=None)[0].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # from the infinite point
+def test_an_infinite_arc_point_fails_its_fit_without_lapack_output(capfd):
+    # LAPACK prints "** On entry to DLASCL parameter number 4 had an illegal
+    # value" on file descriptor 1 for such a fit; that is foliate's report stream
+    rng = np.random.default_rng(5)
+    t = np.array(DEFAULT_T_GRID)
+    points = (rng.standard_normal((2, 20, 3)) + 1j * rng.standard_normal((2, 20, 3))) * t[:, None]
+    points[1, 15, 1] = math.inf
+    with pytest.raises(np.linalg.LinAlgError, match=f"^{LSTSQ_FAILED}$"):
+        tangency_exponent((t, points[0]), (t, points[1]))
+    assert capfd.readouterr() == ("", "")
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,19 @@ def test_milnor_non_isolated_is_none():
     assert milnor_number(P("x^2", "x y")) is None
 
 
+def test_milnor_with_gaussian_higher_terms_runs_the_same_basis():
+    # Gaussian coefficients make the local standard basis long (1,787 steps
+    # against 34 without the last two terms); the count pins the algorithm,
+    # whatever the scalar arithmetic underneath.
+    budget = Budget()
+    f = P("x^5 + y^6 - 2*x*y^2 + (-3-2*i)*x^2*y^5 + (2+i)*x^2*y^6", "x y")
+    assert milnor_number(f, budget) == 6
+    assert budget.used == 1787
+    budget = Budget()
+    assert milnor_number(P("x^5 + y^6 - 2*x*y^2", "x y"), budget) == 6
+    assert budget.used == 34
+
+
 def test_milnor_smooth_point():
     # nonvanishing gradient at the origin: Jacobian ideal is the unit ideal
     assert milnor_number(P("x + y^5", "x y")) == 0
