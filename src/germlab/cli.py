@@ -33,6 +33,7 @@ import math
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -153,22 +154,34 @@ def _budget(args) -> Budget | None:
     return Budget(args.budget)
 
 
-def _emit(args, command: str, input_echo: dict, body: dict, elapsed: float | None) -> None:
-    doc = _report.document(command, input_echo, args.seed, elapsed, body)
-    text = _report.render(doc)
+def _run(args) -> int:
+    """Read the germ file, run the command's handler on it, and write its
+    report to ``--out`` or stdout; returns the handler's exit code."""
+    started = time.perf_counter()
+    data = read_germ_file(args.file)
+    body, code = args.handler(args, data)
+    elapsed = (time.perf_counter() - started) if args.timing else None
+    text = _report.render(_report.document(args.command, data, args.seed, elapsed, body))
     if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+    return code
 
 
-def _elapsed(args, started: float) -> float | None:
-    return (time.perf_counter() - started) if args.timing else None
+@contextmanager
+def _warnings_as_notes(notes: list[str]):
+    """Numeric warnings (e.g. float overflow on huge exponents) raised in the
+    block become report notes, one per distinct message, instead of stderr
+    lines; "always" keeps the capture independent of what this process has
+    already warned about."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    notes.extend(dict.fromkeys(f"{w.category.__name__}: {w.message}" for w in caught))
 
 
-def _cmd_analyze(args) -> int:
-    started = time.perf_counter()
-    data = read_germ_file(args.file)
+def _cmd_analyze(args, data: dict) -> tuple[dict, int]:
     loaded = load_system(data)
     assumptions = set(loaded.assumptions)
     if args.assume_milnor_fibre:
@@ -176,20 +189,14 @@ def _cmd_analyze(args) -> int:
     if args.assume_noncontractible_component:
         assumptions.add("noncontractible-component")
     result = analyze(loaded.system, frozenset(assumptions), seed=args.seed, budget=_budget(args))
-    body = _report.analysis_body(loaded, result, assumptions)
-    _emit(args, "analyze", data, body, _elapsed(args, started))
-    return _VERDICT_EXIT[result.verdict]
+    return _report.analysis_body(loaded, result, assumptions), _VERDICT_EXIT[result.verdict]
 
 
-def _cmd_sigma(args) -> int:
-    started = time.perf_counter()
-    data = read_germ_file(args.file)
+def _cmd_sigma(args, data: dict) -> tuple[dict, int]:
     loaded = load_system(data)
     locus = sigma(loaded.system, budget=_budget(args))
-    body = _report.sigma_body(loaded, locus)
-    _emit(args, "sigma", data, body, _elapsed(args, started))
     undetermined = any(comp.status != "computed" for comp in locus.components)
-    return EXIT_UNDETERMINED if undetermined else EXIT_OK
+    return _report.sigma_body(loaded, locus), EXIT_UNDETERMINED if undetermined else EXIT_OK
 
 
 def _single_equation(raw, route: str):
@@ -198,15 +205,14 @@ def _single_equation(raw, route: str):
     return raw.equations[0]
 
 
-def _cmd_newton(args) -> int:
-    started = time.perf_counter()
-    data = read_germ_file(args.file)
+def _cmd_newton(args, data: dict) -> tuple[dict, int]:
     raw = load_raw(data)
     f = _single_equation(raw, "Newton")
-    analysis = analyze_newton(f, budget=_budget(args), probabilistic=args.probabilistic_nnd, seed=args.seed)
-    body = _report.newton_body(raw, analysis)
-    _emit(args, "newton", data, body, _elapsed(args, started))
-    return EXIT_CERTIFICATE if analysis.any_certificate else EXIT_OK
+    notes: list[str] = []
+    with _warnings_as_notes(notes):
+        analysis = analyze_newton(f, budget=_budget(args), probabilistic=args.probabilistic_nnd, seed=args.seed)
+    analysis.notes.extend(notes)
+    return _report.newton_body(raw, analysis), EXIT_CERTIFICATE if analysis.any_certificate else EXIT_OK
 
 
 def _parse_epsilon(text: str) -> Fraction:
@@ -219,9 +225,7 @@ def _parse_epsilon(text: str) -> Fraction:
     return value
 
 
-def _cmd_foliate(args) -> int:
-    started = time.perf_counter()
-    data = read_germ_file(args.file)
+def _cmd_foliate(args, data: dict) -> tuple[dict, int]:
     loaded = load_system(data)
     system = loaded.system
     same_order = system.is_same_order()
@@ -241,11 +245,7 @@ def _cmd_foliate(args) -> int:
         raise GermFileError("--samples must be at least 2 (the checks compare pairs of arcs)")
 
     budget = _budget(args)
-    # numeric warnings (e.g. float overflow on huge exponents) become report
-    # notes instead of stderr lines; "always" keeps the capture independent
-    # of what this process has already warned about
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _warnings_as_notes(notes):
         cloud = sigma_link_cloud(system, count=SIGMA_CLOUD_COUNT, seed=args.seed, budget=budget)
         samples = sample_link(system, args.samples, args.seed, sigma_cloud=cloud)
         if len(samples) < 2:
@@ -269,25 +269,18 @@ def _cmd_foliate(args) -> int:
                 seed=args.seed,
                 allow_large_epsilon=allow_large,
             )
-    notes.extend(dict.fromkeys(f"{w.category.__name__}: {w.message}" for w in caught))
     csv_path = None
     if result.arcs or result.reference_arcs:
         write_arc_csv(args.csv, tuple(result.arcs) + tuple(result.reference_arcs), args.seed)
         csv_path = args.csv
     body = _report.foliate_body(loaded, result, epsilon, args.samples, csv_path, notes)
-    _emit(args, "foliate", data, body, _elapsed(args, started))
-    return EXIT_OK if result.passed else EXIT_UNDETERMINED
+    return body, EXIT_OK if result.passed else EXIT_UNDETERMINED
 
 
-def _cmd_milnor(args) -> int:
-    started = time.perf_counter()
-    data = read_germ_file(args.file)
+def _cmd_milnor(args, data: dict) -> tuple[dict, int]:
     raw = load_raw(data)
-    f = _single_equation(raw, "Milnor-number")
-    mu = milnor_number(f, budget=_budget(args))
-    body = _report.milnor_body(raw, mu)
-    _emit(args, "milnor", data, body, _elapsed(args, started))
-    return EXIT_OK
+    mu = milnor_number(_single_equation(raw, "Milnor-number"), budget=_budget(args))
+    return _report.milnor_body(raw, mu), EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -297,7 +290,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits for usage errors and -h
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        return _run(args)
     except BudgetExhausted as exc:
         print(f"germlab: {exc}", file=sys.stderr)
         return EXIT_UNDETERMINED

@@ -254,8 +254,9 @@ def buchberger(
 
 def _minimalize(basis: list[Poly], lt: list[Monomial], order: MonomialOrder) -> list[Poly]:
     # A leading monomial survives iff no surviving leading monomial divides
-    # it; processing in increasing order keeps the minimal ones first.
-    lts_sorted = sorted(zip(lt, basis), key=lambda t: order.key(t[0]))
+    # it; processing divisors before their multiples (increasing under a
+    # global order, decreasing under a local one) keeps the minimal ones.
+    lts_sorted = sorted(zip(lt, basis), key=lambda t: order.key(t[0]), reverse=not order.is_global)
     survivors: list[tuple[Monomial, Poly]] = []
     for m, g in lts_sorted:
         if not any(mono_div(m, sm) is not None for sm, _ in survivors):
@@ -471,27 +472,15 @@ def local_standard_basis(gens: list[Poly], budget: Budget | None = None) -> Groe
         raise ValueError("empty generator list")
     nvars = gens[0].nvars
     local = local_antigraded(nvars)
-    nonzero = [f for f in gens if not f.is_zero()]
-    if not nonzero:
-        raise ValueError("all generators are zero")
-    if any(not f.constant_term().is_zero() for f in nonzero):
+    if any(not f.constant_term().is_zero() for f in gens):
         return GroebnerBasis([Poly.constant(nvars, 1)], local, {"unit": True})
-    hom = [homogenize(f) for f in nonzero]
     try:
-        gb = buchberger(hom, homogenized_local(nvars + 1), budget)
+        gb = buchberger([homogenize(f) for f in gens], homogenized_local(nvars + 1), budget)
     except BudgetExhausted as exc:
         raise BudgetExhausted("local standard basis", exc.used) from None
-    if gb.is_unit_ideal():
-        # only reachable when the homogenized ideal is the whole ring, which
-        # the constant-term shortcut above has already ruled out
-        return GroebnerBasis([Poly.constant(nvars, 1)], local, dict(gb.stats))
     deh = [dehomogenize(f) for f in gb.generators]
-    lts = [(leading_monomial(f, local), f) for f in deh]
-    survivors: list[tuple[Monomial, Poly]] = []
-    for m, g in sorted(lts, key=lambda t: (sum(t[0]), t[0])):
-        if not any(mono_div(m, sm) is not None for sm, _ in survivors):
-            survivors.append((m, make_monic(g, local)))
-    result = [g for _, g in survivors]
+    lts = [leading_monomial(f, local) for f in deh]
+    result = [make_monic(g, local) for g in _minimalize(deh, lts, local)]
     result.sort(key=lambda f: local.key(leading_monomial(f, local)), reverse=True)
     return GroebnerBasis(result, local, dict(gb.stats))
 
@@ -526,5 +515,5 @@ def milnor_number(f: Poly, budget: Budget | None = None) -> int | None:
             raise BudgetExhausted("weighted initial form", exc.used) from None
         if mu is not None:
             return mu
-    basis = local_standard_basis([p for p in partials if not p.is_zero()], budget)
+    basis = local_standard_basis(partials, budget)
     return quotient_dimension(basis, budget)

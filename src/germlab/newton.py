@@ -249,6 +249,8 @@ def _torus_search(f_sigma: Poly, seed: int = 0, attempts: int = 40) -> bool:
             if np.max(np.abs(val)) < 1e-12:
                 break
             jac = np.array(hessian(x)).reshape(nvars, nvars)[:, free]
+            if not (np.all(np.isfinite(val)) and np.all(np.isfinite(jac))):
+                break  # overflowed: LAPACK would print to stdout and fail, or hang
             step, *_ = np.linalg.lstsq(jac, -val, rcond=None)
             if not np.all(np.isfinite(step)) or np.max(np.abs(step)) < 1e-14:
                 break
@@ -296,13 +298,8 @@ def face_nondegeneracy(
     methods: list[str] = []
     for k, face in enumerate(diagram.faces):
         f_sigma = face_restriction(f, face)
-        partials = []
-        for j in range(f.nvars):
-            p = f_sigma.partial(j)
-            if not p.is_zero():
-                partials.append(p)
         try:
-            sat = saturation(partials, torus, budget)
+            sat = saturation([f_sigma.partial(j) for j in range(f.nvars)], torus, budget)
             statuses.append("nondegenerate" if sat.generators[0].is_constant() else "degenerate")
             methods.append("exact")
         except BudgetExhausted:

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from germlab.poly import Monomial, Poly, mono_degree
+from germlab.orders import grevlex
+from germlab.poly import Monomial, Poly
 from germlab.qi import QI, format_qi
 
 
@@ -186,10 +187,6 @@ def parse_poly(text: str, variables: list[str]) -> Poly:
 # canonical printing
 
 
-def _grevlex_key(mono: Monomial):
-    return (mono_degree(mono), tuple(-e for e in reversed(mono)))
-
-
 def _mono_string(mono: Monomial, names: list[str]) -> str:
     parts = []
     for e, name in zip(mono, names):
@@ -205,7 +202,7 @@ def poly_to_string(f: Poly, names: list[str]) -> str:
     if f.is_zero():
         return "0"
     pieces: list[str] = []
-    for mono in sorted(f.terms, key=_grevlex_key, reverse=True):
+    for mono in sorted(f.terms, key=grevlex(f.nvars).key, reverse=True):
         c = f.terms[mono]
         mono_str = _mono_string(mono, names)
         # Sign handling: absorb the sign for real and pure-imaginary

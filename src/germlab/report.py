@@ -2,23 +2,36 @@
 
 One envelope for every command (schema version, tool version, the input
 echo, the normalized variable data, seeds, timing) plus a command-specific
-body.  Serialization is deterministic for a fixed input and seed: keys are
-sorted, rationals are rendered as exact ``"a/b"`` strings, floats pass
-through ``repr`` via the JSON encoder, and non-finite floats become the
-strings ``"inf"``/``"-inf"``/``"nan"`` (JSON has no spelling for them).
-``timing_seconds`` stays null unless timing was explicitly requested —
-wall-clock values are the one thing that would break byte-identical
-reruns."""
+body.  The result dataclasses are the report schema: the bodies pass them
+through one converter, ``_plain``, which turns
+
+* a dataclass into ``{field name: converted field}``, so a field added to a
+  reported dataclass adds a report key,
+* a list or tuple into a list,
+* a ``Fraction`` into its exact string, such as ``"1/15"`` (``"2"`` for an
+  integer),
+* a non-finite float into ``"inf"``/``"-inf"``/``"nan"`` (JSON has no
+  spelling for them),
+
+and leaves everything else as it is.  ``sigma``'s components (their
+generators need the variable names), ``foliate``'s per-arc summaries
+(derived counts) and ``newton``'s per-face non-degeneracy table (face
+indices) are written out by hand.  Serialization is deterministic
+for a fixed input and seed: keys are sorted and floats pass through
+``repr`` via the JSON encoder.  ``timing_seconds`` stays null unless timing
+was explicitly requested — wall-clock values are the one thing that would
+break byte-identical reruns."""
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from germlab import __version__
-from germlab.foliation import FoliationReport, TangencyEstimate
+from germlab.foliation import FoliationReport
 from germlab.germ import (
     AnalysisReport,
     NewtonAnalysis,
@@ -42,18 +55,16 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def fraction_str(value: Fraction | None) -> str | None:
-    if value is None:
-        return None
-    return str(value)
-
-
-def _finite(value: float) -> float | str:
-    if math.isfinite(value):
-        return float(value)
-    if math.isnan(value):
-        return "nan"
-    return "inf" if value > 0 else "-inf"
+def _plain(value):
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
 
 
 def document(
@@ -79,32 +90,19 @@ def render(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# shared fragments
-
-
 def _system_fragment(loaded: LoadedGerm) -> dict:
     system = loaded.system
     names = list(system.variables)
-    splitting = weight_splitting(list(system.weights))
     return {
         "variables": names,
         "original_variables": list(loaded.original_variables),
         "permutation": list(loaded.permutation),
-        "weights": [str(w) for w in system.weights],
-        "degrees": [str(d) for d in system.degrees],
-        "breakpoints": list(splitting.breakpoints),
+        "weights": _plain(system.weights),
+        "degrees": _plain(system.degrees),
+        "breakpoints": list(weight_splitting(list(system.weights)).breakpoints),
         "principal": [poly_to_string(f, names) for f in system.principal],
         "perturbation": [poly_to_string(q, names) for q in system.perturbation],
         "same_order": system.is_same_order(),
-    }
-
-
-def _estimate_fragment(estimate: TangencyEstimate) -> dict:
-    return {
-        "alpha": _finite(estimate.alpha),
-        "r2": _finite(estimate.r2),
-        "window": [_finite(estimate.window[0]), _finite(estimate.window[1])],
     }
 
 
@@ -120,34 +118,10 @@ def analysis_body(
 ) -> dict:
     if assumptions is None:
         assumptions = loaded.assumptions
-    certificates = None
-    if report.certificates is not None:
-        c = report.certificates
-        certificates = {
-            "fast_cycle_dim": c.fast_cycle_dim,
-            "homotopy": c.homotopy,
-            "mu": c.mu,
-            "tangent_cone_coordinate_span": c.tangent_cone_coordinate_span,
-            "exponent_bound": fraction_str(c.exponent_bound),
-        }
     return {
         **_system_fragment(loaded),
         "assumptions": sorted(assumptions),
-        "analysis": {
-            "verdict": report.verdict,
-            "l": report.l,
-            "certificates": certificates,
-            "hypothesis_ledger": [
-                {
-                    "key": entry.key,
-                    "statement": entry.statement,
-                    "status": entry.status,
-                    "evidence": entry.evidence,
-                }
-                for entry in report.hypothesis_ledger
-            ],
-            "notes": list(report.notes) + list(extra_notes),
-        },
+        "analysis": {**_plain(report), "notes": list(report.notes) + list(extra_notes)},
     }
 
 
@@ -186,43 +160,20 @@ def newton_body(raw: RawGerm, analysis: NewtonAnalysis) -> dict:
         "equation": poly_to_string(raw.equations[0], names),
         "newton": {
             "convenient": diagram.convenient,
-            "support": [list(m) for m in diagram.support],
+            "support": _plain(diagram.support),
             "faces": [
-                {
-                    "dim": face.dim,
-                    "vertices": [list(v) for v in face.vertices],
-                    "inner_normal": list(face.inner_normal),
-                    "level": face.level,
-                    "weights": [str(w) for w in face.weights],
-                    "is_top": face.is_top,
-                }
+                {**_plain(face), "weights": _plain(face.weights), "is_top": face.is_top}
                 for face in diagram.faces
             ],
             "nondegeneracy": {
                 "overall": nd.overall,
                 "per_face": [
-                    {
-                        "face": face_index[face],
-                        "status": status,
-                        "method": method,
-                    }
+                    {"face": face_index[face], "status": status, "method": method}
                     for face, status, method in zip(nd.faces, nd.statuses, nd.methods)
                 ],
             },
             "criterion_applicable": analysis.criterion_applicable,
-            "face_verdicts": [
-                {
-                    "face_index": v.face_index,
-                    "sorted_weights": [str(w) for w in v.sorted_weights],
-                    "sing_dim": v.sing_dim,
-                    "dim_condition": v.dim_condition,
-                    "lower_weights_coincide": v.lower_weights_coincide,
-                    "certificate": v.certificate,
-                    "status": v.status,
-                    "evidence": v.evidence,
-                }
-                for v in analysis.face_verdicts
-            ],
+            "face_verdicts": _plain(analysis.face_verdicts),
             "any_certificate": analysis.any_certificate,
             "notes": list(analysis.notes),
         },
@@ -240,32 +191,24 @@ def foliate_body(
     return {
         **_system_fragment(loaded),
         "foliate": {
-            "epsilon": str(epsilon),
+            "epsilon": _plain(epsilon),
             "samples": {
                 "requested": samples_requested,
                 "obtained": len(report.arcs),
             },
             "passed": report.passed,
             "failures": list(report.failures),
-            "converged_fraction": _finite(report.converged_fraction),
+            "converged_fraction": _plain(report.converged_fraction),
             "checks": {
-                "dichotomy": [
-                    {
-                        "pair": list(d.pair),
-                        "unperturbed": _estimate_fragment(d.unperturbed),
-                        "perturbed": _estimate_fragment(d.perturbed),
-                        "ok": d.ok,
-                    }
-                    for d in report.dichotomy
-                ],
-                "min_separation": _finite(report.min_separation),
+                "dichotomy": _plain(report.dichotomy),
+                "min_separation": _plain(report.min_separation),
                 "separation_ok": report.separation_ok,
                 "coordinate_planes_ok": report.coordinate_planes_ok,
             },
             "arcs": [
                 {
-                    "distance_to_sigma": _finite(arc.s.distance_to_sigma),
-                    "gram_determinant": _finite(arc.gram_determinant),
+                    "distance_to_sigma": _plain(arc.s.distance_to_sigma),
+                    "gram_determinant": _plain(arc.gram_determinant),
                     "converged_count": int(sum(arc.converged)),
                     "grid_size": len(arc.t_grid),
                 }

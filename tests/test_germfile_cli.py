@@ -377,23 +377,41 @@ def test_cli_foliate_large_epsilon_override_warns(capsys, tmp_path):
     ]
 
 
-def test_cli_foliate_reports_numeric_warnings_as_notes(tmp_path):
-    # the float64 projections overflow on x^1000; a subprocess shows the real stderr
-    germ = write_germ(tmp_path, {"variables": ["x", "y", "z"], "equations": ["x^1000 + y^2 + z^2"]})
+def run_cli_process(*argv):
+    """The CLI in a subprocess, so that its real stdout and stderr (file
+    descriptors LAPACK also writes to) are what gets checked."""
     env = dict(os.environ)
     package_root = str(Path(germlab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "germlab.cli", "foliate", str(germ), "--csv", str(tmp_path / "arcs.csv")],
+    return subprocess.run(
+        [sys.executable, "-m", "germlab.cli", *map(str, argv)],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
+
+
+def test_cli_foliate_reports_numeric_warnings_as_notes(tmp_path):
+    # the float64 projections overflow on x^1000
+    germ = write_germ(tmp_path, {"variables": ["x", "y", "z"], "equations": ["x^1000 + y^2 + z^2"]})
+    result = run_cli_process("foliate", germ, "--csv", tmp_path / "arcs.csv")
     assert result.returncode == 0
     assert result.stderr == ""
     notes = json.loads(result.stdout)["foliate"]["notes"]
     assert notes == ["RuntimeWarning: overflow encountered in matmul"]
+
+
+def test_cli_newton_torus_search_reports_overflow_as_notes(tmp_path):
+    # the budget runs out on every face, and the torus search's gradient
+    # overflows at some starts; those attempts end before LAPACK sees them
+    germ = write_germ(tmp_path, {"variables": ["x", "y", "z"], "equations": ["x^1500 + y^1500 + z^1500"]})
+    result = run_cli_process("newton", germ, "--probabilistic-nnd", "--budget", 5)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    newton = json.loads(result.stdout)["newton"]
+    assert {face["method"] for face in newton["nondegeneracy"]["per_face"]} == {"probabilistic"}
+    assert "RuntimeWarning: overflow encountered in scalar power" in newton["notes"]
 
 
 def test_cli_output_file_and_determinism(capsys, tmp_path):
