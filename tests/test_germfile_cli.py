@@ -246,6 +246,40 @@ def test_cli_analyze_budget_exhaustion_is_undetermined(capsys):
     )
 
 
+BENCH_GERMS = Path(__file__).resolve().parent.parent / "bench" / "germs"
+
+
+@pytest.mark.parametrize(
+    "argv, code, stage",
+    [
+        (["analyze", fixture_path("a1.json"), "--budget", "5"], 20, "buchberger (steps used: 6)"),
+        (["analyze", fixture_path("briancon_speder.json"), "--budget", "50"], 20, "local standard basis (steps used: 51)"),
+        (["milnor", fixture_path("a3.json"), "--budget", "5"], 20, "weighted initial form (steps used: 6)"),
+        (["milnor", fixture_path("briancon_speder.json"), "--budget", "50"], 20, "local standard basis (steps used: 51)"),
+        (["newton", str(BENCH_GERMS / "bs_6633.json"), "--budget", "200"], 0, "buchberger (steps used: 201)"),
+        (["newton", str(BENCH_GERMS / "bs_6633.json"), "--budget", "200", "--probabilistic-nnd"], 0,
+         "buchberger (steps used: 201)"),
+        # 13 of the 15 faces run out before the top face's dimension is asked
+        # for, and the count still reads limit + 1
+        (["newton", str(BENCH_GERMS / "bs_6633.json"), "--budget", "100"], 0, "buchberger (steps used: 101)"),
+    ],
+)
+def test_cli_budget_exhaustion_names_its_stage(capsys, argv, code, stage):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    message = f"budget exhausted during {stage}"
+    if argv[0] == "milnor":
+        assert (out, err) == ("", f"germlab: {message}\n")
+        return
+    assert err == ""
+    doc = json.loads(out)
+    if argv[0] == "analyze":
+        evidence = [e["evidence"] for e in doc["analysis"]["hypothesis_ledger"] if e["key"] == "a"]
+    else:
+        evidence = [v["evidence"] for v in doc["newton"]["face_verdicts"]]
+    assert evidence == [message]
+
+
 def test_cli_sigma(capsys):
     code, out, _ = run_cli(capsys, "sigma", str(fixture_path("briancon_speder.json")))
     assert code == 0
