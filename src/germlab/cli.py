@@ -92,7 +92,7 @@ def _build_parser() -> _Parser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("file", help="JSON germ file")
         p.add_argument("--out", metavar="PATH", default=None, help="write the JSON report here instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="root seed for every randomized step (default 0)")
+        p.add_argument("--seed", type=int, default=0, help="non-negative root seed for every randomized step (default 0)")
         p.add_argument("--budget", type=int, default=None, metavar="N", help="step budget for exact computations")
         p.add_argument("--timing", action="store_true", help="record wall-clock seconds (breaks byte-reproducibility)")
 
@@ -157,6 +157,8 @@ def _budget(args) -> Budget | None:
 def _run(args) -> int:
     """Read the germ file, run the command's handler on it, and write its
     report to ``--out`` or stdout; returns the handler's exit code."""
+    if args.seed < 0:
+        raise GermFileError("--seed must be a non-negative integer")
     started = time.perf_counter()
     data = read_germ_file(args.file)
     body, code = args.handler(args, data)

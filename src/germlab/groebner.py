@@ -17,7 +17,9 @@ Design points, fixed by the package contract:
   (or is interreduced), and ``division`` reads it from there;
 * every long-running loop draws from an explicit step budget and raises
   :class:`BudgetExhausted` instead of spinning - callers convert that into an
-  "undetermined" report entry, never into a silent wrong answer;
+  "undetermined" report entry, never into a silent wrong answer.  Each basis
+  or staircase count opens a :meth:`Budget.stage`; the outermost open one
+  names the exhaustion, and a spent budget stays at ``limit + 1`` steps;
 * local (anti-graded) leading data comes from bases computed on the
   h-homogenized side with a global order whose leading terms dehomogenize to
   the local ones; returned local bases are minimal and monic but their tails
@@ -27,6 +29,7 @@ Design points, fixed by the package contract:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -56,19 +59,36 @@ class BudgetExhausted(RuntimeError):
 
 
 class Budget:
-    """A mutable step counter shared across one logical computation."""
+    """A mutable step counter shared across one logical computation.
 
-    __slots__ = ("limit", "used", "context")
+    Once a charge takes ``used`` past ``limit``, ``used`` stays at
+    ``limit + 1`` and every charge raises :class:`BudgetExhausted` with that
+    count, named after the outermost open :meth:`stage` ("computation" when
+    none is open)."""
+
+    __slots__ = ("limit", "used", "_stage")
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
         self.limit = limit
         self.used = 0
-        self.context = "computation"
+        self._stage: str | None = None
 
     def charge(self, n: int = 1) -> None:
         self.used += n
         if self.used > self.limit:
-            raise BudgetExhausted(self.context, self.used)
+            self.used = self.limit + 1
+            raise BudgetExhausted(self._stage or "computation", self.used)
+
+    @contextmanager
+    def stage(self, label: str):
+        """Charges inside the block name ``label`` when they run out, unless
+        an enclosing stage already names them."""
+        outer = self._stage
+        self._stage = outer or label
+        try:
+            yield
+        finally:
+            self._stage = outer
 
 
 @dataclass
@@ -188,7 +208,6 @@ def buchberger(
     if not order.is_global:
         raise ValueError("buchberger requires a global order; use local_standard_basis")
     budget = budget or Budget()
-    budget.context = "buchberger"
 
     basis: list[Poly] = []
     for f in gens:
@@ -209,45 +228,46 @@ def buchberger(
     heapify(pairs)
     done: set[tuple[int, int]] = set()
 
-    while pairs:
-        _, i, j = heappop(pairs)
-        done.add((i, j))
-        if mono_coprime(lt[i], lt[j]):
-            stats["skip_coprime"] += 1
-            continue
-        lcm_ij = mono_lcm(lt[i], lt[j])
-        chain = False
-        for k in range(len(basis)):
-            if k == i or k == j:
+    with budget.stage("buchberger"):
+        while pairs:
+            _, i, j = heappop(pairs)
+            done.add((i, j))
+            if mono_coprime(lt[i], lt[j]):
+                stats["skip_coprime"] += 1
                 continue
-            if mono_div(lcm_ij, lt[k]) is None:
+            lcm_ij = mono_lcm(lt[i], lt[j])
+            chain = False
+            for k in range(len(basis)):
+                if k == i or k == j:
+                    continue
+                if mono_div(lcm_ij, lt[k]) is None:
+                    continue
+                pik = (min(i, k), max(i, k))
+                pjk = (min(j, k), max(j, k))
+                if pik in done and pjk in done:
+                    chain = True
+                    break
+            if chain:
+                stats["skip_chain"] += 1
                 continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik in done and pjk in done:
-                chain = True
-                break
-        if chain:
-            stats["skip_chain"] += 1
-            continue
-        budget.charge()
-        stats["s_pairs"] += 1
-        s = s_polynomial(basis[i], basis[j], order)
-        r = division(s, basis, order, budget, heads=heads)
-        if r.is_zero():
-            stats["reductions_to_zero"] += 1
-            continue
-        if r.is_constant():
-            return GroebnerBasis([one], order, stats)
-        r = make_monic(r, order)
-        basis.append(r)
-        heads.append(_head(r, order))
-        lt.append(heads[-1][0])
-        new = len(basis) - 1
-        for k in range(new):
-            heappush(pairs, (sum(mono_lcm(lt[k], lt[new])), k, new))
+            budget.charge()
+            stats["s_pairs"] += 1
+            s = s_polynomial(basis[i], basis[j], order)
+            r = division(s, basis, order, budget, heads=heads)
+            if r.is_zero():
+                stats["reductions_to_zero"] += 1
+                continue
+            if r.is_constant():
+                return GroebnerBasis([one], order, stats)
+            r = make_monic(r, order)
+            basis.append(r)
+            heads.append(_head(r, order))
+            lt.append(heads[-1][0])
+            new = len(basis) - 1
+            for k in range(new):
+                heappush(pairs, (sum(mono_lcm(lt[k], lt[new])), k, new))
 
-    reduced = _interreduce(_minimalize(basis, lt, order), order, budget)
+        reduced = _interreduce(_minimalize(basis, lt, order), order, budget)
     reduced.sort(key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
     return GroebnerBasis(reduced, order, stats)
 
@@ -350,7 +370,6 @@ def quotient_dimension(gb: GroebnerBasis, budget: Budget | None = None) -> int |
     if gb.is_unit_ideal():
         return 0
     budget = budget or Budget()
-    budget.context = "staircase count"
     nvars = gb.order.nvars
     lts = gb.leading_monomials()
     for j in range(nvars):
@@ -359,17 +378,18 @@ def quotient_dimension(gb: GroebnerBasis, budget: Budget | None = None) -> int |
     count = 0
     seen: set[Monomial] = set()
     stack: list[Monomial] = [(0,) * nvars]
-    while stack:
-        mono = stack.pop()
-        if mono in seen:
-            continue
-        seen.add(mono)
-        if any(mono_div(mono, lm) is not None for lm in lts):
-            continue
-        budget.charge()
-        count += 1
-        for j in range(nvars):
-            stack.append(mono[:j] + (mono[j] + 1,) + mono[j + 1:])
+    with budget.stage("staircase count"):
+        while stack:
+            mono = stack.pop()
+            if mono in seen:
+                continue
+            seen.add(mono)
+            if any(mono_div(mono, lm) is not None for lm in lts):
+                continue
+            budget.charge()
+            count += 1
+            for j in range(nvars):
+                stack.append(mono[:j] + (mono[j] + 1,) + mono[j + 1:])
     return count
 
 
@@ -474,10 +494,9 @@ def local_standard_basis(gens: list[Poly], budget: Budget | None = None) -> Groe
     local = local_antigraded(nvars)
     if any(not f.constant_term().is_zero() for f in gens):
         return GroebnerBasis([Poly.constant(nvars, 1)], local, {"unit": True})
-    try:
+    budget = budget or Budget()
+    with budget.stage("local standard basis"):
         gb = buchberger([homogenize(f) for f in gens], homogenized_local(nvars + 1), budget)
-    except BudgetExhausted as exc:
-        raise BudgetExhausted("local standard basis", exc.used) from None
     deh = [dehomogenize(f) for f in gb.generators]
     lts = [leading_monomial(f, local) for f in deh]
     result = [make_monic(g, local) for g in _minimalize(deh, lts, local)]
@@ -508,11 +527,9 @@ def milnor_number(f: Poly, budget: Budget | None = None) -> int | None:
     exponents = [min((m[j] for m in f.terms if m[j] == sum(m)), default=0) for j in range(f.nvars)]
     if all(exponents):
         f_o = f.split_by_weight([Fraction(1, a) for a in exponents])[0]
-        try:
+        with budget.stage("weighted initial form"):
             gb = buchberger([f_o.partial(j) for j in range(f.nvars)], grevlex(f.nvars), budget)
             mu = quotient_dimension(gb, budget)
-        except BudgetExhausted as exc:
-            raise BudgetExhausted("weighted initial form", exc.used) from None
         if mu is not None:
             return mu
     basis = local_standard_basis(partials, budget)

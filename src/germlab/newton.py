@@ -303,8 +303,6 @@ def face_nondegeneracy(
             statuses.append("nondegenerate" if sat.generators[0].is_constant() else "degenerate")
             methods.append("exact")
         except BudgetExhausted:
-            # an exhausted face spends exactly the rest of the budget, not the overshoot
-            budget.used = budget.limit
             if probabilistic:
                 found = _torus_search(f_sigma, seed=seed + k)
                 statuses.append("degenerate" if found else "nondegenerate")

@@ -10,8 +10,7 @@ standard bases obtained through homogenization.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from germlab.poly import Monomial
 
@@ -40,19 +39,6 @@ def grevlex(nvars: int) -> MonomialOrder:
         return (sum(m), _revneg(m))
 
     return MonomialOrder("grevlex", nvars, key, is_global=True)
-
-
-def weighted_grevlex(weights: Sequence[Fraction]) -> MonomialOrder:
-    """Graded by a positive rational weight vector, grevlex tie-break."""
-    w = [Fraction(x) for x in weights]
-    if any(x <= 0 for x in w):
-        raise ValueError("weights must be positive")
-
-    def key(m: Monomial) -> tuple:
-        wdeg = sum((wi * e for wi, e in zip(w, m)), Fraction(0))
-        return (wdeg, sum(m), _revneg(m))
-
-    return MonomialOrder("weighted-grevlex", len(w), key, is_global=True)
 
 
 def local_antigraded(nvars: int) -> MonomialOrder:

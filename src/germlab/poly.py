@@ -191,12 +191,6 @@ class Poly:
             return -1
         return max(mono_degree(m) for m in self.terms)
 
-    def order(self) -> int | None:
-        """Minimal total degree of a term (None for 0, read as +infinity)."""
-        if not self.terms:
-            return None
-        return min(mono_degree(m) for m in self.terms)
-
     def weighted_order(self, weights: Weights) -> Fraction | None:
         """min ⟨ω, a⟩ over the support; None (+infinity) for the zero poly."""
         if not self.terms:

@@ -556,3 +556,23 @@ def test_cli_input_errors_exit_one(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err != ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", fixture_path("a3.json"), "--seed", "-5"],
+        ["sigma", fixture_path("a3.json"), "--seed", "-1"],
+        ["newton", str(BENCH_GERMS / "bs_6633.json"), "--seed", "-1"],
+        ["newton", str(BENCH_GERMS / "bs_6633.json"), "--seed", "-1", "--budget", "5", "--probabilistic-nnd"],
+        ["foliate", fixture_path("sphere_cubic.json"), "--seed", "-1"],
+        ["milnor", fixture_path("a3.json"), "--seed", "-1"],
+    ],
+)
+def test_cli_negative_seed_is_an_input_error(capsys, tmp_path, argv):
+    csv_path = tmp_path / "arcs.csv"
+    if argv[0] == "foliate":
+        argv = argv + ["--csv", str(csv_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "germlab: --seed must be a non-negative integer\n")
+    assert not csv_path.exists()

@@ -29,7 +29,7 @@ from germlab.groebner import (
     s_polynomial,
     saturation,
 )
-from germlab.orders import eliminate_last, grevlex, homogenized_local, local_antigraded, weighted_grevlex
+from germlab.orders import MonomialOrder, eliminate_last, grevlex, homogenized_local, local_antigraded
 from germlab.parse import poly_to_string
 from germlab.poly import Poly, mono_div
 from germlab.qi import QI
@@ -106,8 +106,14 @@ def _random_qi_poly(rng, nvars, max_terms=4, max_deg=3):
 
 def test_division_matches_the_poly_level_reference():
     nvars = 3
-    orders = [grevlex(nvars), weighted_grevlex([Fraction(1, 2), 1, Fraction(1, 3)]),
-              eliminate_last(nvars), homogenized_local(nvars)]
+    weights = (Fraction(1, 2), 1, Fraction(1, 3))
+    # graded by the weights first, then by total degree, then grevlex
+    weighted = MonomialOrder(
+        "weighted-grevlex", nvars,
+        lambda m: (sum(w * e for w, e in zip(weights, m)), sum(m), tuple(-e for e in reversed(m))),
+        is_global=True,
+    )
+    orders = [grevlex(nvars), weighted, eliminate_last(nvars), homogenized_local(nvars)]
     rng = random.Random(20241)
     zero_remainders = nonreal = 0
     for order in orders:
@@ -438,6 +444,75 @@ def test_budget_is_shared_and_reported():
     b = Budget(10**6)
     buchberger([P("x^2 - 1", "x y"), P("x*y - 1", "x y")], budget=b)
     assert 0 < b.used <= b.limit
+
+
+def test_budget_outside_every_stage_names_computation():
+    # a finished buchberger and staircase count leave no label behind: the
+    # Groebner-basis check after them runs out as plain "computation"
+    gens = [P("x^4 + y^4 + z^4"), P("x*y*z + x^3"), P("y^3*z - x*z^3")]
+    probe = Budget()
+    assert quotient_dimension(buchberger(gens, budget=probe), probe) == 48
+    budget = Budget(probe.used + 3)
+    gb = buchberger(gens, budget=budget)
+    quotient_dimension(gb, budget)
+    with pytest.raises(BudgetExhausted) as exc:
+        is_groebner_basis(gb.generators, grevlex(3), budget)
+    assert str(exc.value) == f"budget exhausted during computation (steps used: {probe.used + 4})"
+
+
+def test_budget_stage_names_the_outermost_open_stage():
+    budget = Budget(2)
+    with budget.stage("outer"):
+        with budget.stage("inner"):
+            budget.charge(2)
+            with pytest.raises(BudgetExhausted) as exc:
+                budget.charge()
+    assert exc.value.context == "outer"
+    # the local standard basis runs buchberger inside its own stage
+    gens = [P("x^4 + y^4 + z^4"), P("x*y*z + x^3"), P("y^3*z - x*z^3")]
+    with pytest.raises(BudgetExhausted) as exc:
+        local_standard_basis(gens, Budget(3))
+    assert exc.value.context == "local standard basis"
+
+
+def test_leaving_a_stage_restores_its_label():
+    budget = Budget(3)
+    with budget.stage("outer"):
+        with budget.stage("inner"):
+            budget.charge()
+        with budget.stage("second"):
+            budget.charge()
+    with pytest.raises(BudgetExhausted) as exc:
+        with budget.stage("first"):
+            budget.charge(2)
+    assert exc.value.context == "first"
+    with pytest.raises(BudgetExhausted) as exc:
+        budget.charge()
+    assert exc.value.context == "computation"
+    with pytest.raises(BudgetExhausted) as exc:
+        with budget.stage("next"):
+            budget.charge()
+    assert exc.value.context == "next"
+
+
+def test_exhausted_budget_stays_at_limit_plus_one():
+    budget = Budget(5)
+    budget.charge(3)
+    with pytest.raises(BudgetExhausted) as exc:
+        budget.charge(10)
+    assert exc.value.used == budget.used == 6
+    for n in (1, 1, 100):
+        with pytest.raises(BudgetExhausted) as exc:
+            budget.charge(n)
+        assert exc.value.used == budget.used == 6
+    # whoever catches it: a later basis and a later Milnor number on the same
+    # budget raise at their first charge with the same count
+    with pytest.raises(BudgetExhausted) as exc:
+        buchberger([P("x^2 + y^3"), P("x*y + z^2")], budget=budget)
+    assert (exc.value.context, exc.value.used) == ("buchberger", 6)
+    with pytest.raises(BudgetExhausted) as exc:
+        milnor_number(P("x^2 + y^3 + z^4"), budget)
+    assert (exc.value.context, exc.value.used) == ("weighted initial form", 6)
 
 
 # -- randomized soundness audits ---------------------------------------------

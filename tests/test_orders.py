@@ -1,7 +1,5 @@
 """Monomial orders: global and local, elimination and homogenized."""
 
-from fractions import Fraction
-
 from hypothesis import given, strategies as st
 
 from germlab.orders import (
@@ -9,7 +7,6 @@ from germlab.orders import (
     grevlex,
     homogenized_local,
     local_antigraded,
-    weighted_grevlex,
 )
 
 monomials3 = st.tuples(*[st.integers(min_value=0, max_value=6)] * 3)
@@ -24,14 +21,6 @@ def test_grevlex_classics():
     chain = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
     for a, b in zip(chain, chain[1:]):
         assert o.key(a) > o.key(b)
-
-
-def test_weighted_grevlex_uses_weighted_degree():
-    o = weighted_grevlex([Fraction(1, 2), Fraction(1, 3)])
-    # wdeg(x) = 1/2 > wdeg(y) = 1/3
-    assert o.key((1, 0)) > o.key((0, 1))
-    # wdeg(y^2) = 2/3 > wdeg(x) = 1/2
-    assert o.key((0, 2)) > o.key((1, 0))
 
 
 def test_local_antigraded_prefers_low_degree():
@@ -68,12 +57,7 @@ def test_orders_are_total_and_antisymmetric(a, b):
 def test_orders_are_multiplicative(a, b, c):
     from germlab.poly import mono_mul
 
-    for o in (
-        grevlex(3),
-        local_antigraded(3),
-        eliminate_last(3),
-        weighted_grevlex([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)]),
-    ):
+    for o in (grevlex(3), local_antigraded(3), eliminate_last(3)):
         if o.key(a) > o.key(b):
             assert o.key(mono_mul(a, c)) > o.key(mono_mul(b, c))
 

@@ -59,8 +59,6 @@ def test_partial_derivatives():
 def test_orders_and_degrees():
     f = P("x^2 + y^5")
     assert f.total_degree() == 5
-    assert f.order() == 2
-    assert Poly.zero(3).order() is None
     w = [F("1/2"), F("1/2"), F("1/3")]
     assert f.weighted_order(w) == 1
     assert P("z^3").weighted_order(w) == 1
