@@ -17,6 +17,12 @@ Layers, bottom up:
 * :mod:`germlab.foliation` — link sampling, arc deformation, tangency fits.
 * :mod:`germlab.germfile`, :mod:`germlab.report`, :mod:`germlab.cli` — file
   formats and the command line front end.
+
+numpy loads only with the numeric layer: :mod:`germlab.foliation`,
+``NumericEvaluator.rows`` and the probabilistic torus search in
+:mod:`germlab.newton`.  Importing the package or any exact layer leaves it
+unloaded; :mod:`germlab.cli` sets ``OPENBLAS_NUM_THREADS`` to 1, unless it
+is set, before it loads numpy.
 """
 
 __version__ = "0.1.0"

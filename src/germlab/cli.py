@@ -30,12 +30,20 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+
+# One OpenBLAS thread: the linear systems germlab solves are small, and
+# starting OpenBLAS's thread pool costs about as much as the rest of numpy's
+# import.  OpenBLAS reads the variable once, when numpy loads, so this must
+# run before anything imports numpy; `import germlab` and the exact layers
+# never do.  A value the user has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from germlab import report as _report
 from germlab.foliation import (

@@ -9,6 +9,10 @@ the package is deterministic.
 Weighted structure: for a positive rational weight vector ω, the weighted
 order of f is min over monomials of ⟨ω, a⟩ (None for f = 0, read as +∞), and
 the weighted part at degree d collects the monomials with ⟨ω, a⟩ = d.
+
+The module is exact and does not import numpy; only
+:meth:`NumericEvaluator.rows`, the numeric layer's batched entry point, loads
+it, when first called.
 """
 
 from __future__ import annotations
@@ -16,12 +20,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from operator import add, ge, sub
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from germlab.exact import nullspace, rref
 from germlab.qi import QI
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Monomial = tuple[int, ...]
 Weights = Sequence[Fraction]
@@ -307,13 +312,15 @@ class NumericEvaluator:
     point's own scalars (numpy's, for an array; never ``tolist()``, whose
     Python complex powers overflow differently), so results match bit for bit."""
 
-    __slots__ = ("polys",)
+    __slots__ = ("polys", "powers")
 
     def __init__(self, polys: Sequence[Poly]):
         self.polys = [
             [(c.to_complex(), [(j, e) for j, e in enumerate(mono) if e]) for mono, c in f.terms.items()]
             for f in polys
         ]
+        # the distinct (variable, exponent) pairs, in order of first use
+        self.powers = list(dict.fromkeys(key for terms in self.polys for _, pairs in terms for key in pairs))
 
     def __call__(self, point: Sequence[complex]) -> list[complex]:
         x = list(point)
@@ -334,12 +341,11 @@ class NumericEvaluator:
         arrays, ``(ar*br - ai*bi, ar*bi + ai*br)`` as the scalar does (numpy's
         complex array multiply may fuse them), and powers use numpy's complex
         ``np.power`` loop, which runs the scalar power's algorithm (npy_cpow)."""
+        import numpy as np
+
         points = np.asarray(points, dtype=complex)
         out = np.zeros((len(points), len(self.polys)), dtype=complex)
-        powers = {
-            (j, e): np.power(points[:, j], e)
-            for terms in self.polys for _, pairs in terms for j, e in pairs
-        }
+        powers = {(j, e): np.power(points[:, j], e) for j, e in self.powers}
         for k, terms in enumerate(self.polys):
             for c, pairs in terms:
                 ar, ai = c.real, c.imag

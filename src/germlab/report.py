@@ -28,10 +28,9 @@ import json
 import math
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from germlab import __version__
-from germlab.foliation import FoliationReport
 from germlab.germ import (
     AnalysisReport,
     NewtonAnalysis,
@@ -40,6 +39,9 @@ from germlab.germ import (
 )
 from germlab.germfile import LoadedGerm, RawGerm
 from germlab.parse import poly_to_string
+
+if TYPE_CHECKING:
+    from germlab.foliation import FoliationReport
 
 __all__ = [
     "SCHEMA_VERSION",

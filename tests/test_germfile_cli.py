@@ -411,19 +411,30 @@ def test_cli_foliate_large_epsilon_override_warns(capsys, tmp_path):
     ]
 
 
-def run_cli_process(*argv):
-    """The CLI in a subprocess, so that its real stdout and stderr (file
-    descriptors LAPACK also writes to) are what gets checked."""
-    env = dict(os.environ)
+def run_python_process(*args, env=None):
+    """A fresh interpreter that imports this checkout's germlab.  ``env``
+    entries override the inherited environment; a None value unsets one."""
+    environ = dict(os.environ)
     package_root = str(Path(germlab.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, environ.get("PYTHONPATH")]))
+    for name, value in (env or {}).items():
+        if value is None:
+            environ.pop(name, None)
+        else:
+            environ[name] = value
     return subprocess.run(
-        [sys.executable, "-m", "germlab.cli", *map(str, argv)],
+        [sys.executable, *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
+        env=environ,
         timeout=300,
     )
+
+
+def run_cli_process(*argv, env=None):
+    """The CLI in a subprocess, so that its real stdout and stderr (file
+    descriptors LAPACK also writes to) are what gets checked."""
+    return run_python_process("-m", "germlab.cli", *argv, env=env)
 
 
 def test_cli_foliate_reports_numeric_warnings_as_notes(tmp_path):
@@ -446,6 +457,73 @@ def test_cli_newton_torus_search_reports_overflow_as_notes(tmp_path):
     newton = json.loads(result.stdout)["newton"]
     assert {face["method"] for face in newton["nondegeneracy"]["per_face"]} == {"probabilistic"}
     assert "RuntimeWarning: overflow encountered in scalar power" in newton["notes"]
+
+
+# numpy loads only with the numeric layer, and the CLI starts OpenBLAS with one
+# thread unless OPENBLAS_NUM_THREADS is set.  Each check needs a fresh
+# interpreter: this one has long since loaded numpy.
+
+
+def test_the_exact_layers_load_no_numpy():
+    modules = "germlab, germlab.germ, germlab.groebner, germlab.germfile, germlab.parse, germlab.report"
+    code = f"import sys, {modules}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    result = run_python_process("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+_THREADS = "/proc/self/task"
+_OPENBLAS_PROBE = (
+    "import os, sys, germlab.cli; "
+    f"threads = len(os.listdir({_THREADS!r})) if os.path.isdir({_THREADS!r}) else 0; "
+    "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'), 'numpy' in sys.modules, threads)"
+)
+
+
+def _openblas_probe(threads):
+    result = run_python_process("-c", _OPENBLAS_PROBE, env={"OPENBLAS_NUM_THREADS": threads})
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_the_cli_sets_one_openblas_thread_unless_the_user_has_set_it():
+    value, numpy_loaded, _ = _openblas_probe(None)
+    assert (value, numpy_loaded) == ("1", "True")
+    value, numpy_loaded, _ = _openblas_probe("3")
+    assert (value, numpy_loaded) == ("3", "True")
+
+
+@pytest.mark.skipif(
+    not os.path.isdir(_THREADS) or (os.cpu_count() or 1) < 2,
+    reason=f"OpenBLAS starts extra threads only with a second CPU, counted in {_THREADS}",
+)
+def test_the_cli_process_runs_one_thread():
+    assert _openblas_probe(None)[2] == "1"
+
+
+def test_one_openblas_thread_changes_no_bits(tmp_path):
+    # foliate exercises the Sigma cloud's stacked least squares, the arc
+    # solves and the Gram determinants; --budget 100 sends 13 of bs_6633's 15
+    # faces to the torus search, which calls lstsq
+    csv_path = tmp_path / "arcs.csv"
+    bs_6633 = Path(__file__).resolve().parent.parent / "bench" / "germs" / "bs_6633.json"
+    commands = [
+        ["foliate", fixture_path("briancon_speder.json"), "--seed", 3, "--csv", csv_path],
+        ["newton", bs_6633, "--probabilistic-nnd", "--budget", 100],
+    ]
+    outputs = []
+    for threads in ("2", None):
+        runs = []
+        for argv in commands:
+            csv_path.unlink(missing_ok=True)
+            result = run_cli_process(*argv, env={"OPENBLAS_NUM_THREADS": threads})
+            assert result.stderr == ""
+            runs.append((result.returncode, result.stdout, csv_path.read_bytes() if csv_path.exists() else None))
+        outputs.append(runs)
+    assert outputs[0] == outputs[1]
+    (_, _, arcs), (_, newton, _) = outputs[1]
+    assert arcs.count(b"\n") > 1
+    assert "probabilistic" in {face["method"] for face in json.loads(newton)["newton"]["nondegeneracy"]["per_face"]}
 
 
 def test_cli_output_file_and_determinism(capsys, tmp_path):

@@ -233,6 +233,13 @@ coords = st.one_of(
 )
 
 
+# every (variable, exponent) pair recurs across terms and across polynomials;
+# rows computes each distinct power once and reuses it
+repeated_powers = NumericEvaluator(
+    [P("x^2*y^3 + (1/2 - i)*x^2*z^7 - y^3*z^7", "x y z"), P("x^2 + 3*y^3*x^2 + z^7*y", "x y z"), P("x^2*y*z^7", "x y z")]
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.one_of(polys3_to_12, gaussian_rationals.map(lambda c: Poly.constant(3, c)), st.just(Poly.zero(3))), max_size=4),
@@ -242,7 +249,7 @@ def test_numeric_evaluator_rows_are_bitwise_the_per_row_calls(polys, rows):
     points = np.array(rows, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for evaluator in (NumericEvaluator(polys), jacobian_evaluator(polys or [Poly.zero(3)])):
+        for evaluator in (NumericEvaluator(polys), jacobian_evaluator(polys or [Poly.zero(3)]), repeated_powers):
             assert _same_words(evaluator.rows(points), _per_row(evaluator, points))
 
 
