@@ -21,13 +21,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from germlab.foliation import (
-    DEFAULT_T_GRID,
-    sample_link,
-    sigma_link_cloud,
-    tangency_exponent,
-    verify_foliation,
-)
+from germlab.foliation import sample_link, sigma_link_cloud, tangency_exponent, verify_foliation
 from germlab.germfile import load_system
 
 DEFAULT_GERM = {
@@ -69,9 +63,7 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for eps in sweep:
-        report = verify_foliation(
-            system, float(eps), samples, DEFAULT_T_GRID, seed=args.seed
-        )
+        report = verify_foliation(system, float(eps), samples, seed=args.seed)
         worst = float("inf")
         for arc, reference in zip(report.arcs, report.reference_arcs):
             if not all(arc.converged):

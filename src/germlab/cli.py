@@ -47,7 +47,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from germlab import report as _report
 from germlab.foliation import (
-    DEFAULT_T_GRID,
     FoliationReport,
     SAME_ORDER_EPSILON_CAP,
     sample_link,
@@ -77,7 +76,6 @@ DEFAULT_EPSILON = Fraction(1, 2)
 DEFAULT_SAME_ORDER_EPSILON = Fraction(1, 10)
 DEFAULT_SAMPLES = 50
 DEFAULT_CSV = "germlab_arcs.csv"
-SIGMA_CLOUD_COUNT = 200
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,7 +254,7 @@ def _cmd_foliate(args, data: dict) -> tuple[dict, int]:
 
     budget = _budget(args)
     with _warnings_as_notes(notes):
-        cloud = sigma_link_cloud(system, count=SIGMA_CLOUD_COUNT, seed=args.seed, budget=budget)
+        cloud = sigma_link_cloud(system, seed=args.seed, budget=budget)
         samples = sample_link(system, args.samples, args.seed, sigma_cloud=cloud)
         if len(samples) < 2:
             result = FoliationReport(
@@ -272,12 +270,7 @@ def _cmd_foliate(args, data: dict) -> tuple[dict, int]:
             )
         else:
             result = verify_foliation(
-                system,
-                complex(epsilon),
-                samples,
-                DEFAULT_T_GRID,
-                seed=args.seed,
-                allow_large_epsilon=allow_large,
+                system, complex(epsilon), samples, seed=args.seed, allow_large_epsilon=allow_large
             )
     csv_path = None
     if result.arcs or result.reference_arcs:

@@ -49,7 +49,6 @@ from numpy.linalg import _umath_linalg
 from germlab.germ import (
     Budget,
     GermSystem,
-    ObstructionLocus,
     sigma,
     weight_splitting,
 )
@@ -61,6 +60,9 @@ __all__ = [
     "FIT_TOLERANCE",
     "SAME_ORDER_EPSILON_CAP",
     "DEFAULT_T_GRID",
+    "DICHOTOMY_MARGIN",
+    "MAX_DICHOTOMY_PAIRS",
+    "SEPARATION_FLOOR",
     "LinkSample",
     "ArcSample",
     "TangencyEstimate",
@@ -86,6 +88,17 @@ FIT_TOLERANCE = 0.05
 SAME_ORDER_EPSILON_CAP = 0.1
 #: geometric grid 2^-1, 2^-2, ..., 2^-20 (decreasing).
 DEFAULT_T_GRID: tuple[float, ...] = tuple(0.5**k for k in range(1, 21))
+#: contact orders up to 1 + margin are transverse, above it tangent.
+DICHOTOMY_MARGIN = 0.1
+#: most arc pairs whose dichotomy is fitted; more are subsampled by seed.
+MAX_DICHOTOMY_PAIRS = 60
+#: relative distance below which two arcs count as collided.
+SEPARATION_FLOOR = 1e-8
+
+# Newton iterations per grid point of an arc, and the bound on |z| past
+# which an iterate has left the perturbative branch.
+_ARC_MAX_ITERATIONS = 40
+_Z_CAP = 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +232,7 @@ def _gauss_newton_project(
     partials: NumericEvaluator,
     starts: np.ndarray,
     tolerance: float,
-    max_iterations: int = 60,
+    max_iterations: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project each row of ``starts`` onto {f = 0} ∩ {|x| = 1} by damped
     Gauss-Newton on the real form of the augmented system, given
@@ -416,14 +429,14 @@ def sigma_link_cloud(
     count: int = 200,
     seed: int = 0,
     budget: Budget | None = None,
-    locus: ObstructionLocus | None = None,
 ) -> list[tuple[complex, ...]]:
     """A numeric point cloud on Link[Sigma], for distance estimates.
 
-    Positive-dimensional components of the obstruction locus are sampled by
-    the same lockstep Gauss-Newton projection as :func:`sample_link`, onto
-    {component generators = 0} ∩ {|x| = 1}, keeping each component's first
-    successes in attempt order.  Each of the k positive-dimensional
+    The obstruction locus is computed by :func:`germlab.germ.sigma` under
+    ``budget``.  Its positive-dimensional components are sampled by the same
+    lockstep Gauss-Newton projection as :func:`sample_link`, at
+    ``LINK_TOLERANCE``, onto {component generators = 0} ∩ {|x| = 1}, keeping
+    each component's first successes in attempt order.  Each of the k positive-dimensional
     components gets ceil(count / k) points, so the cloud holds up to
     count + k - 1 points (fewer where a component's projections keep
     failing).  Components of dimension <= 0 (the origin) have empty link and
@@ -435,10 +448,9 @@ def sigma_link_cloud(
         raise ValueError("count must be >= 0")
     if count == 0:
         return []
-    locus = locus if locus is not None else sigma(system, budget)
     positive = [
         comp
-        for comp in locus.components
+        for comp in sigma(system, budget).components
         if comp.status == "computed" and comp.dimension is not None and comp.dimension >= 1
     ]
     if not positive:
@@ -508,37 +520,39 @@ def deform_arc(
     s: LinkSample | Sequence[complex],
     t_grid: Sequence[float] = DEFAULT_T_GRID,
     *,
-    tolerance: float = NEWTON_TOLERANCE,
-    max_iterations: int = 40,
-    z_cap: float = 1e3,
     min_sigma_distance: float = 0.0,
     allow_large_epsilon: bool = False,
 ) -> ArcSample:
     """Solve the deformed arc through ``s`` at scale ``epsilon`` on
     ``t_grid`` (decreasing), warm-starting each Newton run from the
-    previous, larger t (initial z = 0 at the largest t).
+    previous, larger t (initial z = 0 at the largest t).  A run converges
+    when the scaled residual is at most ``NEWTON_TOLERANCE``, within 40
+    iterations per grid point.
 
     ``epsilon = 0`` returns the weighted-homogeneous arc t^w * s exactly
     (z = 0, converged by construction; the reported residual equals the
     link sample's own).  Newton divergence at some t marks that t and all
     smaller ones non-converged and stops solving — expected behaviour near
     the obstruction locus, where the logged ``gram_determinant``
-    degenerates.  Divergence covers iterates escaping past ``z_cap``: the
+    degenerates.  Divergence covers iterates escaping past |z| = 1e3: the
     implicit-function branch through z = 0 is bounded on compact regions
     away from the obstruction locus, so an exploding iterate means the
     continuation left the perturbative regime (the numerical signature of
     the convergence radius shrinking to zero), even when a distant root of
     the scaled condition would still be reachable.  Same-order
     perturbations enforce |epsilon| <= ``SAME_ORDER_EPSILON_CAP`` unless
-    ``allow_large_epsilon`` is set.
+    ``allow_large_epsilon`` is set.  A sample closer to the sampled
+    obstruction locus than ``min_sigma_distance`` is refused.
 
     This is the lockstep solver of :func:`verify_foliation` run on a batch
     of one sample."""
     sample = _coerce_sample(system, s)
-    return _deform_arcs(
-        system, [epsilon], [sample], t_grid, tolerance, max_iterations, z_cap,
-        min_sigma_distance, allow_large_epsilon,
-    )[0].arcs[0]
+    if sample.distance_to_sigma < min_sigma_distance:
+        raise ValueError(
+            "sample lies inside the exclusion radius around the obstruction locus "
+            f"(distance {sample.distance_to_sigma:g} < {min_sigma_distance:g})"
+        )
+    return _deform_arcs(system, [epsilon], [sample], t_grid, allow_large_epsilon)[0].arcs[0]
 
 
 class _ArcFamily(NamedTuple):
@@ -552,15 +566,14 @@ class _ArcFamily(NamedTuple):
 
 def _deform_arcs(
     system: GermSystem, epsilons: Sequence[complex], samples: Sequence[LinkSample],
-    t_grid: Sequence[float], tolerance: float = NEWTON_TOLERANCE, max_iterations: int = 40,
-    z_cap: float = 1e3, min_sigma_distance: float = 0.0, allow_large_epsilon: bool = False,
+    t_grid: Sequence[float], allow_large_epsilon: bool,
 ) -> list[_ArcFamily]:
     """:func:`deform_arc` for every sample at once, at each scale in
     ``epsilons``; the rescaled gradients and Gram determinants are computed
     once and shared by the scales.  The Newton runs move down the t-grid in
-    lockstep, each arc with its own convergence, ``z_cap``, failure and
-    line-search state, and every arc is bit for bit the one its sample gives
-    alone."""
+    lockstep, each arc with its own convergence (``NEWTON_TOLERANCE``),
+    iteration count, escape past ``_Z_CAP``, failure and line-search state,
+    and every arc is bit for bit the one its sample gives alone."""
     epsilons = [complex(epsilon) for epsilon in epsilons]
     for epsilon in epsilons:
         if (
@@ -571,12 +584,6 @@ def _deform_arcs(
             raise ValueError(
                 f"|epsilon| = {abs(epsilon):g} exceeds the same-order cap "
                 f"{SAME_ORDER_EPSILON_CAP}; pass allow_large_epsilon=True to override"
-            )
-    for sample in samples:
-        if min_sigma_distance > 0.0 and sample.distance_to_sigma < min_sigma_distance:
-            raise ValueError(
-                "sample lies inside the exclusion radius around the obstruction locus "
-                f"(distance {sample.distance_to_sigma:g} < {min_sigma_distance:g})"
             )
     grid = tuple(float(t) for t in t_grid)
     if not grid or any(t <= 0.0 for t in grid) or any(
@@ -605,8 +612,8 @@ def _deform_arcs(
         return x, f_scaled, np.max(np.abs(f_scaled), axis=1)
 
     def settled(z: np.ndarray, resid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cap = np.all(np.isfinite(z), axis=1) & (np.max(np.abs(z), axis=1, initial=0.0) <= z_cap)
-        return cap, (resid <= tolerance) & cap
+        cap = np.all(np.isfinite(z), axis=1) & (np.max(np.abs(z), axis=1, initial=0.0) <= _Z_CAP)
+        return cap, (resid <= NEWTON_TOLERANCE) & cap
 
     everyone = np.arange(m)
     families: list[_ArcFamily] = []
@@ -625,7 +632,7 @@ def _deform_arcs(
             history = [[value] for value in resid.tolist()]
             within_cap, ok = settled(z, resid)
             live = np.nonzero(newton & ~ok & within_cap)[0]
-            for _ in range(max_iterations):
+            for _ in range(_ARC_MAX_ITERATIONS):
                 if not len(live):
                     break
                 jac = (df_p.rows(x[live]) + epsilon * df_q.rows(x[live])).reshape(len(live), r, nvars)
@@ -643,7 +650,7 @@ def _deform_arcs(
                     finite = np.all(np.isfinite(z_try), axis=1)
                     idx, z_try = idx[finite], z_try[finite]
                     x_try, f_try, resid_try = scaled_residual(live[idx], z_try)
-                    good = (resid_try < resid[live[idx]]) | (resid_try <= tolerance)
+                    good = (resid_try < resid[live[idx]]) | (resid_try <= NEWTON_TOLERANCE)
                     rows = live[idx[good]]
                     z[rows], x[rows] = z_try[good], x_try[good]
                     f_scaled[rows], resid[rows] = f_try[good], resid_try[good]
@@ -845,23 +852,20 @@ def verify_foliation(
     system: GermSystem,
     epsilon: complex,
     samples: Sequence[LinkSample],
-    t_grid: Sequence[float] = DEFAULT_T_GRID,
     *,
-    margin: float = 0.1,
     seed: int = 0,
-    max_pairs: int = 60,
-    tolerance: float = NEWTON_TOLERANCE,
-    fit_tolerance: float = FIT_TOLERANCE,
-    separation_floor: float = 1e-8,
     allow_large_epsilon: bool = False,
 ) -> FoliationReport:
-    """Check the deformed family over ``samples`` at scale ``epsilon``.
+    """Check the deformed family over ``samples`` at scale ``epsilon``, its
+    arcs and the unperturbed ones solved as :func:`deform_arc` does on
+    ``DEFAULT_T_GRID``.
 
     Three sample-resolution checks: (1) tangency dichotomy preservation on
-    random pairs — a pair with unperturbed contact order <= 1 + ``margin``
-    must stay below it (up to ``fit_tolerance``), a pair above must stay
+    up to ``MAX_DICHOTOMY_PAIRS`` pairs, drawn by ``seed`` when there are
+    more — a pair with unperturbed contact order <= 1 + ``DICHOTOMY_MARGIN``
+    must stay below it (up to ``FIT_TOLERANCE``), a pair above must stay
     above; (2) pairwise separation at the smallest commonly converged t
-    (relative distance above ``separation_floor``); (3) bitwise
+    (relative distance at least ``SEPARATION_FLOOR``); (3) bitwise
     coordinate-plane preservation for samples whose leading weight block
     vanishes exactly.  Any failure names the offending pair or sample.
 
@@ -871,10 +875,8 @@ def verify_foliation(
     solver tabulated."""
     if len(samples) < 2:
         raise ValueError("verify_foliation needs at least 2 samples")
-    # the tolerance is not read at epsilon = 0, where no Newton run is made
     perturbed, reference = _deform_arcs(
-        system, [epsilon, 0.0], samples, t_grid, tolerance,
-        allow_large_epsilon=allow_large_epsilon,
+        system, [epsilon, 0.0], samples, DEFAULT_T_GRID, allow_large_epsilon
     )
     arcs = perturbed.arcs
     failures: list[str] = []
@@ -883,9 +885,9 @@ def verify_foliation(
     converged_fraction = int(perturbed.converged.sum()) / total if total else 0.0
 
     all_pairs = list(itertools.combinations(range(len(samples)), 2))
-    if len(all_pairs) > max_pairs:
+    if len(all_pairs) > MAX_DICHOTOMY_PAIRS:
         picker = random.Random(seed)
-        fit_pairs = sorted(picker.sample(all_pairs, max_pairs))
+        fit_pairs = sorted(picker.sample(all_pairs, MAX_DICHOTOMY_PAIRS))
     else:
         fit_pairs = all_pairs
 
@@ -906,10 +908,10 @@ def verify_foliation(
         if not isinstance(alpha_e, TangencyEstimate):  # the error of the fit that failed
             failures.append(f"dichotomy pair ({i}, {j}): {alpha_e}")
             continue
-        if alpha_0.alpha <= 1.0 + margin:
-            ok = alpha_e.alpha <= 1.0 + margin + fit_tolerance
+        if alpha_0.alpha <= 1.0 + DICHOTOMY_MARGIN:
+            ok = alpha_e.alpha <= 1.0 + DICHOTOMY_MARGIN + FIT_TOLERANCE
         else:
-            ok = alpha_e.alpha >= 1.0 + margin - fit_tolerance
+            ok = alpha_e.alpha >= 1.0 + DICHOTOMY_MARGIN - FIT_TOLERANCE
         dichotomy.append(PairDichotomy((i, j), alpha_0, alpha_e, ok))
         if not ok:
             failures.append(
@@ -927,7 +929,7 @@ def verify_foliation(
     for i in range(len(arcs) - 1):
         common = converged[i] & converged[i + 1 :]
         has_common = common.any(axis=1)
-        k = len(t_grid) - 1 - np.argmax(common[:, ::-1], axis=1)
+        k = len(DEFAULT_T_GRID) - 1 - np.argmax(common[:, ::-1], axis=1)
         j, kj = np.arange(i + 1, len(arcs))[has_common], k[has_common]
         denom = np.where(norms[j, kj] > norms[i, kj], norms[j, kj], norms[i, kj])
         distance = _row_norms(points[i, kj] - points[j, kj])
@@ -935,14 +937,14 @@ def verify_foliation(
         rel[has_common] = np.where(denom > 0.0, distance / np.where(denom > 0.0, denom, 1.0), 0.0)
         if has_common.any():
             min_separation = min(min_separation, float(np.nanmin(rel)))
-        for n in np.nonzero(~has_common | (rel < separation_floor))[0]:
+        for n in np.nonzero(~has_common | (rel < SEPARATION_FLOOR))[0]:
             separation_ok = False
             if not has_common[n]:
                 failures.append(f"separation pair ({i}, {i + 1 + n}): no common converged t")
                 continue
             failures.append(
                 f"separation pair ({i}, {i + 1 + n}): relative distance {float(rel[n]):.3e} "
-                f"below {separation_floor:g} at t = {t_grid[k[n]]:g}"
+                f"below {SEPARATION_FLOOR:g} at t = {DEFAULT_T_GRID[k[n]]:g}"
             )
 
     splitting = weight_splitting(list(system.weights))

@@ -117,11 +117,7 @@ class GermSystem:
     def is_same_order(self) -> bool:
         """True when some perturbation term sits at exactly the principal
         weighted degree (a same-order family rather than higher-order)."""
-        for q, p in zip(self.perturbation, self.degrees):
-            w = q.weighted_order(self.weights)
-            if w is not None and w == p:
-                return True
-        return False
+        return delta(self) == 0
 
 
 def germ_system(
@@ -420,14 +416,11 @@ class AnalysisReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _random_slice_values(seed: int, count: int = 3) -> list[QI]:
-    """Small-height random rationals for generic slice values, deterministic
-    in the seed; never zero."""
+def _random_slice_values(seed: int) -> list[QI]:
+    """Three small-height random rationals for generic slice values,
+    deterministic in the seed; never zero."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        out.append(QI(Fraction(rng.randint(1, 9), rng.randint(10, 19))))
-    return out
+    return [QI(Fraction(rng.randint(1, 9), rng.randint(10, 19))) for _ in range(3)]
 
 
 def analyze(

@@ -81,7 +81,7 @@ def read_germ_file(source: str | Path) -> dict:
     """Read and structurally validate a germ file; returns the raw dict."""
     path = Path(source)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise GermFileError(f"cannot read germ file {path}: {exc}") from exc
     try:

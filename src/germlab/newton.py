@@ -219,9 +219,9 @@ class NondegeneracyReport:
         return True
 
 
-def _torus_search(f_sigma: Poly, seed: int = 0, attempts: int = 40) -> bool:
+def _torus_search(f_sigma: Poly, seed: int = 0) -> bool:
     """Monte-Carlo fallback: hunt for a torus critical point of a face
-    polynomial by damped Gauss-Newton on its gradient from random torus
+    polynomial by damped Gauss-Newton on its gradient from 40 random torus
     starts; True when a convincing critical point with all coordinates away
     from zero is found (certifying degeneracy up to float error).  The face is
     quasi-homogeneous for every weight in the null space of its exponent
@@ -239,7 +239,7 @@ def _torus_search(f_sigma: Poly, seed: int = 0, attempts: int = 40) -> bool:
     partials = jacobian([f_sigma])[0]
     gradient, hessian = NumericEvaluator(partials), jacobian_evaluator(partials)
     rng = np.random.default_rng(seed)
-    for _ in range(attempts):
+    for _ in range(40):
         radius = rng.uniform(0.4, 1.8, size=len(free))
         phase = rng.uniform(0.0, 2.0 * np.pi, size=len(free))
         x = np.ones(nvars, dtype=complex)

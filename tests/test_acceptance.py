@@ -218,7 +218,7 @@ def test_criterion_08_divergence_near_sigma_statistics():
             direction /= np.linalg.norm(direction)
             start = anchor + rng.uniform(0.01, 0.045) * direction
             points, residuals, oks = _gauss_newton_project(
-                equations, partials, start[np.newaxis], LINK_TOLERANCE
+                equations, partials, start[np.newaxis], LINK_TOLERANCE, 60
             )
             point, residual, ok = points[0], float(residuals[0]), bool(oks[0])
             if not ok:

@@ -447,6 +447,20 @@ def test_cli_foliate_reports_numeric_warnings_as_notes(tmp_path):
     assert notes == ["RuntimeWarning: overflow encountered in matmul"]
 
 
+def test_cli_reads_germ_files_as_utf8_in_an_ascii_locale(tmp_path):
+    # JSON is UTF-8 whatever the locale's encoding; here it is ASCII
+    germ = tmp_path / "germ.json"
+    data = {"variables": ["ξ", "y"], "equations": ["ξ^2 + y^2"]}
+    germ.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    result = run_cli_process(
+        "milnor", germ, env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    doc = json.loads(result.stdout)
+    assert doc["variables"] == ["ξ", "y"]
+    assert doc["milnor"]["milnor_number"] == 1
+
+
 def test_cli_newton_torus_search_reports_overflow_as_notes(tmp_path):
     # the budget runs out on every face, and the torus search's gradient
     # overflows at some starts; those attempts end before LAPACK sees them
