@@ -20,9 +20,10 @@ Layers, bottom up:
 
 numpy loads only with the numeric layer: :mod:`germlab.foliation`,
 ``NumericEvaluator.rows`` and the probabilistic torus search in
-:mod:`germlab.newton`.  Importing the package or any exact layer leaves it
-unloaded; :mod:`germlab.cli` sets ``OPENBLAS_NUM_THREADS`` to 1, unless it
-is set, before it loads numpy.
+:mod:`germlab.newton`.  Importing the package, any exact layer or
+:mod:`germlab.cli` leaves it unloaded, and the CLI imports the numeric layer
+only to run ``foliate``; :mod:`germlab.cli` sets ``OPENBLAS_NUM_THREADS`` to
+1, unless it is set, before anything loads numpy.
 """
 
 __version__ = "0.1.0"

@@ -41,19 +41,12 @@ from pathlib import Path
 # One OpenBLAS thread: the linear systems germlab solves are small, and
 # starting OpenBLAS's thread pool costs about as much as the rest of numpy's
 # import.  OpenBLAS reads the variable once, when numpy loads, so this must
-# run before anything imports numpy; `import germlab` and the exact layers
-# never do.  A value the user has set wins.
+# run before anything imports numpy; this module, `import germlab` and the
+# exact layers never do (`foliate` imports the numeric layer when it runs).
+# A value the user has set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from germlab import report as _report
-from germlab.foliation import (
-    FoliationReport,
-    SAME_ORDER_EPSILON_CAP,
-    sample_link,
-    sigma_link_cloud,
-    verify_foliation,
-    write_arc_csv,
-)
 from germlab.germ import Budget, analyze, analyze_newton, sigma
 from germlab.germfile import GermFileError, load_raw, load_system, read_germ_file
 from germlab.groebner import BudgetExhausted, milnor_number
@@ -230,10 +223,27 @@ def _parse_epsilon(text: str) -> Fraction:
         raise GermFileError(f"--epsilon must be a rational like 1/2 (got {text!r}): {exc}") from None
     if value == 0:
         raise GermFileError("--epsilon must be nonzero (the unperturbed arcs are always computed alongside)")
+    # the arcs are solved in floats: epsilon must survive the conversion
+    try:
+        rounded = float(value)
+    except OverflowError:
+        raise GermFileError(f"--epsilon {text} is too large for a float") from None
+    if rounded == 0:
+        raise GermFileError(f"--epsilon {text} is too small for a float: it rounds to 0")
     return value
 
 
 def _cmd_foliate(args, data: dict) -> tuple[dict, int]:
+    # the numeric layer, and numpy with it, loads only for this command
+    from germlab.foliation import (
+        FoliationReport,
+        SAME_ORDER_EPSILON_CAP,
+        sample_link,
+        sigma_link_cloud,
+        verify_foliation,
+        write_arc_csv,
+    )
+
     loaded = load_system(data)
     system = loaded.system
     same_order = system.is_same_order()

@@ -56,8 +56,10 @@ from germlab.poly import NumericEvaluator, Poly, jacobian_evaluator
 
 __all__ = [
     "LINK_TOLERANCE",
+    "LINK_ATTEMPT_FACTOR",
     "NEWTON_TOLERANCE",
     "FIT_TOLERANCE",
+    "MIN_FIT_POINTS",
     "SAME_ORDER_EPSILON_CAP",
     "DEFAULT_T_GRID",
     "DICHOTOMY_MARGIN",
@@ -80,10 +82,14 @@ __all__ = [
 
 #: residual bound for accepting a projected link point, max_i |f_p_i(s)|.
 LINK_TOLERANCE = 1e-10
+#: link sampling gives up after this many attempts per requested point.
+LINK_ATTEMPT_FACTOR = 100
 #: absolute bound on the scaled arc residual max_i |F_i(z)|.
 NEWTON_TOLERANCE = 1e-11
 #: slack allowed on fitted tangency exponents.
 FIT_TOLERANCE = 0.05
+#: fewest commonly converged points a tangency fit is made from.
+MIN_FIT_POINTS = 6
 #: default |eps| cap for same-order perturbations (overridable).
 SAME_ORDER_EPSILON_CAP = 0.1
 #: geometric grid 2^-1, 2^-2, ..., 2^-20 (decreasing).
@@ -364,21 +370,19 @@ def sample_link(
     seed: int,
     *,
     sigma_cloud: Sequence[Sequence[complex]] | None = None,
-    tolerance: float = LINK_TOLERANCE,
-    max_attempt_factor: int = 100,
 ) -> list[LinkSample]:
     """``count`` random points of Link[X0] = {f_p = 0} ∩ {|s| = 1}.
 
     Random complex unit vectors are projected by damped Gauss-Newton on the
-    augmented system (f_p = 0, |s|^2 = 1); failed projections are discarded
-    and resampled.  Each attempt draws from its own generator seeded by
-    (seed, attempt), and the first ``count`` successes are kept in attempt
-    order, so results are deterministic under a fixed seed.  Attempts are
-    projected in lockstep blocks sized from the success rate so far; each
-    result equals projecting that attempt alone.  If fewer than ``count``
-    projections succeed after ``max_attempt_factor * count`` attempts (e.g.
-    an empty link at this tolerance), the partial list is returned with a
-    warning.
+    augmented system (f_p = 0, |s|^2 = 1) to residual ``LINK_TOLERANCE``;
+    failed projections are discarded and resampled.  Each attempt draws
+    from its own generator seeded by (seed, attempt), and the first
+    ``count`` successes are kept in attempt order, so results are
+    deterministic under a fixed seed.  Attempts are projected in lockstep
+    blocks sized from the success rate so far; each result equals
+    projecting that attempt alone.  If fewer than ``count`` projections
+    succeed after ``LINK_ATTEMPT_FACTOR * count`` attempts (e.g. an empty
+    link at this tolerance), the partial list is returned with a warning.
 
     In place of a germ system a bare equation list is accepted (any
     nonconstant polynomials — e.g. a hyperplane, which the germ constructor
@@ -403,7 +407,7 @@ def sample_link(
     if sigma_cloud is not None and len(sigma_cloud):
         cloud = np.asarray(sigma_cloud, dtype=complex)
     points, residuals, attempts = _project_attempts(
-        equations, partials, nvars, count, max_attempt_factor * count, (seed,), tolerance, 60
+        equations, partials, nvars, count, LINK_ATTEMPT_FACTOR * count, (seed,), LINK_TOLERANCE, 60
     )
     samples = [
         LinkSample(
@@ -417,7 +421,7 @@ def sample_link(
         warnings.warn(
             f"link sampling produced {len(samples)}/{count} points after "
             f"{attempts} attempts; the link may be empty at tolerance "
-            f"{tolerance:g}",
+            f"{LINK_TOLERANCE:g}",
             stacklevel=2,
         )
     return samples
@@ -708,8 +712,7 @@ def _arc_curve(
 
 
 def _tangency_fits(
-    t_grid: np.ndarray, points: np.ndarray, converged: np.ndarray, pairs: np.ndarray,
-    min_points: int,
+    t_grid: np.ndarray, points: np.ndarray, converged: np.ndarray, pairs: np.ndarray
 ) -> list[TangencyEstimate | ValueError]:
     """:func:`tangency_exponent` of arcs ``i`` and ``j`` for every row
     ``(i, j)`` of ``pairs``, over one family: arc points of shape (m, T, N)
@@ -724,8 +727,6 @@ def _tangency_fits(
     has one singular value and so no cutoff to apply.  A fit of rank < 2 warns
     as polyfit does, in pair order; a group whose SVD fails is solved again
     pair by pair, so the LinAlgError lands on the pair that raises it."""
-    # a window holds at least one point
-    min_points = max(min_points, 1)
     mask = converged[pairs[:, 0]] & converged[pairs[:, 1]]
     order = np.argsort(t_grid)
     if np.all(t_grid[order][1:] > t_grid[order][:-1]):
@@ -737,9 +738,9 @@ def _tangency_fits(
         ]).reshape(mask.shape)
     mask = np.take_along_axis(mask, perm, axis=1)
     counts = mask.sum(axis=1)
-    window_counts = np.minimum(counts, np.maximum(min_points, -(-counts // 2)))
+    window_counts = np.minimum(counts, np.maximum(MIN_FIT_POINTS, -(-counts // 2)))
     window = mask & (np.cumsum(mask, axis=1) <= window_counts[:, np.newaxis])
-    window[counts < min_points] = False
+    window[counts < MIN_FIT_POINTS] = False
     # only the window points of pairs with enough of them are read; the
     # zeros put elsewhere raise no float warnings
     a, b = (
@@ -751,7 +752,7 @@ def _tangency_fits(
     keep = window & (diff > 0.0)
     kept = keep.sum(axis=1)
     identical = ~(window & (diff != 0.0)).any(axis=1)
-    fit = ~identical & (kept >= min_points)
+    fit = ~identical & (kept >= MIN_FIT_POINTS)
 
     slopes, ss_res, ss_tot = np.zeros((3, len(pairs)))
     poorly_conditioned = np.zeros(len(pairs), dtype=bool)
@@ -791,9 +792,9 @@ def _tangency_fits(
         counts.tolist(), zip(first.tolist(), last.tolist()), identical.tolist(), fit.tolist(),
         slopes.tolist(), ss_res.tolist(), ss_tot.tolist(), poorly_conditioned.tolist(),
     )):
-        if count < min_points:
+        if count < MIN_FIT_POINTS:
             results.append(ValueError(
-                f"insufficient converged points for a tangency fit ({count} < {min_points})"
+                f"insufficient converged points for a tangency fit ({count} < {MIN_FIT_POINTS})"
             ))
         elif same:
             results.append(TangencyEstimate(alpha=math.inf, r2=1.0, window=span))
@@ -817,17 +818,15 @@ def _tangency_fits(
 def tangency_exponent(
     a: ArcSample | tuple[Sequence[float], Sequence[Sequence[complex]]],
     b: ArcSample | tuple[Sequence[float], Sequence[Sequence[complex]]],
-    *,
-    min_points: int = 6,
 ) -> TangencyEstimate:
     """Fitted contact order of two arcs on a common t-grid.
 
     Least-squares slope of log|a(t) - b(t)| against the log of the distance
     scale (mean of the two arc norms) over the smallest-t window of commonly
-    converged points — at least ``min_points``, at most half the available
+    converged points — at least ``MIN_FIT_POINTS``, at most half the available
     ones.  Raw arcs may be passed as ``(t_grid, points)`` pairs (all points
     trusted).  Identical arcs over the window report alpha = inf.  Raises
-    ValueError on mismatched grids or fewer than ``min_points`` usable
+    ValueError on mismatched grids or fewer than ``MIN_FIT_POINTS`` usable
     points.
 
     This is the stacked fit of :func:`verify_foliation` run on one pair; its
@@ -837,7 +836,7 @@ def tangency_exponent(
     if len(t_a) != len(t_b) or not np.array_equal(t_a, t_b):
         raise ValueError("tangency fit needs a common t-grid")
     (estimate,) = _tangency_fits(
-        t_a, np.stack([pts_a, pts_b]), np.stack([mask_a, mask_b]), np.array([[0, 1]]), min_points
+        t_a, np.stack([pts_a, pts_b]), np.stack([mask_a, mask_b]), np.array([[0, 1]])
     )
     if isinstance(estimate, ValueError):
         raise estimate
@@ -894,12 +893,10 @@ def verify_foliation(
     # a pair's perturbed fit is made only when its reference fit succeeds
     grid = np.asarray(arcs[0].t_grid)
     pairs = np.array(fit_pairs, dtype=int).reshape(-1, 2)
-    reference_fits = _tangency_fits(
-        grid, reference.points, reference.converged, pairs, min_points=6
-    )
+    reference_fits = _tangency_fits(grid, reference.points, reference.converged, pairs)
     fitted = [n for n, fit in enumerate(reference_fits) if isinstance(fit, TangencyEstimate)]
     perturbed_fits = dict(zip(fitted, _tangency_fits(
-        grid, perturbed.points, perturbed.converged, pairs[fitted], min_points=6
+        grid, perturbed.points, perturbed.converged, pairs[fitted]
     )))
     dichotomy: list[PairDichotomy] = []
     for n, (i, j) in enumerate(fit_pairs):

@@ -102,11 +102,12 @@ def test_link_sampling_accepts_bare_equations():
         assert abs(s.s[0]) < 1e-10
 
 
-def test_link_sampling_warns_when_link_is_empty():
+def test_link_sampling_warns_when_link_is_empty(monkeypatch):
     # |x^2 + y^2 + z^2| <= |x|^2 + |y|^2 + |z|^2 = 1 < 5 on the unit
     # sphere, so this affine variety misses the sphere entirely.
+    monkeypatch.setattr(foliation, "LINK_ATTEMPT_FACTOR", 5)
     with pytest.warns(UserWarning) as caught:
-        out = sample_link([P("x^2 + y^2 + z^2 + 5")], 3, seed=0, max_attempt_factor=5)
+        out = sample_link([P("x^2 + y^2 + z^2 + 5")], 3, seed=0)
     assert out == []
     assert [str(w.message) for w in caught] == [
         "link sampling produced 0/3 points after 15 attempts; the link may be "
@@ -652,18 +653,20 @@ def test_lockstep_projection_of_huge_starts_matches_the_oracle(sphere, briancon_
         assert (point.tobytes(), repr(res), good) == (x[i].tobytes(), repr(float(residual[i])), bool(ok[i]))
 
 
-def test_link_sampling_over_several_blocks_matches_the_oracle(sphere):
+def test_link_sampling_over_several_blocks_matches_the_oracle(sphere, monkeypatch):
     # At tolerance 1e-16 about half the attempts fail, so filling the sample
     # takes several blocks; with too few attempts allowed it runs out.
     equations, _, partials, _ = sphere.evaluators
+    monkeypatch.setattr(foliation, "LINK_TOLERANCE", 1e-16)
     for count, factor in ((12, 100), (12, 1)):
+        monkeypatch.setattr(foliation, "LINK_ATTEMPT_FACTOR", factor)
         found, attempts = _oracle_attempts(
             equations, partials, 3, count, factor * count, (4,), 1e-16, 60
         )
         assert attempts > count if factor > 1 else len(found) < count
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            samples = sample_link(sphere, count, 4, tolerance=1e-16, max_attempt_factor=factor)
+            samples = sample_link(sphere, count, 4)
         assert [(s.s, s.residual) for s in samples] == [
             (tuple(point.tolist()), residual) for point, residual in found
         ]
@@ -981,16 +984,19 @@ def _assert_fits_match_the_oracle(grid, points, converged, pairs, min_points=6):
         )
         expected.append(fit)
         expected_warnings += caught
-    fits, caught = _recorded(lambda: foliation._tangency_fits(
-        np.asarray(grid, dtype=float), points, converged, np.array(pairs).reshape(-1, 2), min_points
-    ))
-    assert [_fit_words(fit) for fit in fits] == [_fit_words(fit) for fit in expected]
-    rank = (np.exceptions.RankWarning, "Polyfit may be poorly conditioned")
-    assert caught.count(rank) == expected_warnings.count(rank)
-    assert set(caught) == set(expected_warnings)
-    for (i, j), fit in zip(pairs, expected):
-        one, _ = _recorded(lambda: tangency_exponent(arcs[i], arcs[j], min_points=min_points))
-        assert _fit_words(one) == _fit_words(fit)
+    # the fits read their minimum from the module; set it for this family
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(foliation, "MIN_FIT_POINTS", min_points)
+        fits, caught = _recorded(lambda: foliation._tangency_fits(
+            np.asarray(grid, dtype=float), points, converged, np.array(pairs).reshape(-1, 2)
+        ))
+        assert [_fit_words(fit) for fit in fits] == [_fit_words(fit) for fit in expected]
+        rank = (np.exceptions.RankWarning, "Polyfit may be poorly conditioned")
+        assert caught.count(rank) == expected_warnings.count(rank)
+        assert set(caught) == set(expected_warnings)
+        for (i, j), fit in zip(pairs, expected):
+            one, _ = _recorded(lambda: tangency_exponent(arcs[i], arcs[j]))
+            assert _fit_words(one) == _fit_words(fit)
     return fits
 
 

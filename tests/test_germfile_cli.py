@@ -486,24 +486,54 @@ def test_the_exact_layers_load_no_numpy():
     assert result.stdout.strip() == "[]"
 
 
+_NUMPY_PROBE = """
+import sys, germlab.cli
+germ, out, csv = sys.argv[1:]
+for command in ("milnor", "sigma", "analyze", "newton", "foliate"):
+    extra = ["--samples", "2", "--csv", csv] if command == "foliate" else []
+    code = germlab.cli.main([command, germ, "--out", out, *extra])
+    print(command, code, "numpy" in sys.modules)
+"""
+
+
+def test_only_foliate_loads_numpy(tmp_path):
+    # the exact commands run without the numeric layer; foliate loads it
+    result = run_python_process(
+        "-c", _NUMPY_PROBE, fixture_path("a3.json"), tmp_path / "report.json", tmp_path / "arcs.csv"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "milnor 0 False",
+        "sigma 0 False",
+        "analyze 10 False",
+        "newton 10 False",
+        "foliate 0 True",
+    ]
+
+
 _THREADS = "/proc/self/task"
+# numpy loads, as in every run that needs it, through the CLI's foliate
 _OPENBLAS_PROBE = (
     "import os, sys, germlab.cli; "
+    "germlab.cli.main(['foliate', sys.argv[1], '--samples', '2', '--out', sys.argv[2], '--csv', sys.argv[3]]); "
     f"threads = len(os.listdir({_THREADS!r})) if os.path.isdir({_THREADS!r}) else 0; "
     "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'), 'numpy' in sys.modules, threads)"
 )
 
 
-def _openblas_probe(threads):
-    result = run_python_process("-c", _OPENBLAS_PROBE, env={"OPENBLAS_NUM_THREADS": threads})
+def _openblas_probe(threads, tmp_path):
+    result = run_python_process(
+        "-c", _OPENBLAS_PROBE, fixture_path("a3.json"), tmp_path / "report.json", tmp_path / "arcs.csv",
+        env={"OPENBLAS_NUM_THREADS": threads},
+    )
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
 
 
-def test_the_cli_sets_one_openblas_thread_unless_the_user_has_set_it():
-    value, numpy_loaded, _ = _openblas_probe(None)
+def test_the_cli_sets_one_openblas_thread_unless_the_user_has_set_it(tmp_path):
+    value, numpy_loaded, _ = _openblas_probe(None, tmp_path)
     assert (value, numpy_loaded) == ("1", "True")
-    value, numpy_loaded, _ = _openblas_probe("3")
+    value, numpy_loaded, _ = _openblas_probe("3", tmp_path)
     assert (value, numpy_loaded) == ("3", "True")
 
 
@@ -511,8 +541,8 @@ def test_the_cli_sets_one_openblas_thread_unless_the_user_has_set_it():
     not os.path.isdir(_THREADS) or (os.cpu_count() or 1) < 2,
     reason=f"OpenBLAS starts extra threads only with a second CPU, counted in {_THREADS}",
 )
-def test_the_cli_process_runs_one_thread():
-    assert _openblas_probe(None)[2] == "1"
+def test_the_cli_process_runs_one_thread(tmp_path):
+    assert _openblas_probe(None, tmp_path)[2] == "1"
 
 
 def test_one_openblas_thread_changes_no_bits(tmp_path):
@@ -648,6 +678,24 @@ def test_cli_input_errors_exit_one(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err != ""
+
+
+@pytest.mark.parametrize(
+    "epsilon, message",
+    [
+        ("1e400", "germlab: --epsilon 1e400 is too large for a float\n"),
+        ("1e-400", "germlab: --epsilon 1e-400 is too small for a float: it rounds to 0\n"),
+    ],
+    ids=["too-large", "too-small"],
+)
+def test_cli_foliate_rejects_an_epsilon_no_float_holds(capsys, tmp_path, epsilon, message):
+    # the arcs are solved at complex(epsilon): 1e400 overflows it, and
+    # 1e-400 would silently run the check with no perturbation at all
+    csv_path = tmp_path / "arcs.csv"
+    argv = ["foliate", fixture_path("a3.json"), "--epsilon", epsilon, "--samples", "3", "--csv", str(csv_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", message)
+    assert not csv_path.exists()
 
 
 @pytest.mark.parametrize(
