@@ -80,7 +80,7 @@ def main() -> int:
     print()
 
     print(f"arc experiment at epsilon = {args.epsilon}:")
-    cloud = sigma_link_cloud(system, count=200, seed=args.seed)
+    cloud = sigma_link_cloud(system, seed=args.seed)
     samples = sample_link(system, 12, seed=args.seed, sigma_cloud=cloud)
     samples.sort(key=lambda s: s.distance_to_sigma)
     for tag, sample in (("nearest", samples[0]), ("farthest", samples[-1])):

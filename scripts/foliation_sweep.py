@@ -49,7 +49,7 @@ def main() -> int:
     loaded = load_system(data)
     system = loaded.system
 
-    cloud = sigma_link_cloud(system, count=200, seed=args.seed)
+    cloud = sigma_link_cloud(system, seed=args.seed)
     samples = sample_link(system, args.samples, seed=args.seed, sigma_cloud=cloud)
     if len(samples) < 2:
         print(f"only {len(samples)} link samples found; nothing to sweep", file=sys.stderr)

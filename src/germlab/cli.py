@@ -233,6 +233,18 @@ def _parse_epsilon(text: str) -> Fraction:
     return value
 
 
+def _check_floats(system) -> None:
+    """The arcs are solved in floats: the weights, the degrees and every
+    coefficient must survive the conversion."""
+    for name, values in (("weight", system.weights), ("degree", system.degrees)):
+        for value in values:
+            try:
+                float(value)
+            except OverflowError:
+                raise GermFileError(f"{name} {value} is too large for a float") from None
+    system.evaluators  # compiling the coefficients raises ValueError on one past the float range
+
+
 def _cmd_foliate(args, data: dict) -> tuple[dict, int]:
     # the numeric layer, and numpy with it, loads only for this command
     from germlab.foliation import (
@@ -261,6 +273,7 @@ def _cmd_foliate(args, data: dict) -> tuple[dict, int]:
         epsilon = DEFAULT_SAME_ORDER_EPSILON if same_order else DEFAULT_EPSILON
     if args.samples < 2:
         raise GermFileError("--samples must be at least 2 (the checks compare pairs of arcs)")
+    _check_floats(system)
 
     budget = _budget(args)
     with _warnings_as_notes(notes):
@@ -283,7 +296,7 @@ def _cmd_foliate(args, data: dict) -> tuple[dict, int]:
                 system, complex(epsilon), samples, seed=args.seed, allow_large_epsilon=allow_large
             )
     csv_path = None
-    if result.arcs or result.reference_arcs:
+    if result.arcs:
         write_arc_csv(args.csv, tuple(result.arcs) + tuple(result.reference_arcs), args.seed)
         csv_path = args.csv
     body = _report.foliate_body(loaded, result, epsilon, args.samples, csv_path, notes)

@@ -10,13 +10,14 @@ where ``G`` is the rescaled gradient matrix of the principal part at ``s``
 
     F(z) = t^{-p} * (f_p + eps * f_{>p})(t^w * (s + eps * h(z))) = 0.
 
-The solver is Newton's method on ``F`` directly, warm-started down a
-geometric t-grid (initial ``z = 0`` at the largest t).  The determinant of
-the Gram matrix ``G @ conj(G)^T`` — by Cauchy–Binet the sum of the squared
-absolute r×r minors of ``G`` — is logged with every arc as the theoretical
-invertibility certificate: it vanishes exactly over the obstruction locus
-Sigma, and its smallness predicts non-convergence, which is reported (the
-radius of convergence shrinks to zero near Link[Sigma]), never hidden.
+The solver is Newton's method on ``F`` directly, warm-started down the
+geometric t-grid ``DEFAULT_T_GRID`` (initial ``z = 0`` at the largest t).
+The determinant of the Gram matrix ``G @ conj(G)^T`` — by Cauchy–Binet the
+sum of the squared absolute r×r minors of ``G`` — is logged with every arc
+as the theoretical invertibility certificate: it vanishes exactly over the
+obstruction locus Sigma, and its smallness predicts non-convergence, which
+is reported (the radius of convergence shrinks to zero near Link[Sigma]),
+never hidden.
 
 The link, cloud and arc solvers run in lockstep over blocks of points, each
 point with its own convergence and line-search state; every result is bit
@@ -26,6 +27,10 @@ successes in attempt order, so surplus attempts are projected and discarded
 without changing any result.  A block's Gauss-Newton least-squares steps are
 one stacked call of the gufunc behind ``np.linalg.lstsq``, and so are a
 family's tangency fits of one length, each bit for bit ``np.polyfit``'s.
+
+The entry points take what the ``foliate`` pipeline produces: a
+:class:`GermSystem`, the :class:`LinkSample` points :func:`sample_link`
+returns, and the :class:`ArcSample` arcs the solver tabulates.
 
 Everything here is sampled pointwise in floating point; no symbolic Puiseux
 expansion is constructed.  Exactness claims are limited to coordinate-plane
@@ -41,7 +46,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -52,11 +57,12 @@ from germlab.germ import (
     sigma,
     weight_splitting,
 )
-from germlab.poly import NumericEvaluator, Poly, jacobian_evaluator
+from germlab.poly import NumericEvaluator, jacobian_evaluator
 
 __all__ = [
     "LINK_TOLERANCE",
     "LINK_ATTEMPT_FACTOR",
+    "SIGMA_CLOUD_POINTS",
     "NEWTON_TOLERANCE",
     "FIT_TOLERANCE",
     "MIN_FIT_POINTS",
@@ -84,6 +90,8 @@ __all__ = [
 LINK_TOLERANCE = 1e-10
 #: link sampling gives up after this many attempts per requested point.
 LINK_ATTEMPT_FACTOR = 100
+#: points a Sigma link cloud is asked for, shared out over its components.
+SIGMA_CLOUD_POINTS = 200
 #: absolute bound on the scaled arc residual max_i |F_i(z)|.
 NEWTON_TOLERANCE = 1e-11
 #: slack allowed on fitted tangency exponents.
@@ -365,7 +373,7 @@ def _distance_to_cloud(point: np.ndarray, cloud: np.ndarray | None) -> float:
 
 
 def sample_link(
-    system: GermSystem | Sequence[Poly],
+    system: GermSystem,
     count: int,
     seed: int,
     *,
@@ -384,30 +392,18 @@ def sample_link(
     succeed after ``LINK_ATTEMPT_FACTOR * count`` attempts (e.g. an empty
     link at this tolerance), the partial list is returned with a warning.
 
-    In place of a germ system a bare equation list is accepted (any
-    nonconstant polynomials — e.g. a hyperplane, which the germ constructor
-    would reject); arcs still require a full system.
-
     ``sigma_cloud`` (from :func:`sigma_link_cloud`) fills in
     ``distance_to_sigma``; without it the distance is reported as inf."""
     if count < 0:
         raise ValueError("count must be >= 0")
     if count == 0:
         return []
-    if isinstance(system, GermSystem):
-        equations, _, partials, _ = system.evaluators
-        nvars = system.nvars
-    else:
-        principal = list(system)
-        if not principal or any(p.total_degree() < 1 for p in principal):
-            raise ValueError("link sampling needs nonconstant equations")
-        equations, partials = NumericEvaluator(principal), jacobian_evaluator(principal)
-        nvars = principal[0].nvars
+    equations, _, partials, _ = system.evaluators
     cloud = None
     if sigma_cloud is not None and len(sigma_cloud):
         cloud = np.asarray(sigma_cloud, dtype=complex)
     points, residuals, attempts = _project_attempts(
-        equations, partials, nvars, count, LINK_ATTEMPT_FACTOR * count, (seed,), LINK_TOLERANCE, 60
+        equations, partials, system.nvars, count, LINK_ATTEMPT_FACTOR * count, (seed,), LINK_TOLERANCE, 60
     )
     samples = [
         LinkSample(
@@ -430,7 +426,6 @@ def sample_link(
 def sigma_link_cloud(
     system: GermSystem,
     *,
-    count: int = 200,
     seed: int = 0,
     budget: Budget | None = None,
 ) -> list[tuple[complex, ...]]:
@@ -440,18 +435,14 @@ def sigma_link_cloud(
     ``budget``.  Its positive-dimensional components are sampled by the same
     lockstep Gauss-Newton projection as :func:`sample_link`, at
     ``LINK_TOLERANCE``, onto {component generators = 0} ∩ {|x| = 1}, keeping
-    each component's first successes in attempt order.  Each of the k positive-dimensional
-    components gets ceil(count / k) points, so the cloud holds up to
-    count + k - 1 points (fewer where a component's projections keep
-    failing).  Components of dimension <= 0 (the origin) have empty link and
-    contribute nothing; an empty return therefore means Sigma = {o} as far
-    as the computed components go, or ``count == 0``.  A heuristic cloud:
-    density is not certified, and generator multiplicity can slow the
-    projection (iterations are capped)."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if count == 0:
-        return []
+    each component's first successes in attempt order.  Each of the k
+    positive-dimensional components gets ceil(``SIGMA_CLOUD_POINTS`` / k)
+    points, so the cloud holds up to ``SIGMA_CLOUD_POINTS`` + k - 1 points
+    (fewer where a component's projections keep failing).  Components of
+    dimension <= 0 (the origin) have empty link and contribute nothing; an
+    empty return therefore means Sigma = {o} as far as the computed
+    components go.  A heuristic cloud: density is not certified, and
+    generator multiplicity can slow the projection (iterations are capped)."""
     positive = [
         comp
         for comp in sigma(system, budget).components
@@ -459,10 +450,10 @@ def sigma_link_cloud(
     ]
     if not positive:
         return []
-    per_component = -(-count // len(positive))
+    per_component = -(-SIGMA_CLOUD_POINTS // len(positive))
     cloud: list[tuple[complex, ...]] = []
     for comp_index, comp in enumerate(positive):
-        gens = list(comp.basis.generators) if comp.basis is not None else comp.generators
+        gens = comp.basis.generators
         points, _, _ = _project_attempts(
             NumericEvaluator(gens), jacobian_evaluator(gens), system.nvars,
             per_component, 20 * per_component, (seed, comp_index), LINK_TOLERANCE, 80,
@@ -509,26 +500,9 @@ def rescaled_gradient(system: GermSystem, s: Sequence[complex]) -> np.ndarray:
 # arc deformation
 
 
-def _coerce_sample(system: GermSystem, s: LinkSample | Sequence[complex]) -> LinkSample:
-    if isinstance(s, LinkSample):
-        return s
-    arr = np.asarray(s, dtype=complex)
-    f_p = system.evaluators[0]
-    residual = float(np.max(np.abs(np.asarray(f_p(arr), dtype=complex))))
-    return LinkSample(s=tuple(complex(v) for v in arr), residual=residual)
-
-
-def deform_arc(
-    system: GermSystem,
-    epsilon: complex,
-    s: LinkSample | Sequence[complex],
-    t_grid: Sequence[float] = DEFAULT_T_GRID,
-    *,
-    min_sigma_distance: float = 0.0,
-    allow_large_epsilon: bool = False,
-) -> ArcSample:
-    """Solve the deformed arc through ``s`` at scale ``epsilon`` on
-    ``t_grid`` (decreasing), warm-starting each Newton run from the
+def deform_arc(system: GermSystem, epsilon: complex, s: LinkSample) -> ArcSample:
+    """Solve the deformed arc through the link sample ``s`` at scale
+    ``epsilon`` on ``DEFAULT_T_GRID``, warm-starting each Newton run from the
     previous, larger t (initial z = 0 at the largest t).  A run converges
     when the scaled residual is at most ``NEWTON_TOLERANCE``, within 40
     iterations per grid point.
@@ -544,19 +518,12 @@ def deform_arc(
     continuation left the perturbative regime (the numerical signature of
     the convergence radius shrinking to zero), even when a distant root of
     the scaled condition would still be reachable.  Same-order
-    perturbations enforce |epsilon| <= ``SAME_ORDER_EPSILON_CAP`` unless
-    ``allow_large_epsilon`` is set.  A sample closer to the sampled
-    obstruction locus than ``min_sigma_distance`` is refused.
+    perturbations enforce |epsilon| <= ``SAME_ORDER_EPSILON_CAP``
+    (:func:`verify_foliation` can lift the cap).
 
     This is the lockstep solver of :func:`verify_foliation` run on a batch
     of one sample."""
-    sample = _coerce_sample(system, s)
-    if sample.distance_to_sigma < min_sigma_distance:
-        raise ValueError(
-            "sample lies inside the exclusion radius around the obstruction locus "
-            f"(distance {sample.distance_to_sigma:g} < {min_sigma_distance:g})"
-        )
-    return _deform_arcs(system, [epsilon], [sample], t_grid, allow_large_epsilon)[0].arcs[0]
+    return _deform_arcs(system, [epsilon], [s], False)[0].arcs[0]
 
 
 class _ArcFamily(NamedTuple):
@@ -570,7 +537,7 @@ class _ArcFamily(NamedTuple):
 
 def _deform_arcs(
     system: GermSystem, epsilons: Sequence[complex], samples: Sequence[LinkSample],
-    t_grid: Sequence[float], allow_large_epsilon: bool,
+    allow_large_epsilon: bool,
 ) -> list[_ArcFamily]:
     """:func:`deform_arc` for every sample at once, at each scale in
     ``epsilons``; the rescaled gradients and Gram determinants are computed
@@ -589,11 +556,6 @@ def _deform_arcs(
                 f"|epsilon| = {abs(epsilon):g} exceeds the same-order cap "
                 f"{SAME_ORDER_EPSILON_CAP}; pass allow_large_epsilon=True to override"
             )
-    grid = tuple(float(t) for t in t_grid)
-    if not grid or any(t <= 0.0 for t in grid) or any(
-        later >= earlier for later, earlier in zip(grid[1:], grid)
-    ):
-        raise ValueError("t_grid must be a decreasing sequence of positive reals")
 
     m, nvars, r = len(samples), system.nvars, system.c
     s_arr = np.array([sample.s for sample in samples], dtype=complex).reshape(m, nvars)
@@ -627,7 +589,7 @@ def _deform_arcs(
         failed = np.zeros(m, dtype=bool)
         columns: list[tuple[np.ndarray, ...]] = []
         histories: list[list[tuple[float, ...]]] = [[] for _ in everyone]
-        for t in grid:
+        for t in DEFAULT_T_GRID:
             t_pow = t**w_float
             t_neg = t ** (-p_float)
             # z stays 0 at epsilon = 0 (converged) or at the last iterate after a failure
@@ -674,7 +636,7 @@ def _deform_arcs(
         z_rows, x_rows, res_rows, ok_rows = (np.stack(c, axis=1) for c in zip(*columns))
         arcs = tuple(
             ArcSample(
-                s=samples[i], epsilon=epsilon, t_grid=grid,
+                s=samples[i], epsilon=epsilon, t_grid=DEFAULT_T_GRID,
                 z_values=tuple(map(tuple, z_rows[i].tolist())),
                 points=tuple(map(tuple, x_rows[i].tolist())),
                 residuals=tuple(res_rows[i].tolist()), converged=tuple(ok_rows[i].tolist()),
@@ -697,18 +659,12 @@ def _solve_or_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # tangency exponents
 
 
-def _arc_curve(
-    arc: ArcSample | tuple[Sequence[float], Sequence[Sequence[complex]]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(arc, ArcSample):
-        t = np.asarray(arc.t_grid)
-        pts = np.asarray(arc.points, dtype=complex)
-        mask = np.asarray(arc.converged, dtype=bool)
-        return t, pts, mask
-    t_raw, pts_raw = arc
-    t = np.asarray(t_raw, dtype=float)
-    pts = np.asarray(pts_raw, dtype=complex)
-    return t, pts, np.ones(len(t), dtype=bool)
+def _arc_curve(arc: ArcSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (
+        np.asarray(arc.t_grid),
+        np.asarray(arc.points, dtype=complex),
+        np.asarray(arc.converged, dtype=bool),
+    )
 
 
 def _tangency_fits(
@@ -815,17 +771,13 @@ def _tangency_fits(
     return results
 
 
-def tangency_exponent(
-    a: ArcSample | tuple[Sequence[float], Sequence[Sequence[complex]]],
-    b: ArcSample | tuple[Sequence[float], Sequence[Sequence[complex]]],
-) -> TangencyEstimate:
+def tangency_exponent(a: ArcSample, b: ArcSample) -> TangencyEstimate:
     """Fitted contact order of two arcs on a common t-grid.
 
     Least-squares slope of log|a(t) - b(t)| against the log of the distance
     scale (mean of the two arc norms) over the smallest-t window of commonly
     converged points — at least ``MIN_FIT_POINTS``, at most half the available
-    ones.  Raw arcs may be passed as ``(t_grid, points)`` pairs (all points
-    trusted).  Identical arcs over the window report alpha = inf.  Raises
+    ones.  Identical arcs over the window report alpha = inf.  Raises
     ValueError on mismatched grids or fewer than ``MIN_FIT_POINTS`` usable
     points.
 
@@ -874,9 +826,7 @@ def verify_foliation(
     solver tabulated."""
     if len(samples) < 2:
         raise ValueError("verify_foliation needs at least 2 samples")
-    perturbed, reference = _deform_arcs(
-        system, [epsilon, 0.0], samples, DEFAULT_T_GRID, allow_large_epsilon
-    )
+    perturbed, reference = _deform_arcs(system, [epsilon, 0.0], samples, allow_large_epsilon)
     arcs = perturbed.arcs
     failures: list[str] = []
 
@@ -891,7 +841,7 @@ def verify_foliation(
         fit_pairs = all_pairs
 
     # a pair's perturbed fit is made only when its reference fit succeeds
-    grid = np.asarray(arcs[0].t_grid)
+    grid = np.asarray(DEFAULT_T_GRID)
     pairs = np.array(fit_pairs, dtype=int).reshape(-1, 2)
     reference_fits = _tangency_fits(grid, reference.points, reference.converged, pairs)
     fitted = [n for n, fit in enumerate(reference_fits) if isinstance(fit, TangencyEstimate)]
@@ -985,12 +935,10 @@ def _parts(values: Sequence[complex]) -> list[str]:
     return [part for v in values for part in (repr(v.real), repr(v.imag))]
 
 
-def write_arc_csv(
-    destination: str | Path | IO[str], arcs: Sequence[ArcSample], seed: int
-) -> None:
-    """Tabulate arcs as CSV: one row per (arc, t) with columns seed, the
-    sample coordinates (re/im), epsilon (re/im), t, the arc point (re/im),
-    the scaled residual, and converged as 0/1.
+def write_arc_csv(path: str | Path, arcs: Sequence[ArcSample], seed: int) -> None:
+    """Write arcs to the CSV file ``path``: one row per (arc, t) with
+    columns seed, the sample coordinates (re/im), epsilon (re/im), t, the
+    arc point (re/im), the scaled residual, and converged as 0/1.
 
     Rows are the bytes of the excel dialect of :mod:`csv` (``\\r\\n``
     line ends), which quotes only fields holding ``,``, ``"``, ``\\r`` or
@@ -1004,9 +952,9 @@ def write_arc_csv(
     header += [f"x{i}_{part}" for i in range(nvars) for part in ("re", "im")]
     header += ["residual", "converged"]
 
-    def emit(handle: IO[str]) -> None:
+    with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        # the arcs of one solver call share one grid tuple: take its reprs once
+        # the solver's arcs share one grid tuple: take its reprs once
         grid, t_reprs = None, []
         for arc in arcs:
             if arc.t_grid is not grid:
@@ -1019,9 +967,3 @@ def write_arc_csv(
                           str(int(arc.converged[k]))]) + "\r\n"
                 for k, t in enumerate(t_reprs)
             )
-
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", newline="") as handle:
-            emit(handle)
-    else:
-        emit(destination)

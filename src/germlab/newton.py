@@ -317,19 +317,11 @@ def face_nondegeneracy(
 class FaceWeightSummary:
     face: Face
     sorted_weights: tuple[Fraction, ...]
-    min_multiplicity: int
-    two_lowest_coincide: bool
 
 
 def face_weight_report(diagram: NewtonDiagram) -> list[FaceWeightSummary]:
-    """Per top face: ascending weights, multiplicity of the minimum, and
-    whether the two lowest weights coincide."""
+    """Per top face: its weights in ascending order."""
     tops = diagram.top_faces()
     if not tops:
         raise ValueError("diagram has no top-dimensional face")
-    out = []
-    for face in tops:
-        ws = tuple(sorted(face.weights))
-        mult = sum(1 for w in ws if w == ws[0])
-        out.append(FaceWeightSummary(face, ws, mult, len(ws) >= 2 and ws[0] == ws[1]))
-    return out
+    return [FaceWeightSummary(face, tuple(sorted(face.weights))) for face in tops]

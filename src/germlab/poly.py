@@ -303,6 +303,13 @@ def jacobian(polys: Sequence[Poly]) -> list[list[Poly]]:
     return [[f.partial(j) for j in range(nvars)] for f in polys]
 
 
+def _to_complex(c: QI) -> complex:
+    try:
+        return c.to_complex()
+    except OverflowError:
+        raise ValueError(f"coefficient {c} is too large for a float") from None
+
+
 class NumericEvaluator:
     """A list of polynomials compiled once for repeated numeric evaluation.
 
@@ -310,13 +317,14 @@ class NumericEvaluator:
     nonzero (variable, exponent) pairs only.  A call performs exactly the
     operations of :meth:`Poly.evaluate_numeric`, in the same order and on the
     point's own scalars (numpy's, for an array; never ``tolist()``, whose
-    Python complex powers overflow differently), so results match bit for bit."""
+    Python complex powers overflow differently), so results match bit for bit.
+    A coefficient past the float range raises ValueError naming it."""
 
     __slots__ = ("polys", "powers")
 
     def __init__(self, polys: Sequence[Poly]):
         self.polys = [
-            [(c.to_complex(), [(j, e) for j, e in enumerate(mono) if e]) for mono, c in f.terms.items()]
+            [(_to_complex(c), [(j, e) for j, e in enumerate(mono) if e]) for mono, c in f.terms.items()]
             for f in polys
         ]
         # the distinct (variable, exponent) pairs, in order of first use

@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from germlab import __version__
 from germlab.germ import (
@@ -112,18 +112,11 @@ def _system_fragment(loaded: LoadedGerm) -> dict:
 # per-command bodies
 
 
-def analysis_body(
-    loaded: LoadedGerm,
-    report: AnalysisReport,
-    assumptions: Sequence[str] | frozenset[str] | None = None,
-    extra_notes: Sequence[str] = (),
-) -> dict:
-    if assumptions is None:
-        assumptions = loaded.assumptions
+def analysis_body(loaded: LoadedGerm, report: AnalysisReport, assumptions: Iterable[str]) -> dict:
     return {
         **_system_fragment(loaded),
         "assumptions": sorted(assumptions),
-        "analysis": {**_plain(report), "notes": list(report.notes) + list(extra_notes)},
+        "analysis": _plain(report),
     }
 
 
@@ -188,7 +181,7 @@ def foliate_body(
     epsilon: Fraction,
     samples_requested: int,
     csv_path: str | None,
-    extra_notes: Sequence[str] = (),
+    notes: Sequence[str],
 ) -> dict:
     return {
         **_system_fragment(loaded),
@@ -217,7 +210,7 @@ def foliate_body(
                 for arc in report.arcs
             ],
             "csv_path": csv_path,
-            "notes": list(extra_notes),
+            "notes": list(notes),
         },
     }
 

@@ -698,6 +698,44 @@ def test_cli_foliate_rejects_an_epsilon_no_float_holds(capsys, tmp_path, epsilon
     assert not csv_path.exists()
 
 
+HUGE = "1" + "0" * 400  # 10^400, past the float range
+HUGE_WEIGHT = {"variables": ["x", "y", "z"], "equations": ["x^2+y^2+z^2"], "weights": ["1e400", "1", "1"]}
+HUGE_COEFFICIENT = {"variables": ["x", "y", "z"], "equations": [f"x^2+y^2+{HUGE}*z^2"]}
+
+
+@pytest.mark.parametrize(
+    "data, argv, message",
+    [
+        (HUGE_WEIGHT, ["foliate", "--samples", "2"], f"germlab: weight {HUGE} is too large for a float\n"),
+        (HUGE_COEFFICIENT, ["foliate", "--samples", "2"], f"germlab: coefficient {HUGE} is too large for a float\n"),
+        # the torus search evaluates the face's gradient: 2 * 10^400 * z
+        (HUGE_COEFFICIENT, ["newton", "--probabilistic-nnd", "--budget", "5"],
+         f"germlab: coefficient 2{HUGE[1:]} is too large for a float\n"),
+    ],
+    ids=["foliate-weight", "foliate-coefficient", "newton-coefficient"],
+)
+def test_cli_numeric_commands_reject_values_past_the_float_range(
+    capsys, tmp_path, monkeypatch, data, argv, message
+):
+    # the exact commands take such files; the numeric layer cannot, and
+    # foliate says so before it computes the Sigma cloud
+    from germlab import foliation
+
+    def no_cloud(*args, **kwargs):
+        raise AssertionError("the Sigma cloud ran")
+
+    monkeypatch.setattr(foliation, "sigma_link_cloud", no_cloud)
+    path = write_germ(tmp_path, data)
+    csv_path = tmp_path / "arcs.csv"
+    argv = [argv[0], str(path), *argv[1:]]
+    if argv[0] == "foliate":
+        argv += ["--csv", str(csv_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", message)
+    assert not csv_path.exists()
+    assert run_cli(capsys, "analyze", str(path))[0] == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

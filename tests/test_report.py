@@ -72,8 +72,9 @@ def test_analysis_renders_fraction_bound_and_none_mu():
     certificates = Certificates(
         fast_cycle_dim=1, homotopy="S^1", mu=None, tangent_cone_coordinate_span=2, exponent_bound=F(7, 3)
     )
-    result = AnalysisReport("FAST_CYCLE_FOUND", 2, certificates, LEDGER, ["from the report"])
-    body = report.analysis_body(load_system(data), result, extra_notes=["extra"])
+    result = AnalysisReport("FAST_CYCLE_FOUND", 2, certificates, LEDGER, ["from the report", "extra"])
+    loaded = load_system(data)
+    body = report.analysis_body(loaded, result, loaded.assumptions)
     assert rendered("analyze", data, 0, body) == expected(ANALYZE)
 
 
