@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from germlab.foliation import LinkSample, deform_arc, sample_link, sigma_link_cloud
-from germlab.germ import analyze, germ_system, sigma, weight_splitting
+from germlab.germ import analyze, germ_system, sigma
 from germlab.parse import parse_poly, poly_to_string
 
 
@@ -53,8 +53,7 @@ def main() -> int:
     names = list(system.variables)
 
     print("weights:", ", ".join(f"{v} -> {w}" for v, w in zip(names, system.weights)))
-    splitting = weight_splitting(system.weights)
-    print("weight blocks end at positions:", list(splitting.breakpoints))
+    print("weight blocks end at positions:", list(system.breakpoints))
     print("same-order perturbation:", system.is_same_order())
     print()
 

@@ -66,7 +66,10 @@ _VERDICT_EXIT = {
 }
 
 DEFAULT_EPSILON = Fraction(1, 2)
-DEFAULT_SAME_ORDER_EPSILON = Fraction(1, 10)
+# the default |epsilon| of same-order families, and the largest one foliate
+# takes for them without a note: the deformation's convergence radius can
+# shrink to zero there
+SAME_ORDER_EPSILON = Fraction(1, 10)
 DEFAULT_SAMPLES = 50
 DEFAULT_CSV = "germlab_arcs.csv"
 
@@ -216,6 +219,17 @@ def _cmd_newton(args, data: dict) -> tuple[dict, int]:
     return _report.newton_body(raw, analysis), EXIT_CERTIFICATE if analysis.any_certificate else EXIT_OK
 
 
+def _check_float(label: str, value: Fraction) -> None:
+    """The arcs are solved in floats: the nonzero ``value`` must neither
+    overflow nor round to 0 in the conversion."""
+    try:
+        rounded = float(value)
+    except OverflowError:
+        raise GermFileError(f"{label} is too large for a float") from None
+    if rounded == 0:
+        raise GermFileError(f"{label} is too small for a float: it rounds to 0")
+
+
 def _parse_epsilon(text: str) -> Fraction:
     try:
         value = Fraction(text)
@@ -223,25 +237,16 @@ def _parse_epsilon(text: str) -> Fraction:
         raise GermFileError(f"--epsilon must be a rational like 1/2 (got {text!r}): {exc}") from None
     if value == 0:
         raise GermFileError("--epsilon must be nonzero (the unperturbed arcs are always computed alongside)")
-    # the arcs are solved in floats: epsilon must survive the conversion
-    try:
-        rounded = float(value)
-    except OverflowError:
-        raise GermFileError(f"--epsilon {text} is too large for a float") from None
-    if rounded == 0:
-        raise GermFileError(f"--epsilon {text} is too small for a float: it rounds to 0")
+    _check_float(f"--epsilon {text}", value)
     return value
 
 
 def _check_floats(system) -> None:
-    """The arcs are solved in floats: the weights, the degrees and every
-    coefficient must survive the conversion."""
+    """The weights, the degrees and every coefficient must survive the
+    conversion to floats."""
     for name, values in (("weight", system.weights), ("degree", system.degrees)):
         for value in values:
-            try:
-                float(value)
-            except OverflowError:
-                raise GermFileError(f"{name} {value} is too large for a float") from None
+            _check_float(f"{name} {value}", value)
     system.evaluators  # compiling the coefficients raises ValueError on one past the float range
 
 
@@ -249,7 +254,6 @@ def _cmd_foliate(args, data: dict) -> tuple[dict, int]:
     # the numeric layer, and numpy with it, loads only for this command
     from germlab.foliation import (
         FoliationReport,
-        SAME_ORDER_EPSILON_CAP,
         sample_link,
         sigma_link_cloud,
         verify_foliation,
@@ -260,17 +264,16 @@ def _cmd_foliate(args, data: dict) -> tuple[dict, int]:
     system = loaded.system
     same_order = system.is_same_order()
     notes: list[str] = []
-    allow_large = False
     if args.epsilon is not None:
         epsilon = _parse_epsilon(args.epsilon)
-        if same_order and abs(epsilon) > SAME_ORDER_EPSILON_CAP:
-            allow_large = True
+        cap = float(SAME_ORDER_EPSILON)
+        if same_order and abs(epsilon) > cap:
             notes.append(
-                f"epsilon = {epsilon} exceeds the same-order cap {SAME_ORDER_EPSILON_CAP}; "
+                f"epsilon = {epsilon} exceeds the same-order cap {cap}; "
                 "the deformation's convergence radius can shrink to zero"
             )
     else:
-        epsilon = DEFAULT_SAME_ORDER_EPSILON if same_order else DEFAULT_EPSILON
+        epsilon = SAME_ORDER_EPSILON if same_order else DEFAULT_EPSILON
     if args.samples < 2:
         raise GermFileError("--samples must be at least 2 (the checks compare pairs of arcs)")
     _check_floats(system)
@@ -292,9 +295,7 @@ def _cmd_foliate(args, data: dict) -> tuple[dict, int]:
                 reference_arcs=(),
             )
         else:
-            result = verify_foliation(
-                system, complex(epsilon), samples, seed=args.seed, allow_large_epsilon=allow_large
-            )
+            result = verify_foliation(system, complex(epsilon), samples, seed=args.seed)
     csv_path = None
     if result.arcs:
         write_arc_csv(args.csv, tuple(result.arcs) + tuple(result.reference_arcs), args.seed)

@@ -30,7 +30,9 @@ family's tangency fits of one length, each bit for bit ``np.polyfit``'s.
 
 The entry points take what the ``foliate`` pipeline produces: a
 :class:`GermSystem`, the :class:`LinkSample` points :func:`sample_link`
-returns, and the :class:`ArcSample` arcs the solver tabulates.
+returns, and the :class:`ArcSample` arcs the solver tabulates, every one on
+``DEFAULT_T_GRID``.  They take any scale ``epsilon``; the same-order default
+and its note are the command line's.
 
 Everything here is sampled pointwise in floating point; no symbolic Puiseux
 expansion is constructed.  Exactness claims are limited to coordinate-plane
@@ -51,12 +53,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from germlab.germ import (
-    Budget,
-    GermSystem,
-    sigma,
-    weight_splitting,
-)
+from germlab.germ import Budget, GermSystem, sigma
 from germlab.poly import NumericEvaluator, jacobian_evaluator
 
 __all__ = [
@@ -66,7 +63,6 @@ __all__ = [
     "NEWTON_TOLERANCE",
     "FIT_TOLERANCE",
     "MIN_FIT_POINTS",
-    "SAME_ORDER_EPSILON_CAP",
     "DEFAULT_T_GRID",
     "DICHOTOMY_MARGIN",
     "MAX_DICHOTOMY_PAIRS",
@@ -98,9 +94,7 @@ NEWTON_TOLERANCE = 1e-11
 FIT_TOLERANCE = 0.05
 #: fewest commonly converged points a tangency fit is made from.
 MIN_FIT_POINTS = 6
-#: default |eps| cap for same-order perturbations (overridable).
-SAME_ORDER_EPSILON_CAP = 0.1
-#: geometric grid 2^-1, 2^-2, ..., 2^-20 (decreasing).
+#: geometric grid 2^-1, 2^-2, ..., 2^-20 (decreasing): every arc's grid.
 DEFAULT_T_GRID: tuple[float, ...] = tuple(0.5**k for k in range(1, 21))
 #: contact orders up to 1 + margin are transverse, above it tangent.
 DICHOTOMY_MARGIN = 0.1
@@ -113,6 +107,8 @@ SEPARATION_FLOOR = 1e-8
 # which an iterate has left the perturbative branch.
 _ARC_MAX_ITERATIONS = 40
 _Z_CAP = 1e3
+# DEFAULT_T_GRID's indices by increasing t, the order a tangency fit reads.
+_FIT_ORDER = np.argsort(DEFAULT_T_GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +131,7 @@ class LinkSample:
 
 @dataclass(frozen=True)
 class ArcSample:
-    """One deformed arc, tabulated on a decreasing t-grid.
+    """One deformed arc, tabulated on the decreasing ``DEFAULT_T_GRID``.
 
     ``z_values[k]`` is the ansatz unknown at ``t_grid[k]``, ``points[k]``
     the arc point ``t^w * (s + eps*h(z))``, ``residuals[k]`` the scaled
@@ -148,13 +144,16 @@ class ArcSample:
 
     s: LinkSample
     epsilon: complex
-    t_grid: tuple[float, ...]
     z_values: tuple[tuple[complex, ...], ...]
     points: tuple[tuple[complex, ...], ...]
     residuals: tuple[float, ...]
     converged: tuple[bool, ...]
     gram_determinant: float
     iteration_residuals: tuple[tuple[float, ...], ...]
+
+    @property
+    def t_grid(self) -> tuple[float, ...]:
+        return DEFAULT_T_GRID
 
 
 @dataclass(frozen=True)
@@ -468,12 +467,10 @@ def sigma_link_cloud(
 
 def _block_scales(system: GermSystem, s: np.ndarray) -> np.ndarray:
     """Per-variable factors sqrt(sum_{i <= r_l} |s_i|^2) for every row of
-    ``s``, where r_l is the weight-splitting boundary of the variable's
-    block.  The sums are cumulative from the first coordinate, so a sample
-    with its whole first block at exactly zero gets exactly-zero factors
-    there."""
-    breakpoints = weight_splitting(list(system.weights)).breakpoints
-    boundaries = [next(b for b in breakpoints if b > j) - 1 for j in range(system.nvars)]
+    ``s``, where r_l is the end of the variable's weight block.  The sums
+    are cumulative from the first coordinate, so a sample with its whole
+    first block at exactly zero gets exactly-zero factors there."""
+    boundaries = [next(b for b in system.breakpoints if b > j) - 1 for j in range(system.nvars)]
     return np.sqrt(np.cumsum(np.abs(s) ** 2, axis=1))[:, boundaries]
 
 
@@ -517,13 +514,11 @@ def deform_arc(system: GermSystem, epsilon: complex, s: LinkSample) -> ArcSample
     away from the obstruction locus, so an exploding iterate means the
     continuation left the perturbative regime (the numerical signature of
     the convergence radius shrinking to zero), even when a distant root of
-    the scaled condition would still be reachable.  Same-order
-    perturbations enforce |epsilon| <= ``SAME_ORDER_EPSILON_CAP``
-    (:func:`verify_foliation` can lift the cap).
+    the scaled condition would still be reachable.
 
     This is the lockstep solver of :func:`verify_foliation` run on a batch
     of one sample."""
-    return _deform_arcs(system, [epsilon], [s], False)[0].arcs[0]
+    return _deform_arcs(system, [epsilon], [s])[0].arcs[0]
 
 
 class _ArcFamily(NamedTuple):
@@ -536,8 +531,7 @@ class _ArcFamily(NamedTuple):
 
 
 def _deform_arcs(
-    system: GermSystem, epsilons: Sequence[complex], samples: Sequence[LinkSample],
-    allow_large_epsilon: bool,
+    system: GermSystem, epsilons: Sequence[complex], samples: Sequence[LinkSample]
 ) -> list[_ArcFamily]:
     """:func:`deform_arc` for every sample at once, at each scale in
     ``epsilons``; the rescaled gradients and Gram determinants are computed
@@ -546,17 +540,6 @@ def _deform_arcs(
     iteration count, escape past ``_Z_CAP``, failure and line-search state,
     and every arc is bit for bit the one its sample gives alone."""
     epsilons = [complex(epsilon) for epsilon in epsilons]
-    for epsilon in epsilons:
-        if (
-            system.is_same_order()
-            and abs(epsilon) > SAME_ORDER_EPSILON_CAP
-            and not allow_large_epsilon
-        ):
-            raise ValueError(
-                f"|epsilon| = {abs(epsilon):g} exceeds the same-order cap "
-                f"{SAME_ORDER_EPSILON_CAP}; pass allow_large_epsilon=True to override"
-            )
-
     m, nvars, r = len(samples), system.nvars, system.c
     s_arr = np.array([sample.s for sample in samples], dtype=complex).reshape(m, nvars)
     w_float = np.array([float(w) for w in system.weights])
@@ -636,7 +619,7 @@ def _deform_arcs(
         z_rows, x_rows, res_rows, ok_rows = (np.stack(c, axis=1) for c in zip(*columns))
         arcs = tuple(
             ArcSample(
-                s=samples[i], epsilon=epsilon, t_grid=DEFAULT_T_GRID,
+                s=samples[i], epsilon=epsilon,
                 z_values=tuple(map(tuple, z_rows[i].tolist())),
                 points=tuple(map(tuple, x_rows[i].tolist())),
                 residuals=tuple(res_rows[i].tolist()), converged=tuple(ok_rows[i].tolist()),
@@ -659,20 +642,12 @@ def _solve_or_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # tangency exponents
 
 
-def _arc_curve(arc: ArcSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (
-        np.asarray(arc.t_grid),
-        np.asarray(arc.points, dtype=complex),
-        np.asarray(arc.converged, dtype=bool),
-    )
-
-
 def _tangency_fits(
-    t_grid: np.ndarray, points: np.ndarray, converged: np.ndarray, pairs: np.ndarray
+    points: np.ndarray, converged: np.ndarray, pairs: np.ndarray
 ) -> list[TangencyEstimate | ValueError]:
     """:func:`tangency_exponent` of arcs ``i`` and ``j`` for every row
     ``(i, j)`` of ``pairs``, over one family: arc points of shape (m, T, N)
-    and converged flags of shape (m, T) on the grid ``t_grid``.  A pair the
+    and converged flags of shape (m, T) on ``DEFAULT_T_GRID``.  A pair the
     one-pair fit rejects gets the ValueError it raises.
 
     Every fit with the same number of points is one stacked least-squares
@@ -683,16 +658,7 @@ def _tangency_fits(
     has one singular value and so no cutoff to apply.  A fit of rank < 2 warns
     as polyfit does, in pair order; a group whose SVD fails is solved again
     pair by pair, so the LinAlgError lands on the pair that raises it."""
-    mask = converged[pairs[:, 0]] & converged[pairs[:, 1]]
-    order = np.argsort(t_grid)
-    if np.all(t_grid[order][1:] > t_grid[order][:-1]):
-        perm = np.broadcast_to(order, mask.shape)
-    else:  # ties or nan: sort each pair's points as a sort of them alone does
-        perm = np.array([
-            np.concatenate([np.flatnonzero(row)[np.argsort(t_grid[row])], np.flatnonzero(~row)])
-            for row in mask
-        ]).reshape(mask.shape)
-    mask = np.take_along_axis(mask, perm, axis=1)
+    mask = (converged[pairs[:, 0]] & converged[pairs[:, 1]])[:, _FIT_ORDER]
     counts = mask.sum(axis=1)
     window_counts = np.minimum(counts, np.maximum(MIN_FIT_POINTS, -(-counts // 2)))
     window = mask & (np.cumsum(mask, axis=1) <= window_counts[:, np.newaxis])
@@ -700,7 +666,7 @@ def _tangency_fits(
     # only the window points of pairs with enough of them are read; the
     # zeros put elsewhere raise no float warnings
     a, b = (
-        np.where(window[:, :, np.newaxis], points[pairs[:, k, np.newaxis], perm], 0.0)
+        np.where(window[:, :, np.newaxis], points[pairs[:, k, np.newaxis], _FIT_ORDER], 0.0)
         for k in (0, 1)
     )
     diff = np.linalg.norm(a - b, axis=2)
@@ -739,10 +705,9 @@ def _tangency_fits(
         ss_res[rows] = np.sum((y - (slope * x + intercept)) ** 2, axis=1)
         ss_tot[rows] = np.sum((y - y.mean(axis=1, keepdims=True)) ** 2, axis=1)
 
-    t_sorted = t_grid[perm]
-    every = np.arange(len(pairs))
-    first = t_sorted[every, np.argmax(window, axis=1)]
-    last = t_sorted[every, window.shape[1] - 1 - np.argmax(window[:, ::-1], axis=1)]
+    t_sorted = np.asarray(DEFAULT_T_GRID)[_FIT_ORDER]
+    first = t_sorted[np.argmax(window, axis=1)]
+    last = t_sorted[window.shape[1] - 1 - np.argmax(window[:, ::-1], axis=1)]
     results: list[TangencyEstimate | ValueError] = []
     for p, (count, span, same, fitted, slope_p, res_p, tot_p, poor) in enumerate(zip(
         counts.tolist(), zip(first.tolist(), last.tolist()), identical.tolist(), fit.tolist(),
@@ -772,23 +737,20 @@ def _tangency_fits(
 
 
 def tangency_exponent(a: ArcSample, b: ArcSample) -> TangencyEstimate:
-    """Fitted contact order of two arcs on a common t-grid.
+    """Fitted contact order of two arcs.
 
     Least-squares slope of log|a(t) - b(t)| against the log of the distance
     scale (mean of the two arc norms) over the smallest-t window of commonly
     converged points — at least ``MIN_FIT_POINTS``, at most half the available
     ones.  Identical arcs over the window report alpha = inf.  Raises
-    ValueError on mismatched grids or fewer than ``MIN_FIT_POINTS`` usable
-    points.
+    ValueError on fewer than ``MIN_FIT_POINTS`` usable points.
 
     This is the stacked fit of :func:`verify_foliation` run on one pair; its
     slope is bit for bit ``np.polyfit``'s, which also sets its RankWarning."""
-    t_a, pts_a, mask_a = _arc_curve(a)
-    t_b, pts_b, mask_b = _arc_curve(b)
-    if len(t_a) != len(t_b) or not np.array_equal(t_a, t_b):
-        raise ValueError("tangency fit needs a common t-grid")
     (estimate,) = _tangency_fits(
-        t_a, np.stack([pts_a, pts_b]), np.stack([mask_a, mask_b]), np.array([[0, 1]])
+        np.array([a.points, b.points], dtype=complex),
+        np.array([a.converged, b.converged], dtype=bool),
+        np.array([[0, 1]]),
     )
     if isinstance(estimate, ValueError):
         raise estimate
@@ -805,7 +767,6 @@ def verify_foliation(
     samples: Sequence[LinkSample],
     *,
     seed: int = 0,
-    allow_large_epsilon: bool = False,
 ) -> FoliationReport:
     """Check the deformed family over ``samples`` at scale ``epsilon``, its
     arcs and the unperturbed ones solved as :func:`deform_arc` does on
@@ -826,7 +787,7 @@ def verify_foliation(
     solver tabulated."""
     if len(samples) < 2:
         raise ValueError("verify_foliation needs at least 2 samples")
-    perturbed, reference = _deform_arcs(system, [epsilon, 0.0], samples, allow_large_epsilon)
+    perturbed, reference = _deform_arcs(system, [epsilon, 0.0], samples)
     arcs = perturbed.arcs
     failures: list[str] = []
 
@@ -841,12 +802,11 @@ def verify_foliation(
         fit_pairs = all_pairs
 
     # a pair's perturbed fit is made only when its reference fit succeeds
-    grid = np.asarray(DEFAULT_T_GRID)
     pairs = np.array(fit_pairs, dtype=int).reshape(-1, 2)
-    reference_fits = _tangency_fits(grid, reference.points, reference.converged, pairs)
+    reference_fits = _tangency_fits(reference.points, reference.converged, pairs)
     fitted = [n for n, fit in enumerate(reference_fits) if isinstance(fit, TangencyEstimate)]
     perturbed_fits = dict(zip(fitted, _tangency_fits(
-        grid, perturbed.points, perturbed.converged, pairs[fitted]
+        perturbed.points, perturbed.converged, pairs[fitted]
     )))
     dichotomy: list[PairDichotomy] = []
     for n, (i, j) in enumerate(fit_pairs):
@@ -894,13 +854,10 @@ def verify_foliation(
                 f"below {SEPARATION_FLOOR:g} at t = {DEFAULT_T_GRID[k[n]]:g}"
             )
 
-    splitting = weight_splitting(list(system.weights))
     coordinate_planes_ok = True
     for idx, arc in enumerate(arcs):
         s_arr = np.asarray(arc.s.s, dtype=complex)
-        for boundary in splitting.breakpoints:
-            if boundary >= system.nvars:
-                continue
+        for boundary in system.breakpoints[:-1]:
             if not np.all(s_arr[:boundary] == 0.0):
                 continue
             for k, point in enumerate(arc.points):
@@ -910,7 +867,7 @@ def verify_foliation(
                     coordinate_planes_ok = False
                     failures.append(
                         f"sample {idx}: coordinate plane V(x_1..x_{boundary}) "
-                        f"not preserved at t = {arc.t_grid[k]:g}"
+                        f"not preserved at t = {DEFAULT_T_GRID[k]:g}"
                     )
                     break
 
@@ -952,13 +909,10 @@ def write_arc_csv(path: str | Path, arcs: Sequence[ArcSample], seed: int) -> Non
     header += [f"x{i}_{part}" for i in range(nvars) for part in ("re", "im")]
     header += ["residual", "converged"]
 
+    t_reprs = [repr(t) for t in DEFAULT_T_GRID]
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        # the solver's arcs share one grid tuple: take its reprs once
-        grid, t_reprs = None, []
         for arc in arcs:
-            if arc.t_grid is not grid:
-                grid, t_reprs = arc.t_grid, [repr(t) for t in arc.t_grid]
             prefix = ",".join(
                 [str(seed), *_parts(arc.s.s), repr(arc.epsilon.real), repr(arc.epsilon.imag)]
             )

@@ -1,11 +1,14 @@
 """Decision procedures for perturbed weighted-homogeneous complete
-intersection germs: weight splitting, the obstruction locus, the hypothesis
-ledger, and the one-sided fast-cycle verdict.
+intersection germs: the validated system and its weight blocks, the
+obstruction locus, the hypothesis ledger, and the one-sided fast-cycle
+verdict.
 
 Conventions, fixed package-wide:
 
 * variables are sorted so weights ascend; ``x_1`` is always the (first)
   lowest-weight variable;
+* the blocks of equal weights end at :attr:`GermSystem.breakpoints`, the one
+  place they are derived;
 * ``n`` is the complex dimension of the germ, ``c = r`` the codimension
   (number of equations), ``N = n + c`` the ambient dimension;
 * verdicts are one-sided: the tool certifies the *presence* of a fast-cycle
@@ -44,14 +47,12 @@ from germlab.newton import (
     face_weight_report,
     newton_diagram,
 )
-from germlab.poly import NumericEvaluator, Poly, infer_weights, jacobian, jacobian_evaluator
+from germlab.poly import NumericEvaluator, Poly, jacobian, jacobian_evaluator
 from germlab.qi import QI
 
 __all__ = [
     "GermSystem",
     "germ_system",
-    "WeightSplitting",
-    "weight_splitting",
     "singular_locus_ideal",
     "variety_dimension",
     "SigmaComponent",
@@ -77,7 +78,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GermSystem:
-    """A weighted-homogeneous principal part plus (optional) perturbation.
+    """A weighted-homogeneous principal part plus a perturbation.
 
     Invariants established by :func:`germ_system`: weights ascend; each
     principal part is weighted-homogeneous of its stated degree; every
@@ -102,6 +103,13 @@ class GermSystem:
     def n(self) -> int:
         return self.nvars - self.c
 
+    @cached_property
+    def breakpoints(self) -> tuple[int, ...]:
+        """The 1-based ends r_1 < ... < r_k of the blocks of equal weights;
+        the last is ``nvars``."""
+        w = self.weights
+        return tuple(i for i in range(1, len(w) + 1) if i == len(w) or w[i] != w[i - 1])
+
     def full_equations(self) -> list[Poly]:
         return [p + q for p, q in zip(self.principal, self.perturbation)]
 
@@ -123,24 +131,26 @@ class GermSystem:
 def germ_system(
     variables: list[str],
     principal: list[Poly],
-    perturbation: list[Poly] | None = None,
-    weights: list[Fraction] | None = None,
+    perturbation: list[Poly],
+    weights: list[Fraction],
 ) -> GermSystem:
     """Validate and build a :class:`GermSystem` (weights must already ascend;
-    use the germ-file loader for automatic sorting).
+    the germ-file loader infers weights and sorts the variables).
 
-    Raises ValueError on: unsorted weights, non-weighted-homogeneous
-    principal parts, principal terms of total degree < 2, or perturbations of
-    too-low weighted order."""
+    Raises ValueError on: count mismatches, unsorted weights,
+    non-weighted-homogeneous principal parts, principal terms of total
+    degree < 2, or perturbations of too-low weighted order."""
     nvars = len(variables)
     if not principal:
         raise ValueError("no principal equations")
     if any(f.nvars != nvars for f in principal):
         raise ValueError("equation/variable count mismatch")
+    if any(q.nvars != nvars for q in perturbation):
+        raise ValueError("perturbation/variable count mismatch")
+    if len(weights) != nvars:
+        raise ValueError("weight/variable count mismatch")
     if len(principal) >= nvars:
         raise ValueError("need fewer equations than variables (positive-dimensional germ)")
-    if weights is None:
-        weights = _inferred_weights(principal, variables)
     weights = [Fraction(w) for w in weights]
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
@@ -158,8 +168,6 @@ def germ_system(
             raise ValueError(f"principal part {k} has a term of total degree < 2")
         degrees.append(d)
 
-    if perturbation is None:
-        perturbation = [Poly.zero(nvars) for _ in principal]
     if len(perturbation) != len(principal):
         raise ValueError("perturbation list length differs from principal list")
     for k, (q, p) in enumerate(zip(perturbation, degrees)):
@@ -171,63 +179,6 @@ def germ_system(
     return GermSystem(
         tuple(variables), tuple(principal), tuple(perturbation), tuple(weights), tuple(degrees)
     )
-
-
-def _inferred_weights(polys: list[Poly], variables: list[str], split: bool = False) -> list[Fraction]:
-    """The unique weights for which every one of ``polys`` is
-    weighted-homogeneous; ValueError when there are none or several.
-    ``split`` marks ``polys`` as a germ file's ``split.principal``."""
-    inference = infer_weights(polys, variables)
-    if inference.status == "underdetermined":
-        free = ", ".join(inference.free_variables)
-        raise ValueError(f'weights are underdetermined (free: {free}); add a "weights" entry')
-    if inference.status != "unique":
-        raise ValueError(
-            '"split.principal" is not weighted-homogeneous for any positive weights; move its '
-            'higher-order terms to "split.perturbation", or give "equations" with "weights"'
-            if split
-            else 'equations are not weighted-homogeneous; give "weights" (the principal part is '
-            'then read off at the minimal weighted order) or an explicit "split"'
-        )
-    return list(inference.weights)
-
-
-# ---------------------------------------------------------------------------
-# weight splitting
-
-
-@dataclass(frozen=True)
-class WeightSplitting:
-    """Maximal constant blocks of an ascending weight vector.
-
-    ``breakpoints`` are the 1-based end indices r_1 < ... < r_k of the
-    blocks, the last always equal to the variable count.  ``blocks`` holds
-    the 0-based variable indices of each block."""
-
-    weights: tuple[Fraction, ...]
-    breakpoints: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def r1(self) -> int:
-        return self.breakpoints[0]
-
-
-def weight_splitting(weights: list[Fraction]) -> WeightSplitting:
-    ws = [Fraction(w) for w in weights]
-    if ws != sorted(ws):
-        raise ValueError("weights must be sorted ascending")
-    if not ws:
-        raise ValueError("empty weight vector")
-    breakpoints: list[int] = []
-    blocks: list[tuple[int, ...]] = []
-    start = 0
-    for i in range(1, len(ws) + 1):
-        if i == len(ws) or ws[i] != ws[start]:
-            breakpoints.append(i)
-            blocks.append(tuple(range(start, i)))
-            start = i
-    return WeightSplitting(tuple(ws), tuple(breakpoints), tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +232,15 @@ class ObstructionLocus:
 def sigma(system: GermSystem, budget: Budget | None = None) -> ObstructionLocus:
     """The obstruction locus: the union of the singular locus of the
     principal germ and of its intersections with the coordinate flags of the
-    weight splitting (one slice per block boundary short of the full set).
+    weight blocks (one slice per block end short of the full set).
 
     A budget-exhausted component is marked "undetermined"; the aggregate
     flags become unknowable (None) unless a computed component already
     decides them."""
     budget = budget or Budget()
     nvars = system.nvars
-    splitting = weight_splitting(system.weights)
     tasks: list[tuple[str, list[Poly]]] = [("Sing[X0]", list(system.principal))]
-    for r_j in splitting.breakpoints:
-        if r_j >= nvars:
-            continue
+    for r_j in system.breakpoints[:-1]:
         cut = [Poly.variable(nvars, i) for i in range(r_j)]
         names = ", ".join(system.variables[:r_j])
         tasks.append((f"Sing[X0 n V({names})]", list(system.principal) + cut))
@@ -377,12 +325,12 @@ def exponent_bound(system: GermSystem) -> Fraction | None:
     dropped.  None when both drop (unperturbed single-block systems: no
     finite bound is asserted)."""
     d = delta(system)
-    splitting = weight_splitting(system.weights)
+    r1 = system.breakpoints[0]
     candidates: list[Fraction] = []
     if d is not None:
         candidates.append(1 + d / system.weights[0])
-    if splitting.r1 < system.nvars:
-        candidates.append(system.weights[splitting.r1] / system.weights[0])
+    if r1 < system.nvars:
+        candidates.append(system.weights[r1] / system.weights[0])
     return min(candidates) if candidates else None
 
 
@@ -565,7 +513,6 @@ def analyze(
     elif "noncontractible-component" in assumptions:
         notes.append("noncontractible-component assumption ignored: germ dimension is not 2")
 
-    splitting = weight_splitting(system.weights)
     clean = all(e.status in ("verified", "user-asserted") for e in ledger if e.key != "surface")
 
     def certificates(cycle_dim: int, homotopy: str, mu: int | None) -> Certificates:
@@ -573,7 +520,7 @@ def analyze(
             fast_cycle_dim=cycle_dim,
             homotopy=homotopy,
             mu=mu,
-            tangent_cone_coordinate_span=splitting.r1,
+            tangent_cone_coordinate_span=system.breakpoints[0],
             exponent_bound=exponent_bound(system),
         )
 

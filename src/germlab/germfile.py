@@ -12,13 +12,13 @@ One JSON object per file, with keys:
   (``"milnor-fibre"``, ``"noncontractible-component"``).
 
 Two loading modes.  :func:`load_system` (analyze / sigma / foliate) builds a
-full weighted system: it resolves weights (given or inferred), splits
-equations into principal part and perturbation at the minimal weighted
-order, and **normalizes the variable order to ascending weights**,
-reporting the permutation.  :func:`load_raw` (newton / milnor) parses the
-full equations in the file's own variable order and touches no weight
-structure at all — those commands are weight-free, so weight errors can
-never block them.
+full weighted system: it resolves weights (given, or inferred here — the
+one place weights are inferred), splits equations into principal part and
+perturbation at the minimal weighted order, and **normalizes the variable
+order to ascending weights**, reporting the permutation.  :func:`load_raw`
+(newton / milnor) parses the full equations in the file's own variable
+order and touches no weight structure at all — those commands are
+weight-free, so weight errors can never block them.
 
 Unknown keys are errors: a typo like ``"weight"`` must not silently load.
 """
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from germlab.germ import GermSystem, _inferred_weights, germ_system
+from germlab.germ import GermSystem, germ_system
 from germlab.parse import ParseError, parse_poly
-from germlab.poly import Poly
+from germlab.poly import Poly, infer_weights
 
 __all__ = [
     "ASSUMPTION_NAMES",
@@ -197,6 +197,29 @@ def _parse_split(split: dict, variables: list[str]) -> tuple[list[Poly], list[Po
     return principal, perturbation or [Poly.zero(len(variables)) for _ in principal]
 
 
+def _inferred_weights(polys: list[Poly], variables: list[str], split: bool) -> list[Fraction]:
+    """The unique weights for which every one of ``polys`` is
+    weighted-homogeneous; GermFileError when there are none or several, or
+    when one of ``polys`` is zero.  ``split`` marks ``polys`` as the file's
+    ``split.principal``."""
+    try:
+        inference = infer_weights(polys, variables)
+    except ValueError as exc:  # a zero equation
+        raise GermFileError(str(exc)) from exc
+    if inference.status == "underdetermined":
+        free = ", ".join(inference.free_variables)
+        raise GermFileError(f'weights are underdetermined (free: {free}); add a "weights" entry')
+    if inference.status != "unique":
+        raise GermFileError(
+            '"split.principal" is not weighted-homogeneous for any positive weights; move its '
+            'higher-order terms to "split.perturbation", or give "equations" with "weights"'
+            if split
+            else 'equations are not weighted-homogeneous; give "weights" (the principal part is '
+            'then read off at the minimal weighted order) or an explicit "split"'
+        )
+    return list(inference.weights)
+
+
 def _split_by_weight(f: Poly, weights: list[Fraction], label: str) -> tuple[Poly, Poly]:
     """Split at the minimal weighted order: the principal part carries the
     terms at order ord_w(f), the perturbation everything strictly above."""
@@ -218,10 +241,7 @@ def load_system(data: dict) -> LoadedGerm:
     else:
         equations = _parse_list(data["equations"], variables, "equations")
     if weights is None:
-        try:
-            weights = _inferred_weights(principal if split else equations, variables, split=split)
-        except ValueError as exc:
-            raise GermFileError(str(exc)) from exc
+        weights = _inferred_weights(principal if split else equations, variables, split)
     if not split:
         principal = []
         perturbation = []

@@ -31,12 +31,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from germlab import __version__
-from germlab.germ import (
-    AnalysisReport,
-    NewtonAnalysis,
-    ObstructionLocus,
-    weight_splitting,
-)
+from germlab.germ import AnalysisReport, NewtonAnalysis, ObstructionLocus
 from germlab.germfile import LoadedGerm, RawGerm
 from germlab.parse import poly_to_string
 
@@ -101,7 +96,7 @@ def _system_fragment(loaded: LoadedGerm) -> dict:
         "permutation": list(loaded.permutation),
         "weights": _plain(system.weights),
         "degrees": _plain(system.degrees),
-        "breakpoints": list(weight_splitting(list(system.weights)).breakpoints),
+        "breakpoints": list(system.breakpoints),
         "principal": [poly_to_string(f, names) for f in system.principal],
         "perturbation": [poly_to_string(q, names) for q in system.perturbation],
         "same_order": system.is_same_order(),

@@ -99,7 +99,7 @@ def test_criterion_02_equal_weights_single_component():
             if not f.is_zero():
                 break
         system = germ_system(
-            names[:nvars], [f], None, [Fraction(1, degree)] * nvars
+            names[:nvars], [f], [Poly.zero(nvars)], [Fraction(1, degree)] * nvars
         )
         locus = sigma(system)
         labels = [c.label for c in locus.components]

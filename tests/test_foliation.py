@@ -41,7 +41,7 @@ from germlab.foliation import (
     verify_foliation,
     write_arc_csv,
 )
-from germlab.germ import germ_system, sigma, weight_splitting
+from germlab.germ import germ_system, sigma
 from germlab.germfile import load_system
 from germlab.poly import NumericEvaluator, jacobian_evaluator
 
@@ -221,12 +221,10 @@ def test_same_order_epsilon_cap(briancon_speder):
     samples = sample_link(briancon_speder, 2, seed=0)
     s = samples[0]
     assert briancon_speder.is_same_order()
-    with pytest.raises(ValueError, match="same-order cap"):
-        deform_arc(briancon_speder, 0.5, s)
-    # the cap is lifted only through verify_foliation, as the CLI does
-    arc = verify_foliation(briancon_speder, 0.5, samples, allow_large_epsilon=True).arcs[0]
+    # the library takes any scale: the same-order cap is the command line's note
+    assert repr(deform_arc(briancon_speder, 0.5, s)) == repr(_oracle_arc(briancon_speder, 0.5, s))
+    arc = verify_foliation(briancon_speder, 0.5, samples).arcs[0]
     assert arc.epsilon == 0.5
-    # at or below the cap no override is needed
     deform_arc(briancon_speder, 0.1, s)
 
 
@@ -293,16 +291,18 @@ def test_failure_marks_all_smaller_t(briancon_speder):
 # tangency exponents
 
 
-def _arcs(t, *curves):
-    """Hand-built arcs through the points ``curves[i]`` on the grid ``t``,
-    every point converged."""
+def _arcs(*curves, converged=None):
+    """Hand-built arcs through the points ``curves[i]`` on ``DEFAULT_T_GRID``,
+    every point converged unless ``converged`` flags say otherwise."""
     points = np.array(curves, dtype=complex)
-    return _family_arcs(np.asarray(t, dtype=float), points, np.ones(points.shape[:2], dtype=bool))
+    if converged is None:
+        converged = np.ones(points.shape[:2], dtype=bool)
+    return _family_arcs(points, np.broadcast_to(converged, points.shape[:2]))
 
 
-def _power_law_pair(alpha, k_max=14):
-    t = tuple(0.5**k for k in range(1, k_max + 1))
-    return _arcs(t, [(ti, ti**alpha) for ti in t], [(ti, 0.0) for ti in t])
+def _power_law_pair(alpha, converged=None):
+    t = DEFAULT_T_GRID
+    return _arcs([(ti, ti**alpha) for ti in t], [(ti, 0.0) for ti in t], converged=converged)
 
 
 def test_tangency_of_synthetic_power_law_curves():
@@ -330,13 +330,11 @@ def test_tangency_of_identical_arcs_is_infinite(sphere):
 
 
 def test_tangency_grid_and_count_validation(sphere):
-    a, _ = _power_law_pair(2.0)
-    t_short = tuple(0.5**k for k in range(1, 11))
-    (b_short,) = _arcs(t_short, [(ti, 0.0) for ti in t_short])
-    with pytest.raises(ValueError, match="common t-grid"):
-        tangency_exponent(a, b_short)
-    tiny, tiny2 = _power_law_pair(2.0, k_max=4)
-    with pytest.raises(ValueError, match="insufficient converged points"):
+    # every arc is on DEFAULT_T_GRID; a fit needs MIN_FIT_POINTS commonly
+    # converged points of it
+    assert all(arc.t_grid is DEFAULT_T_GRID for arc in _power_law_pair(2.0))
+    tiny, tiny2 = _power_law_pair(2.0, converged=np.arange(len(DEFAULT_T_GRID)) < 5)
+    with pytest.raises(ValueError, match=r"insufficient converged points for a tangency fit \(5 < 6\)"):
         tangency_exponent(tiny, tiny2)
 
 
@@ -482,11 +480,10 @@ def _oracle_attempts(equations, partials, nvars, want, limit, seed, tolerance, m
 
 
 def _oracle_rescaled_gradient(system, s):
-    splitting = weight_splitting(list(system.weights))
     cumulative = np.cumsum(np.abs(s) ** 2)
     scales = np.empty(system.nvars)
     for j in range(system.nvars):
-        boundary = next(b for b in splitting.breakpoints if b >= j + 1)
+        boundary = next(b for b in system.breakpoints if b >= j + 1)
         if np.all(s[:boundary] == 0.0):
             scales[j] = 0.0
         else:
@@ -496,10 +493,8 @@ def _oracle_rescaled_gradient(system, s):
     return grad * scales[np.newaxis, :]
 
 
-def _oracle_arc(system, epsilon, sample, t_grid=DEFAULT_T_GRID, *, tolerance=1e-11,
-                max_iterations=40, z_cap=1e3):
+def _oracle_arc(system, epsilon, sample, *, tolerance=1e-11, max_iterations=40, z_cap=1e3):
     epsilon = complex(epsilon)
-    grid = [float(t) for t in t_grid]
     nvars = system.nvars
     r = system.c
     s_arr = np.asarray(sample.s, dtype=complex)
@@ -523,7 +518,7 @@ def _oracle_arc(system, epsilon, sample, t_grid=DEFAULT_T_GRID, *, tolerance=1e-
     z_rows, point_rows, residual_rows, converged_rows, history_rows = [], [], [], [], []
     z = np.zeros(r, dtype=complex)
     failed = False
-    for t in grid:
+    for t in DEFAULT_T_GRID:
         t_pow = t**w_float
         t_neg = t ** (-p_float)
         if failed or epsilon == 0:
@@ -575,7 +570,7 @@ def _oracle_arc(system, epsilon, sample, t_grid=DEFAULT_T_GRID, *, tolerance=1e-
         if not ok:
             failed = True
     return ArcSample(
-        s=sample, epsilon=epsilon, t_grid=tuple(grid), z_values=tuple(z_rows),
+        s=sample, epsilon=epsilon, z_values=tuple(z_rows),
         points=tuple(point_rows), residuals=tuple(residual_rows),
         converged=tuple(converged_rows), gram_determinant=gram_determinant,
         iteration_residuals=tuple(history_rows),
@@ -665,6 +660,7 @@ def test_sigma_cloud_over_several_blocks_matches_the_oracle(monkeypatch):
         ["x", "y", "z", "w"],
         [P("x^2 - y*z", "x y z w"), P("y^2 - z*w", "x y z w"), P("z^2 - x*w", "x y z w")],
         [P("w^3", "x y z w"), P("x^3", "x y z w"), P("y^3", "x y z w")],
+        [F(1, 2)] * 4,
     )
     cloud = sigma_link_cloud(system, seed=2)
     (comp,) = [c for c in sigma(system).components if c.dimension and c.dimension >= 1]
@@ -884,11 +880,9 @@ def test_rescaled_gradient_matches_the_per_sample_oracle(sphere, briancon_speder
 
 
 def _oracle_tangency_exponent(a, b, *, min_points=6):
-    t_a, pts_a, mask_a = foliation._arc_curve(a)
-    t_b, pts_b, mask_b = foliation._arc_curve(b)
-    if len(t_a) != len(t_b) or not np.array_equal(t_a, t_b):
-        raise ValueError("tangency fit needs a common t-grid")
-    mask = mask_a & mask_b
+    t_a = np.asarray(a.t_grid)
+    pts_a, pts_b = np.asarray(a.points, dtype=complex), np.asarray(b.points, dtype=complex)
+    mask = np.asarray(a.converged, dtype=bool) & np.asarray(b.converged, dtype=bool)
     if int(mask.sum()) < min_points:
         raise ValueError(
             f"insufficient converged points for a tangency fit "
@@ -926,12 +920,12 @@ def _oracle_tangency_exponent(a, b, *, min_points=6):
     return TangencyEstimate(alpha=float(slope), r2=r2, window=window)
 
 
-def _family_arcs(grid, points, converged):
+def _family_arcs(points, converged):
     return [
         ArcSample(
             s=LinkSample(s=tuple(pts[0].tolist()), residual=0.0), epsilon=0j,
-            t_grid=tuple(grid.tolist()), z_values=(), points=tuple(map(tuple, pts.tolist())),
-            residuals=(0.0,) * len(grid), converged=tuple(flags.tolist()),
+            z_values=(), points=tuple(map(tuple, pts.tolist())),
+            residuals=(0.0,) * len(pts), converged=tuple(flags.tolist()),
             gram_determinant=0.0, iteration_residuals=(),
         )
         for pts, flags in zip(points, converged)
@@ -956,8 +950,8 @@ def _recorded(call):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
-def _assert_fits_match_the_oracle(grid, points, converged, pairs, min_points=6):
-    arcs = _family_arcs(grid, points, converged)
+def _assert_fits_match_the_oracle(points, converged, pairs, min_points=6):
+    arcs = _family_arcs(points, converged)
     expected, expected_warnings = [], []
     for i, j in pairs:
         fit, caught = _recorded(
@@ -969,7 +963,7 @@ def _assert_fits_match_the_oracle(grid, points, converged, pairs, min_points=6):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(foliation, "MIN_FIT_POINTS", min_points)
         fits, caught = _recorded(lambda: foliation._tangency_fits(
-            np.asarray(grid, dtype=float), points, converged, np.array(pairs).reshape(-1, 2)
+            points, converged, np.array(pairs).reshape(-1, 2)
         ))
         assert [_fit_words(fit) for fit in fits] == [_fit_words(fit) for fit in expected]
         rank = (np.exceptions.RankWarning, "Polyfit may be poorly conditioned")
@@ -985,14 +979,7 @@ def _assert_fits_match_the_oracle(grid, points, converged, pairs, min_points=6):
 def _fit_families(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(2, 12))
-    grid_kind = draw(st.sampled_from(["default", "random", "ties"]))
-    if grid_kind == "default":
-        grid = np.array(DEFAULT_T_GRID)
-    else:
-        grid = np.cumprod(rng.uniform(0.3, 0.9, draw(st.integers(6, 20))))
-        if grid_kind == "ties":
-            k = int(rng.integers(1, len(grid)))
-            grid[k] = grid[k - 1]
+    grid = np.array(DEFAULT_T_GRID)
     n = draw(st.integers(1, 4))
     # power laws in t, scaled arc by arc from 1e-135 to 1e135
     powers = rng.uniform(0.0, 1.0, (m, 1, n))
@@ -1007,7 +994,7 @@ def _fit_families(draw):
     if draw(st.booleans()):  # arcs that stop converging at some t, as solved ones do
         converged &= np.arange(len(grid)) < rng.integers(0, len(grid) + 1, (m, 1))
     pairs = list(itertools.combinations(range(m), 2))
-    return grid, points, converged, pairs, draw(st.integers(1, 8))
+    return points, converged, pairs, draw(st.integers(1, 8))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1018,16 +1005,15 @@ def test_stacked_tangency_fits_match_the_per_pair_oracle(family):
 
 def test_constant_distance_scale_warns_as_polyfit_does():
     # every point has norm 2, so the fit's x column is constant: rank 1
-    t = np.array(DEFAULT_T_GRID[:12])
-    angles = np.arange(12.0)
+    angles = np.arange(20.0)
     points = np.stack([
         2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1),
         2.0 * np.stack([np.cos(angles**1.5), np.sin(angles**1.5)], axis=1),
         2.0 * np.stack([np.cos(-angles), np.sin(-angles)], axis=1),
     ]).astype(complex)
-    fits = _assert_fits_match_the_oracle(t, points, np.ones((3, 12), dtype=bool), [(0, 1), (0, 2), (1, 2)])
+    fits = _assert_fits_match_the_oracle(points, np.ones((3, 20), dtype=bool), [(0, 1), (0, 2), (1, 2)])
     assert all(isinstance(fit, TangencyEstimate) for fit in fits)
-    a, b = _arcs(t, points[0], points[1])
+    a, b = _arcs(points[0], points[1])
     _, caught = _recorded(lambda: tangency_exponent(a, b))
     assert caught == [(np.exceptions.RankWarning, "Polyfit may be poorly conditioned")]
 
@@ -1042,7 +1028,7 @@ def test_a_failed_svd_lands_on_its_own_pair():
     points = (rng.standard_normal((4, 20, 3)) + 1j * rng.standard_normal((4, 20, 3))) * t[:, None]
     points[2, 15, 1] = math.inf
     pairs = list(itertools.combinations(range(4), 2))
-    fits = _assert_fits_match_the_oracle(t, points, np.ones((4, 20), dtype=bool), pairs)
+    fits = _assert_fits_match_the_oracle(points, np.ones((4, 20), dtype=bool), pairs)
     failed = {pair: _fit_words(fit) for pair, fit in zip(pairs, fits) if not isinstance(fit, TangencyEstimate)}
     assert failed == dict.fromkeys(
         [(0, 2), (1, 2), (2, 3)], (np.linalg.LinAlgError, "SVD did not converge in Linear Least Squares")
@@ -1239,7 +1225,7 @@ def test_an_infinite_arc_point_fails_its_fit_without_lapack_output(capfd):
     t = np.array(DEFAULT_T_GRID)
     points = (rng.standard_normal((2, 20, 3)) + 1j * rng.standard_normal((2, 20, 3))) * t[:, None]
     points[1, 15, 1] = math.inf
-    a, b = _arcs(t, points[0], points[1])
+    a, b = _arcs(points[0], points[1])
     with pytest.raises(np.linalg.LinAlgError, match=f"^{LSTSQ_FAILED}$"):
         tangency_exponent(a, b)
     assert capfd.readouterr() == ("", "")
@@ -1279,22 +1265,22 @@ def _oracle_write_arc_csv(path, arcs, seed):
 
 def test_write_arc_csv_matches_the_csv_writer_bytes(tmp_path, sphere):
     inf, nan = math.inf, math.nan
+    size = len(DEFAULT_T_GRID)
+    odd_points = (
+        (complex(1.0, -2.0), complex(-0.0, 0.0), complex(3.0, 1e22)),
+        (complex(nan, inf), complex(-inf, 5e-324), complex(-5e-324, 1.5e-310)),
+        (complex(0.1, 1 / 3), complex(-1e22, 123456789.0), complex(2.0**-1074, -1e308)),
+    )
     odd = ArcSample(
         s=LinkSample(s=(complex(nan, -0.0), complex(inf, -inf), complex(5e-324, 1e22)), residual=0.0),
         epsilon=complex(-0.0, 0.25),
-        t_grid=(2.0, 1e-300, 5e-324),
-        z_values=((0j,), (0j,), (0j,)),
-        points=(
-            (complex(1.0, -2.0), complex(-0.0, 0.0), complex(3.0, 1e22)),
-            (complex(nan, inf), complex(-inf, 5e-324), complex(-5e-324, 1.5e-310)),
-            (complex(0.1, 1 / 3), complex(-1e22, 123456789.0), complex(2.0**-1074, -1e308)),
-        ),
-        residuals=(nan, inf, -0.0),
-        converged=(True, False, False),
+        z_values=((0j,),) * size,
+        points=(odd_points * size)[:size],
+        residuals=((nan, inf, -0.0) * size)[:size],
+        converged=((True, False, False) * size)[:size],
         gram_determinant=0.0,
-        iteration_residuals=((), (), ()),
+        iteration_residuals=((),) * size,
     )
-    # the arcs of one verify_foliation call share a grid; the odd arc's differs
     report = verify_foliation(sphere, 0.5j, sample_link(sphere, 2, seed=0))
     arcs = [odd, *report.arcs, *report.reference_arcs, odd]
     for seed in (-3, 0, 12):
@@ -1302,4 +1288,4 @@ def test_write_arc_csv_matches_the_csv_writer_bytes(tmp_path, sphere):
         write_arc_csv(ours, arcs, seed)
         _oracle_write_arc_csv(theirs, arcs, seed)
         assert ours.read_bytes() == theirs.read_bytes()
-    assert ours.read_bytes().count(b"\r\n") == 1 + 2 * 3 + 4 * len(DEFAULT_T_GRID)
+    assert ours.read_bytes().count(b"\r\n") == 1 + 6 * size

@@ -1,7 +1,8 @@
-"""Weighted germ systems: validation, weight splitting, perturbation order,
+"""Weighted germ systems: validation, weight blocks, perturbation order,
 the obstruction locus, the hypothesis ledger, and the diagram-route
 analyzer."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,13 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germlab.germ import (
+    GermSystem,
     analyze,
     analyze_newton,
     delta,
     exponent_bound,
     germ_system,
     sigma,
-    weight_splitting,
 )
 from germlab.groebner import Budget
 from germlab.parse import poly_to_string
@@ -29,46 +30,32 @@ def ledger_map(report):
     return {e.key: e for e in report.hypothesis_ledger}
 
 
-# -- weight splitting --------------------------------------------------------
+# -- weight blocks -----------------------------------------------------------
 
 
-def test_weight_splitting_breakpoints():
-    s = weight_splitting([F("1/15"), F("2/15"), F("3/15")])
-    assert s.breakpoints == (1, 2, 3)
-    assert s.blocks == ((0,), (1,), (2,))
-    assert s.r1 == 1
-
-    s = weight_splitting([F("1/2"), F("1/2"), F("1/2")])
-    assert s.breakpoints == (3,)
-    assert s.r1 == 3
-
-    s = weight_splitting([F("1/3"), F("1/2"), F("1/2")])
-    assert s.breakpoints == (1, 3)
-    assert s.blocks == ((0,), (1, 2))
-
-
-def test_weight_splitting_requires_ascending():
-    with pytest.raises(ValueError):
-        weight_splitting([F("1/2"), F("1/3")])
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=F(1, 6), max_value=F(3, 2), max_denominator=6), min_size=1, max_size=6))
+def test_breakpoints_end_the_blocks_of_equal_weights(weights):
+    weights = tuple(sorted(weights))
+    # the oracle: the running total of the run lengths of equal weights
+    ends = tuple(itertools.accumulate(len(list(run)) for _, run in itertools.groupby(weights)))
+    names = tuple(f"x{i}" for i in range(len(weights)))
+    system = GermSystem(names, (), (), weights, ())
+    assert system.breakpoints == ends
+    assert system.breakpoints[-1] == system.nvars
 
 
 # -- system construction -----------------------------------------------------
 
 
-def test_germ_system_infers_weights():
-    g = germ_system(["x", "y", "z"], [P("z^5 + x^15 + x*y^7")])
-    assert g.weights == (F("1/15"), F("2/15"), F("1/5"))
-    assert g.degrees == (F(1),)
-    assert g.n == 2 and g.c == 1
-
-
 def test_germ_system_validation_errors():
+    zero = [P("0", "x y")]
     with pytest.raises(ValueError, match="ascend"):
-        germ_system(["x", "y"], [P("x*y", "x y")], None, [F("1/2"), F("1/3")])
+        germ_system(["x", "y"], [P("x*y", "x y")], zero, [F("1/2"), F("1/3")])
     with pytest.raises(ValueError, match="weighted-homogeneous"):
-        germ_system(["x", "y"], [P("x^2 + y^3", "x y")], None, [F("1/2"), F("1/2")])
+        germ_system(["x", "y"], [P("x^2 + y^3", "x y")], zero, [F("1/2"), F("1/2")])
     with pytest.raises(ValueError, match="total degree < 2"):
-        germ_system(["x", "y"], [P("x", "x y")], None, [F("1/2"), F("1/2")])
+        germ_system(["x", "y"], [P("x", "x y")], zero, [F("1/2"), F("1/2")])
     with pytest.raises(ValueError, match="below the principal degree"):
         germ_system(
             ["x", "y"],
@@ -77,9 +64,17 @@ def test_germ_system_validation_errors():
             [F("1/2"), F("1/2")],
         )
     with pytest.raises(ValueError, match="fewer equations"):
-        germ_system(["x", "y"], [P("x^2", "x y"), P("y^2", "x y")])
-    with pytest.raises(ValueError, match="underdetermined"):
-        germ_system(["x", "y", "z"], [P("x^2")])
+        germ_system(["x", "y"], [P("x^2", "x y"), P("y^2", "x y")], zero * 2, [F("1/2"), F("1/2")])
+
+
+def test_germ_system_rejects_weights_and_perturbations_over_another_variable_count():
+    f, zero = [P("x^2 + y^2 + x^2*z")], [P("0")]
+    with pytest.raises(ValueError, match="weight/variable count mismatch"):
+        germ_system(["x", "y", "z"], f, zero, [F(1, 2)] * 2)
+    with pytest.raises(ValueError, match="weight/variable count mismatch"):
+        germ_system(["x", "y", "z"], [P("x^2 + y^2 + z^2")], zero, [F(1, 2)] * 4)
+    with pytest.raises(ValueError, match="perturbation/variable count mismatch"):
+        germ_system(["x", "y", "z"], [P("x^2 + y^2 + z^2")], [P("x^3", "x y")], [F(1, 2)] * 3)
 
 
 def test_same_order_perturbation_is_allowed(briancon_speder):
@@ -91,7 +86,7 @@ def test_same_order_perturbation_is_allowed(briancon_speder):
 
 
 def test_delta_and_bound_unperturbed():
-    g = germ_system(["z", "x", "y"], [P("z^3 + x^2 + y^2", "z x y")], None, [F("1/3"), F("1/2"), F("1/2")])
+    g = germ_system(["z", "x", "y"], [P("z^3 + x^2 + y^2", "z x y")], [P("0")], [F("1/3"), F("1/2"), F("1/2")])
     assert delta(g) is None
     assert exponent_bound(g) == F("3/2")  # w_2 / w_1
 
@@ -127,7 +122,7 @@ def test_sigma_briancon_speder_exact(briancon_speder):
 
 
 def test_sigma_equal_weights_has_single_component():
-    g = germ_system(["x", "y", "z"], [P("x^2 + y^2 + z^2")])
+    g = germ_system(["x", "y", "z"], [P("x^2 + y^2 + z^2")], [P("0")], [F(1, 2)] * 3)
     locus = sigma(g)
     assert [c.label for c in locus.components] == ["Sing[X0]"]
     assert locus.components[0].dimension == 0
@@ -149,7 +144,7 @@ def test_sigma_equal_weights_property(seed, nvars, degree):
             mono[rng.randrange(nvars)] += 1
         terms[tuple(mono)] = QI(rng.choice([-2, -1, 1, 2, 3]))
     f = Poly(nvars, terms)
-    g = germ_system(names, [f], None, [F(1, degree)] * nvars)
+    g = germ_system(names, [f], [Poly.zero(nvars)], [F(1, degree)] * nvars)
     locus = sigma(g)
     assert [c.label for c in locus.components] == ["Sing[X0]"]
 
@@ -158,7 +153,7 @@ def test_sigma_equal_weights_property(seed, nvars, degree):
 
 
 def test_analyze_a1_is_silent():
-    g = germ_system(["z", "x", "y"], [P("z^2 + x^2 + y^2", "z x y")])
+    g = germ_system(["z", "x", "y"], [P("z^2 + x^2 + y^2", "z x y")], [P("0")], [F(1, 2)] * 3)
     rep = analyze(g)
     assert rep.verdict == "NO_OBSTRUCTION_FOUND"
     assert rep.l == 2
@@ -172,7 +167,7 @@ def test_analyze_ak_finds_the_fast_cycle(k):
     g = germ_system(
         ["z", "x", "y"],
         [P(f"z^{k + 1} + x^2 + y^2", "z x y")],
-        None,
+        [P("0")],
         [F(1, k + 1), F("1/2"), F("1/2")],
     )
     rep = analyze(g)
@@ -191,7 +186,7 @@ def test_analyze_quadric_cone_ledger():
     g = germ_system(
         names,
         [P("x1*x4 - x2*x3", "x1 x2 x3 x4")],
-        None,
+        [P("0", "x1 x2 x3 x4")],
         [F("1/5"), F("2/5"), F("3/5"), F("4/5")],
     )
     rep = analyze(g)
@@ -214,7 +209,7 @@ def test_analyze_quadric_cone_with_asserted_milnor_fibre():
     g = germ_system(
         names,
         [P("x1*x4 - x2*x3", "x1 x2 x3 x4")],
-        None,
+        [P("0", "x1 x2 x3 x4")],
         [F("1/5"), F("2/5"), F("3/5"), F("4/5")],
     )
     rep = analyze(g, {"milnor-fibre"})
@@ -247,7 +242,7 @@ def test_analyze_surface_branch_fires_only_with_assumption():
     g = germ_system(
         ["a", "b", "c"],
         [P("a^2*c - b^3", "a b c")],
-        None,
+        [P("0", "a b c")],
         [F("1/4"), F("1/3"), F("1/2")],
     )
     plain = analyze(g)
@@ -270,7 +265,7 @@ def test_surface_assumption_ignored_off_dimension():
     g = germ_system(
         names,
         [P("x1*x4 - x2*x3", "x1 x2 x3 x4")],
-        None,
+        [P("0", "x1 x2 x3 x4")],
         [F("1/5"), F("2/5"), F("3/5"), F("4/5")],
     )
     rep = analyze(g, {"noncontractible-component"})
@@ -279,13 +274,14 @@ def test_surface_assumption_ignored_off_dimension():
 
 
 def test_analyze_determinism():
-    g = germ_system(["z", "x", "y"], [P("z^3 + x^2 + y^2", "z x y")])
+    g = germ_system(["z", "x", "y"], [P("z^3 + x^2 + y^2", "z x y")], [P("0")], [F(1, 3), F(1, 2), F(1, 2)])
     a, b = analyze(g, seed=3), analyze(g, seed=3)
     assert a == b
 
 
 def test_analyze_budget_exhaustion_is_unchecked_not_wrong():
-    g = germ_system(["z", "x", "y"], [P("z^3 + x^2 + y^2", "z x y")])
+    weights = [F(1, 3), F(1, 2), F(1, 2)]
+    g = germ_system(["z", "x", "y"], [P("z^3 + x^2 + y^2", "z x y")], [P("0")], weights)
     budget = Budget(5)
     rep = analyze(g, budget=budget)
     assert rep.verdict == "HYPOTHESES_UNVERIFIED"
@@ -302,7 +298,7 @@ def test_analyze_budget_exhaustion_is_unchecked_not_wrong():
     assert budget.used == 6
     # an entry's statement does not depend on whether it ran, here or on a
     # perturbed germ, where (d) is not attempted either
-    perturbed = germ_system(["z", "x", "y"], [P("z^3 + x^2 + y^2", "z x y")], [P("z^2*x", "z x y")])
+    perturbed = germ_system(["z", "x", "y"], [P("z^3 + x^2 + y^2", "z x y")], [P("z^2*x", "z x y")], weights)
     for system in (g, perturbed):
         budgeted = {e.key: e for e in analyze(system, budget=Budget(5)).hypothesis_ledger}
         unbudgeted = {e.key: e for e in analyze(system).hypothesis_ledger}

@@ -128,6 +128,15 @@ def test_weight_inference_failures_are_germ_file_errors():
     # underdetermined: y never appears
     with pytest.raises(GermFileError, match="underdetermined.*y"):
         load_system({"variables": ["x", "y"], "equations": ["x^2"]})
+    with pytest.raises(GermFileError, match="^cannot infer weights from a zero equation$"):
+        load_system({"variables": ["x", "y", "z"], "split": {"principal": ["0"]}})
+
+
+def test_load_system_infers_weights():
+    system = load_system({"variables": ["x", "y", "z"], "equations": ["z^5 + x^15 + x*y^7"]}).system
+    assert system.weights == (F("1/15"), F("2/15"), F("1/5"))
+    assert system.degrees == (F(1),)
+    assert system.n == 2 and system.c == 1
 
 
 def test_cli_split_principal_without_weights_gets_split_advice(capsys, tmp_path):
@@ -700,6 +709,8 @@ def test_cli_foliate_rejects_an_epsilon_no_float_holds(capsys, tmp_path, epsilon
 
 HUGE = "1" + "0" * 400  # 10^400, past the float range
 HUGE_WEIGHT = {"variables": ["x", "y", "z"], "equations": ["x^2+y^2+z^2"], "weights": ["1e400", "1", "1"]}
+# 10^-400 is 0.0 as a float: every arc would stand still
+TINY_WEIGHTS = {"variables": ["x", "y", "z"], "equations": ["x^2+y^2+z^2"], "weights": ["1e-400"] * 3}
 HUGE_COEFFICIENT = {"variables": ["x", "y", "z"], "equations": [f"x^2+y^2+{HUGE}*z^2"]}
 
 
@@ -707,12 +718,14 @@ HUGE_COEFFICIENT = {"variables": ["x", "y", "z"], "equations": [f"x^2+y^2+{HUGE}
     "data, argv, message",
     [
         (HUGE_WEIGHT, ["foliate", "--samples", "2"], f"germlab: weight {HUGE} is too large for a float\n"),
+        (TINY_WEIGHTS, ["foliate", "--samples", "4"],
+         f"germlab: weight 1/{HUGE} is too small for a float: it rounds to 0\n"),
         (HUGE_COEFFICIENT, ["foliate", "--samples", "2"], f"germlab: coefficient {HUGE} is too large for a float\n"),
         # the torus search evaluates the face's gradient: 2 * 10^400 * z
         (HUGE_COEFFICIENT, ["newton", "--probabilistic-nnd", "--budget", "5"],
          f"germlab: coefficient 2{HUGE[1:]} is too large for a float\n"),
     ],
-    ids=["foliate-weight", "foliate-coefficient", "newton-coefficient"],
+    ids=["foliate-weight", "foliate-tiny-weight", "foliate-coefficient", "newton-coefficient"],
 )
 def test_cli_numeric_commands_reject_values_past_the_float_range(
     capsys, tmp_path, monkeypatch, data, argv, message

@@ -13,7 +13,14 @@ import numpy as np
 
 import germlab
 from germlab import report
-from germlab.foliation import ArcSample, FoliationReport, LinkSample, PairDichotomy, TangencyEstimate
+from germlab.foliation import (
+    DEFAULT_T_GRID,
+    ArcSample,
+    FoliationReport,
+    LinkSample,
+    PairDichotomy,
+    TangencyEstimate,
+)
 from germlab.germ import AnalysisReport, Certificates, FaceVerdict, HypothesisEntry, NewtonAnalysis
 from germlab.germfile import load_raw, load_system
 from germlab.newton import Face, NewtonDiagram, NondegeneracyReport
@@ -35,12 +42,12 @@ def expected(text: str) -> str:
     return text.replace('"version": "VERSION"', f'"version": "{germlab.__version__}"')
 
 
-def arc(distance: float, gram: float, converged: tuple[bool, ...]) -> ArcSample:
+def arc(distance: float, gram: float, converged_count: int) -> ArcSample:
     sample = LinkSample(s=(1j, 0j), residual=0.0, distance_to_sigma=distance)
-    n = len(converged)
+    n = len(DEFAULT_T_GRID)
+    converged = (True,) * converged_count + (False,) * (n - converged_count)
     return ArcSample(
-        sample, 0.5 + 0j, tuple(0.5**k for k in range(n)), ((0j,),) * n, ((1j, 0j),) * n,
-        (0.0,) * n, converged, gram, ((0.0,),) * n,
+        sample, 0.5 + 0j, ((0j,),) * n, ((1j, 0j),) * n, (0.0,) * n, converged, gram, ((0.0,),) * n,
     )
 
 
@@ -60,7 +67,7 @@ def test_foliate_floats_render_nonfinite_as_strings():
         separation_ok=False,
         coordinate_planes_ok=True,
         converged_fraction=np.float64(0.75),
-        arcs=(arc(math.inf, np.float64(-math.inf), (True, True, False)), arc(np.float64(0.125), math.nan, (False,))),
+        arcs=(arc(math.inf, np.float64(-math.inf), 2), arc(np.float64(0.125), math.nan, 0)),
         reference_arcs=(),
     )
     body = report.foliate_body(load_system(GERM), result, F(-1, 3), 4, "arcs.csv", ["RuntimeWarning: overflow"])
@@ -116,13 +123,13 @@ FOLIATE = '''\
         "converged_count": 2,
         "distance_to_sigma": "inf",
         "gram_determinant": "-inf",
-        "grid_size": 3
+        "grid_size": 20
       },
       {
         "converged_count": 0,
         "distance_to_sigma": 0.125,
         "gram_determinant": "nan",
-        "grid_size": 1
+        "grid_size": 20
       }
     ],
     "checks": {

@@ -3,7 +3,8 @@
 ``bench/tracing.py`` rebinds germlab functions and methods by name and reads
 some of their arguments by position.  A rename or a reordered signature in
 ``src/`` would not fail a ``--trace 1`` run; its per-layer numbers would just
-read zero.  These tests import the tracer's tables without installing it.
+read zero.  These tests import the tracer's tables without installing it, and
+feed its observers what the real calls return.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from germlab import foliation
+from germlab import foliation, groebner
+from germlab.germ import germ_system, singular_locus_ideal
+
+from conftest import F, P
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -43,3 +47,35 @@ def test_the_arguments_the_tracer_reads_are_where_it_reads_them():
     assert list(inspect.signature(foliation.write_arc_csv).parameters)[1] == "arcs"
     assert "count" not in inspect.signature(foliation.sigma_link_cloud).parameters
     assert foliation.SIGMA_CLOUD_POINTS == 200
+
+
+def test_the_observers_count_what_the_real_calls_return(tmp_path):
+    # the observers read an arc's t_grid, iteration_residuals and converged
+    # flags, and a basis's stats; a hand-made span list stands in for install
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    sphere = germ_system(["x", "y", "z"], [P("x^2 + y^2 + z^2")], [P("z^3")], [F(1, 2)] * 3)
+    sample = foliation.sample_link(sphere, 1, seed=0)[0]
+    arc = foliation.deform_arc(sphere, 0.5, sample)
+    gens = singular_locus_ideal([P("z^5 + x^15 + x*y^7")])
+    basis = groebner.buchberger(gens)
+    tracer.spans[:] = [
+        ["groebner.buchberger", 0.0, 1.0, -1, "run"],
+        ["foliation.deform_arc", 1.0, 2.0, -1, "run"],
+        ["foliation.write_arc_csv", 2.0, 3.0, -1, "run"],
+    ]
+    tracer.observers["groebner.buchberger"](tracer.spans[0], (gens,), {}, basis)
+    tracer.observers["foliation.deform_arc"](tracer.spans[1], (sphere, 0.5, sample), {}, arc)
+    tracer.observers["foliation.write_arc_csv"](tracer.spans[2], (tmp_path / "arcs.csv", [arc, arc], 0), {}, None)
+
+    grid = len(foliation.DEFAULT_T_GRID)
+    assert tracer.counts["csv_rows"] == 2 * grid == 40
+    assert tracer.counts["arc_grid_points"] == grid
+    assert tracer.counts["arc_converged"] == sum(arc.converged) == grid
+    iterations = sum(len(run) for run in arc.iteration_residuals)
+    assert tracer.counts["arc_newton_iterations"] == iterations > 0
+    assert dict(tracer.stats["run"]) == {
+        metric: basis.stats[key] for key, metric in tracing.STATS_KEYS.items()
+    }
+    assert tracer.stats["run"]["s_pairs"] > 0
+    assert len(tracer.basis_inputs["run"]) == 1
