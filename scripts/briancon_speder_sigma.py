@@ -25,6 +25,7 @@ import numpy as np
 
 from germlab.foliation import LinkSample, deform_arc, sample_link, sigma_link_cloud
 from germlab.germ import analyze, germ_system, sigma
+from germlab.groebner import Budget
 from germlab.parse import parse_poly, poly_to_string
 
 
@@ -51,6 +52,7 @@ def main() -> int:
 
     system = build_system()
     names = list(system.variables)
+    budget = Budget()  # one step cap for every exact computation below
 
     print("weights:", ", ".join(f"{v} -> {w}" for v, w in zip(names, system.weights)))
     print("weight blocks end at positions:", list(system.breakpoints))
@@ -58,7 +60,7 @@ def main() -> int:
     print()
 
     print("obstruction locus Sigma:")
-    locus = sigma(system)
+    locus = sigma(system, budget)
     for comp in locus.components:
         basis = (
             ", ".join(poly_to_string(g, names) for g in comp.basis.generators)
@@ -70,7 +72,7 @@ def main() -> int:
     print()
 
     print("analyzer verdict:")
-    report = analyze(system, seed=args.seed)
+    report = analyze(system, frozenset(), args.seed, budget)
     for entry in report.hypothesis_ledger:
         print(f"  ({entry.key}) {entry.status}: {entry.statement}")
     print(f"  -> {report.verdict}")
@@ -79,7 +81,7 @@ def main() -> int:
     print()
 
     print(f"arc experiment at epsilon = {args.epsilon}:")
-    cloud = sigma_link_cloud(system, seed=args.seed)
+    cloud = sigma_link_cloud(system, seed=args.seed, budget=budget)
     samples = sample_link(system, 12, seed=args.seed, sigma_cloud=cloud)
     samples.sort(key=lambda s: s.distance_to_sigma)
     for tag, sample in (("nearest", samples[0]), ("farthest", samples[-1])):

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from germlab.foliation import sample_link, sigma_link_cloud, tangency_exponent, verify_foliation
 from germlab.germfile import load_system
+from germlab.groebner import Budget
 
 DEFAULT_GERM = {
     "variables": ["x", "y", "z"],
@@ -49,7 +50,7 @@ def main() -> int:
     loaded = load_system(data)
     system = loaded.system
 
-    cloud = sigma_link_cloud(system, seed=args.seed)
+    cloud = sigma_link_cloud(system, seed=args.seed, budget=Budget())
     samples = sample_link(system, args.samples, seed=args.seed, sigma_cloud=cloud)
     if len(samples) < 2:
         print(f"only {len(samples)} link samples found; nothing to sweep", file=sys.stderr)

@@ -12,8 +12,8 @@ Layers, bottom up:
 * :mod:`germlab.orders`, :mod:`germlab.groebner` — monomial orders, Buchberger,
   dimensions, saturation, local standard bases, Milnor numbers.
 * :mod:`germlab.newton` — Newton polyhedra, faces, non-degeneracy.
-* :mod:`germlab.germ` — weight splitting, obstruction locus, hypothesis
-  ledger, verdicts.
+* :mod:`germlab.germ` — the germ system and its weight blocks, obstruction
+  locus, hypothesis ledger, verdicts.
 * :mod:`germlab.foliation` — link sampling, arc deformation, tangency fits.
 * :mod:`germlab.germfile`, :mod:`germlab.report`, :mod:`germlab.cli` — file
   formats and the command line front end.

@@ -148,9 +148,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _budget(args) -> Budget | None:
+def _budget(args) -> Budget:
+    """The run's one step budget: ``--budget N`` steps, else the default."""
     if args.budget is None:
-        return None
+        return Budget()
     if args.budget <= 0:
         raise GermFileError("--budget must be a positive step count")
     return Budget(args.budget)

@@ -426,7 +426,7 @@ def sigma_link_cloud(
     system: GermSystem,
     *,
     seed: int = 0,
-    budget: Budget | None = None,
+    budget: Budget,
 ) -> list[tuple[complex, ...]]:
     """A numeric point cloud on Link[Sigma], for distance estimates.
 

@@ -47,6 +47,7 @@ from germlab.newton import (
     face_weight_report,
     newton_diagram,
 )
+from germlab.orders import grevlex
 from germlab.poly import NumericEvaluator, Poly, jacobian, jacobian_evaluator
 from germlab.qi import QI
 
@@ -194,7 +195,7 @@ def singular_locus_ideal(generators: list[Poly]) -> list[Poly]:
     return list(generators) + minors(jacobian(generators), k)
 
 
-def variety_dimension(gens: list[Poly], budget: Budget | None = None, local: bool = False) -> int:
+def variety_dimension(gens: list[Poly], budget: Budget, local: bool = False) -> int:
     """Krull dimension of the zero set of ``gens``: the cone dimension on
     the global route, the germ dimension at the origin on the local route.
     -1 for the empty set (locally: origin not in the set)."""
@@ -205,7 +206,7 @@ def variety_dimension(gens: list[Poly], budget: Budget | None = None, local: boo
     if local:
         basis = local_standard_basis(nonzero, budget)
     else:
-        basis = buchberger(nonzero, budget=budget)
+        basis = buchberger(nonzero, grevlex(nvars), budget)
     return krull_dimension(basis)
 
 
@@ -229,7 +230,7 @@ class ObstructionLocus:
     is_origin_only: bool | None
 
 
-def sigma(system: GermSystem, budget: Budget | None = None) -> ObstructionLocus:
+def sigma(system: GermSystem, budget: Budget) -> ObstructionLocus:
     """The obstruction locus: the union of the singular locus of the
     principal germ and of its intersections with the coordinate flags of the
     weight blocks (one slice per block end short of the full set).
@@ -237,7 +238,6 @@ def sigma(system: GermSystem, budget: Budget | None = None) -> ObstructionLocus:
     A budget-exhausted component is marked "undetermined"; the aggregate
     flags become unknowable (None) unless a computed component already
     decides them."""
-    budget = budget or Budget()
     nvars = system.nvars
     tasks: list[tuple[str, list[Poly]]] = [("Sing[X0]", list(system.principal))]
     for r_j in system.breakpoints[:-1]:
@@ -249,7 +249,7 @@ def sigma(system: GermSystem, budget: Budget | None = None) -> ObstructionLocus:
     for label, gens in tasks:
         sing = singular_locus_ideal(gens)
         try:
-            basis = buchberger(sing, budget=budget)
+            basis = buchberger(sing, grevlex(nvars), budget)
             components.append(SigmaComponent(label, sing, basis, krull_dimension(basis), "computed"))
         except BudgetExhausted:
             components.append(SigmaComponent(label, sing, None, None, "undetermined"))
@@ -275,8 +275,8 @@ def sigma(system: GermSystem, budget: Budget | None = None) -> ObstructionLocus:
 def is_reduced_ci(
     gens: list[Poly],
     expected_codim: int,
+    budget: Budget,
     local: bool = False,
-    budget: Budget | None = None,
 ) -> tuple[bool, str]:
     """Reduced complete intersection test: the zero set has the expected
     dimension and the singular locus has strictly smaller dimension.  (For
@@ -295,7 +295,7 @@ def is_reduced_ci(
     return False, f"singular locus has dimension {ds} >= germ dimension {expected_dim}"
 
 
-def is_icis(gens: list[Poly], local: bool = False, budget: Budget | None = None) -> tuple[bool, str]:
+def is_icis(gens: list[Poly], budget: Budget, local: bool = False) -> tuple[bool, str]:
     """Isolated-singularity test: the singular locus is at most the origin."""
     ds = variety_dimension(singular_locus_ideal(gens), budget, local=local)
     if ds <= 0:
@@ -373,9 +373,9 @@ def _random_slice_values(seed: int) -> list[QI]:
 
 def analyze(
     system: GermSystem,
-    assumptions: frozenset[str] | set[str] = frozenset(),
-    seed: int = 0,
-    budget: Budget | None = None,
+    assumptions: frozenset[str] | set[str],
+    seed: int,
+    budget: Budget,
 ) -> AnalysisReport:
     """Run the hypothesis ledger and deliver the one-sided verdict.
 
@@ -403,7 +403,6 @@ def analyze(
     "perturbation trivial" (d) need no budget and bypass the runner."""
     if system.n < 2:
         raise ValueError("analysis requires a germ of dimension at least 2")
-    budget = budget or Budget()
     assumptions = frozenset(assumptions)
     notes: list[str] = []
     ledger: list[HypothesisEntry] = []
@@ -439,7 +438,7 @@ def analyze(
         ledger.append(HypothesisEntry(key, statement, status, evidence))
 
     def reduced(gens: list[Poly], codim: int) -> tuple[str, str]:
-        ok, ev = is_reduced_ci(gens, codim, local=perturbed, budget=budget)
+        ok, ev = is_reduced_ci(gens, codim, budget, local=perturbed)
         return ("verified" if ok else "failed"), ev
 
     # (a) X reduced; (b) slice reduced CI of dimension n-1
@@ -451,7 +450,7 @@ def analyze(
     # (c) Milnor-fibre hypothesis (sufficient condition, else user-asserted)
     def milnor_fibre() -> tuple[str, str]:
         hint = "(pass the milnor-fibre assumption to override)"
-        icis_ok, icis_ev = is_icis(slice_gens, local=perturbed, budget=budget)
+        icis_ok, icis_ev = is_icis(slice_gens, budget, local=perturbed)
         if not icis_ok:
             return "failed", f"slice is not ICIS ({icis_ev}); the Milnor-fibre property is not automatic here {hint}"
         # every section is computed, so the budget charged does not depend on which one fails
@@ -595,7 +594,7 @@ class NewtonAnalysis:
 
 def analyze_newton(
     f: Poly,
-    budget: Budget | None = None,
+    budget: Budget,
     probabilistic: bool = False,
     seed: int = 0,
 ) -> NewtonAnalysis:
@@ -609,7 +608,6 @@ def analyze_newton(
     ``criterion_applicable`` is False for single-top-face diagrams (the
     weighted-homogeneous analyzer is the right tool there) and when overall
     nondegeneracy fails; per-face weight facts are still reported."""
-    budget = budget or Budget()
     diagram = newton_diagram(f)
     if not diagram.convenient:
         raise ValueError("the Newton route requires a convenient diagram")

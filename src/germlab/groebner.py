@@ -6,16 +6,17 @@ basis.
 
 Design points, fixed by the package contract:
 
-* deterministic: the pair queue uses the normal selection strategy (minimal
-  lcm total degree, ties by pair index), kept as a heap keyed by
-  ``(deg lcm, i, j)``; output bases are interreduced, monic, and sorted by
-  descending leading monomial, so identical inputs give identical bases,
-  always;
+* deterministic: the pair queue is a heap keyed by ``(deg lcm, i, j)``,
+  so it pops the least lcm total degree and breaks a degree tie by pair
+  index, not by the monomial order (this is not the normal strategy);
+  output bases are interreduced, monic, and sorted by descending leading
+  monomial, so identical inputs give identical bases, always;
 * both classical Buchberger criteria (coprime leading monomials; chain
   criterion) are applied before any reduction;
 * each basis element's leading data is found once, when it joins the basis
   (or is interreduced), and ``division`` reads it from there;
-* every long-running loop draws from an explicit step budget and raises
+* every long-running loop draws from the step budget its caller passes
+  (no function here makes one of its own) and raises
   :class:`BudgetExhausted` instead of spinning - callers convert that into an
   "undetermined" report entry, never into a silent wrong answer.  Each basis
   or staircase count opens a :meth:`Budget.stage`; the outermost open one
@@ -59,7 +60,8 @@ class BudgetExhausted(RuntimeError):
 
 
 class Budget:
-    """A mutable step counter shared across one logical computation.
+    """A mutable step counter shared across one run (the CLI builds one per
+    command, and every exact function charges the one it is given).
 
     Once a charge takes ``used`` past ``limit``, ``used`` stays at
     ``limit + 1`` and every charge raises :class:`BudgetExhausted` with that
@@ -132,7 +134,7 @@ def division(
     f: Poly,
     divisors: list[Poly],
     order: MonomialOrder,
-    budget: Budget | None = None,
+    budget: Budget,
     *,
     heads: list[tuple] | None = None,
 ) -> Poly:
@@ -149,7 +151,6 @@ def division(
     and each reduction or remainder step charges one budget step."""
     if not order.is_global:
         raise ValueError("division requires a global monomial order")
-    budget = budget or Budget()
     if heads is None:
         heads = [_head(d, order) for d in divisors]
     cached_key = lru_cache(maxsize=None)(order.key)
@@ -179,7 +180,7 @@ def division(
     return Poly(f.nvars, remainder_terms)
 
 
-def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder, budget: Budget | None = None) -> Poly:
+def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder, budget: Budget) -> Poly:
     return division(f, basis, order, budget)
 
 
@@ -192,22 +193,17 @@ def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     )
 
 
-def buchberger(
-    gens: list[Poly],
-    order: MonomialOrder | None = None,
-    budget: Budget | None = None,
-) -> GroebnerBasis:
-    """Buchberger with the normal strategy and both classical criteria.
+def buchberger(gens: list[Poly], order: MonomialOrder, budget: Budget) -> GroebnerBasis:
+    """Buchberger with both classical criteria, popping pairs by
+    ``(deg lcm, i, j)``: a degree tie goes to the pair index, not the order.
 
     Returns the reduced basis: interreduced, monic, generators sorted by
     descending leading monomial.  The unit ideal comes back as ``[1]``."""
     if not gens:
         raise ValueError("empty generator list (the zero ideal has no basis here)")
     nvars = gens[0].nvars
-    order = order or grevlex(nvars)
     if not order.is_global:
         raise ValueError("buchberger requires a global order; use local_standard_basis")
-    budget = budget or Budget()
 
     basis: list[Poly] = []
     for f in gens:
@@ -297,9 +293,8 @@ def _interreduce(basis: list[Poly], order: MonomialOrder, budget: Budget) -> lis
     return out
 
 
-def is_groebner_basis(basis: list[Poly], order: MonomialOrder, budget: Budget | None = None) -> bool:
+def is_groebner_basis(basis: list[Poly], order: MonomialOrder, budget: Budget) -> bool:
     """Audit: every S-polynomial of basis pairs reduces to zero."""
-    budget = budget or Budget()
     for i, j in combinations(range(len(basis)), 2):
         s = s_polynomial(basis[i], basis[j], order)
         if not normal_form(s, basis, order, budget).is_zero():
@@ -307,7 +302,7 @@ def is_groebner_basis(basis: list[Poly], order: MonomialOrder, budget: Budget | 
     return True
 
 
-def ideal_membership(f: Poly, gb: GroebnerBasis, budget: Budget | None = None) -> bool:
+def ideal_membership(f: Poly, gb: GroebnerBasis, budget: Budget) -> bool:
     """f in the ideal iff its normal form vanishes (global bases only)."""
     if not gb.order.is_global:
         raise ValueError("membership is implemented for global bases only")
@@ -363,13 +358,12 @@ def krull_dimension(gb: GroebnerBasis) -> int:
     return nvars - best
 
 
-def quotient_dimension(gb: GroebnerBasis, budget: Budget | None = None) -> int | None:
+def quotient_dimension(gb: GroebnerBasis, budget: Budget) -> int | None:
     """Number of standard monomials (the staircase) of the leading ideal, or
     None when infinite.  Finite iff the leading ideal contains a pure power of
     every variable; that test decides both the global and the local case."""
     if gb.is_unit_ideal():
         return 0
-    budget = budget or Budget()
     nvars = gb.order.nvars
     lts = gb.leading_monomials()
     for j in range(nvars):
@@ -397,12 +391,11 @@ def quotient_dimension(gb: GroebnerBasis, budget: Budget | None = None) -> int |
 # saturation by elimination
 
 
-def saturation(gens: list[Poly], g: Poly, budget: Budget | None = None) -> GroebnerBasis:
+def saturation(gens: list[Poly], g: Poly, budget: Budget) -> GroebnerBasis:
     """Groebner basis (grevlex) of the saturation (gens) : g^infinity, via the
     extra-variable trick: eliminate t from gens + (1 - t*g)."""
     if g.is_zero():
         raise ValueError("cannot saturate by zero")
-    budget = budget or Budget()
     nvars = gens[0].nvars
     ext = [f.insert_variable(nvars) for f in gens]
     g_ext = g.insert_variable(nvars)
@@ -478,7 +471,7 @@ def dehomogenize(f: Poly) -> Poly:
     return f.substitute_constant(f.nvars - 1, QI.one()).drop_variable(f.nvars - 1)
 
 
-def local_standard_basis(gens: list[Poly], budget: Budget | None = None) -> GroebnerBasis:
+def local_standard_basis(gens: list[Poly], budget: Budget) -> GroebnerBasis:
     """Standard basis of the ideal in the localization at the origin, with
     respect to the anti-graded revlex order.
 
@@ -494,7 +487,6 @@ def local_standard_basis(gens: list[Poly], budget: Budget | None = None) -> Groe
     local = local_antigraded(nvars)
     if any(not f.constant_term().is_zero() for f in gens):
         return GroebnerBasis([Poly.constant(nvars, 1)], local, {"unit": True})
-    budget = budget or Budget()
     with budget.stage("local standard basis"):
         gb = buchberger([homogenize(f) for f in gens], homogenized_local(nvars + 1), budget)
     deh = [dehomogenize(f) for f in gb.generators]
@@ -504,7 +496,7 @@ def local_standard_basis(gens: list[Poly], budget: Budget | None = None) -> Groe
     return GroebnerBasis(result, local, dict(gb.stats))
 
 
-def milnor_number(f: Poly, budget: Budget | None = None) -> int | None:
+def milnor_number(f: Poly, budget: Budget) -> int | None:
     """Milnor number of a hypersurface germ: the local quotient dimension of
     the Jacobian ideal.  None means the singularity is not isolated.
 
@@ -523,7 +515,6 @@ def milnor_number(f: Poly, budget: Budget | None = None) -> int | None:
     partials = [f.partial(j) for j in range(f.nvars)]
     if all(p.is_zero() for p in partials):
         return None
-    budget = budget or Budget()
     exponents = [min((m[j] for m in f.terms if m[j] == sum(m)), default=0) for j in range(f.nvars)]
     if all(exponents):
         f_o = f.split_by_weight([Fraction(1, a) for a in exponents])[0]

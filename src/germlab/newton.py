@@ -264,7 +264,7 @@ def _torus_search(f_sigma: Poly, seed: int = 0) -> bool:
 
 def is_newton_nondegenerate(
     f: Poly,
-    budget: Budget | None = None,
+    budget: Budget,
     probabilistic: bool = False,
     seed: int = 0,
 ) -> NondegeneracyReport:
@@ -276,12 +276,12 @@ def is_newton_nondegenerate(
     ``probabilistic`` is set, in which case a random torus search substitutes
     and the face is marked with method "probabilistic" (search finds a
     critical point -> degenerate; finds none -> nondegenerate by sampling
-    only).  All faces charge the one budget (a fresh default one when None is
-    given), so once it runs out every later face is exhausted too."""
+    only).  All faces charge the one budget, so once it runs out every later
+    face is exhausted too."""
     diagram = newton_diagram(f)
     if not diagram.convenient:
         raise ValueError("non-degeneracy check requires a convenient diagram")
-    return face_nondegeneracy(f, diagram, budget or Budget(), probabilistic, seed)
+    return face_nondegeneracy(f, diagram, budget, probabilistic, seed)
 
 
 def face_nondegeneracy(

@@ -38,6 +38,7 @@ from germlab.groebner import (
     local_standard_basis,
     milnor_number,
 )
+from germlab.orders import grevlex
 from germlab.parse import parse_poly
 from germlab.poly import NumericEvaluator, Poly, jacobian
 from germlab.qi import QI
@@ -101,7 +102,7 @@ def test_criterion_02_equal_weights_single_component():
         system = germ_system(
             names[:nvars], [f], [Poly.zero(nvars)], [Fraction(1, degree)] * nvars
         )
-        locus = sigma(system)
+        locus = sigma(system, Budget())
         labels = [c.label for c in locus.components]
         assert labels == ["Sing[X0]"], f"trial {trial}: {labels}"
 
@@ -145,10 +146,10 @@ def test_criterion_05_milnor_numbers_dual_route():
     for a, b in itertools.product(range(2, 6), repeat=2):
         started = time.monotonic()
         f = P(f"x^{a} + y^{b}", "x y")
-        mu = milnor_number(f)
+        mu = milnor_number(f, Budget())
         # independent route: brute-force staircase count over the leading
         # monomials of the Jacobian ideal's local standard basis
-        basis = local_standard_basis([f.partial(j) for j in range(f.nvars)])
+        basis = local_standard_basis([f.partial(j) for j in range(f.nvars)], Budget())
         leading = [leading_monomial(g, basis.order) for g in basis.generators]
         staircase = _brute_force_staircase_count(leading)
         elapsed = time.monotonic() - started
@@ -158,7 +159,7 @@ def test_criterion_05_milnor_numbers_dual_route():
 
 
 def test_criterion_06_newton_face_weight_flags():
-    flagged = analyze_newton(P("x^2 + y^3 + z^7"))
+    flagged = analyze_newton(P("x^2 + y^3 + z^7"), Budget())
     assert len(flagged.face_verdicts) == 1  # one top face
     verdict = flagged.face_verdicts[0]
     assert verdict.certificate is True
@@ -167,7 +168,7 @@ def test_criterion_06_newton_face_weight_flags():
     assert verdict.sorted_weights[1] == F(1, 3)
     assert verdict.lower_weights_coincide is False
 
-    silent = analyze_newton(P("x^3 + y^3 + z^3"))
+    silent = analyze_newton(P("x^3 + y^3 + z^3"), Budget())
     assert len(silent.face_verdicts) == 1
     verdict = silent.face_verdicts[0]
     assert verdict.certificate is False
@@ -208,7 +209,7 @@ def test_criterion_08_divergence_near_sigma_statistics(monkeypatch):
     partials = NumericEvaluator([d for row in jacobian(principal) for d in row])
     epsilon = 0.1  # 1/10
     for seed in (0, 1, 2):
-        cloud = sigma_link_cloud(system, seed=seed)
+        cloud = sigma_link_cloud(system, seed=seed, budget=Budget())
         cloud_arr = np.array(cloud)
         rng = np.random.default_rng([seed, 77])
         near = []
@@ -291,7 +292,7 @@ def test_criterion_09_groebner_soundness_on_random_ideals():
             if not p.is_zero()
         ] or [random_poly(rng, nvars)]
         try:
-            gb = buchberger(gens, budget=Budget(200_000))
+            gb = buchberger(gens, grevlex(nvars), Budget(200_000))
             assert is_groebner_basis(gb.generators, gb.order, budget=Budget(400_000)), (
                 f"trial {trial}: S-polynomial audit failed"
             )
@@ -300,7 +301,7 @@ def test_criterion_09_groebner_soundness_on_random_ideals():
         audited += 1
         leading = [leading_monomial(g, gb.order) for g in gb.generators]
         monomial_gens = [Poly(nvars, {m: QI.one()}) for m in leading]
-        monomial_gb = buchberger(monomial_gens)
+        monomial_gb = buchberger(monomial_gens, grevlex(nvars), Budget())
         monomial_leading = [
             leading_monomial(g, monomial_gb.order) for g in monomial_gb.generators
         ]

@@ -43,6 +43,7 @@ from germlab.foliation import (
 )
 from germlab.germ import germ_system, sigma
 from germlab.germfile import load_system
+from germlab.groebner import Budget
 from germlab.poly import NumericEvaluator, jacobian_evaluator
 
 from conftest import P, F, load_fixture
@@ -115,12 +116,12 @@ def test_link_sampling_rejects_constant_equations(sphere):
 def test_sigma_cloud_fills_distances(sphere, briancon_speder, monkeypatch):
     # The sphere germ has isolated singularity: empty cloud, inf distances.
     monkeypatch.setattr(foliation, "SIGMA_CLOUD_POINTS", 20)
-    assert sigma_link_cloud(sphere, seed=0) == []
+    assert sigma_link_cloud(sphere, seed=0, budget=Budget()) == []
     plain = sample_link(sphere, 3, seed=0)
     assert all(s.distance_to_sigma == math.inf for s in plain)
 
     monkeypatch.setattr(foliation, "SIGMA_CLOUD_POINTS", 30)
-    cloud = sigma_link_cloud(briancon_speder, seed=0)
+    cloud = sigma_link_cloud(briancon_speder, seed=0, budget=Budget())
     assert len(cloud) == 30
     samples = sample_link(briancon_speder, 3, seed=0, sigma_cloud=cloud)
     assert all(math.isfinite(s.distance_to_sigma) for s in samples)
@@ -132,17 +133,17 @@ def test_sigma_link_cloud_gives_each_component_the_rounded_up_share(monkeypatch)
     # SIGMA_CLOUD_POINTS + k - 1
     monkeypatch.setattr(foliation, "SIGMA_CLOUD_POINTS", 10)
     system = load_system(load_fixture("quadric_cone_4d.json")).system
-    locus = sigma(system)
+    locus = sigma(system, Budget())
     k = sum(1 for c in locus.components if c.dimension is not None and c.dimension >= 1)
     assert k == 3
-    assert len(sigma_link_cloud(system, seed=0)) == 12
+    assert len(sigma_link_cloud(system, seed=0, budget=Budget())) == 12
 
 
 def test_sigma_link_cloud_lands_on_singular_circle(briancon_speder, monkeypatch):
     # Sing of z^5 + x^15 + x*y^7 is the y-axis; its link is the circle
     # (0, e^{i*theta}, 0).
     monkeypatch.setattr(foliation, "SIGMA_CLOUD_POINTS", 40)
-    cloud = sigma_link_cloud(briancon_speder, seed=0)
+    cloud = sigma_link_cloud(briancon_speder, seed=0, budget=Budget())
     assert len(cloud) == 40
     arr = np.array(cloud)
     assert np.max(np.abs(arr[:, 0])) < 1e-8
@@ -265,7 +266,7 @@ def test_divergence_near_the_obstruction_locus(briancon_speder):
     assert not any(arc.converged)
     assert max(max(abs(c) for c in z) for z in arc.z_values) > 1e3
 
-    cloud = sigma_link_cloud(briancon_speder, seed=0)
+    cloud = sigma_link_cloud(briancon_speder, seed=0, budget=Budget())
     far = [
         s
         for s in sample_link(briancon_speder, 6, seed=0, sigma_cloud=cloud)
@@ -662,8 +663,8 @@ def test_sigma_cloud_over_several_blocks_matches_the_oracle(monkeypatch):
         [P("w^3", "x y z w"), P("x^3", "x y z w"), P("y^3", "x y z w")],
         [F(1, 2)] * 4,
     )
-    cloud = sigma_link_cloud(system, seed=2)
-    (comp,) = [c for c in sigma(system).components if c.dimension and c.dimension >= 1]
+    cloud = sigma_link_cloud(system, seed=2, budget=Budget())
+    (comp,) = [c for c in sigma(system, Budget()).components if c.dimension and c.dimension >= 1]
     gens = comp.basis.generators
     args = (NumericEvaluator(gens), jacobian_evaluator(gens), 4, 30, 600, (2, 0), 1e-10, 80)
     found, attempts = _oracle_attempts(*args)
@@ -775,7 +776,7 @@ def test_blocks_follow_the_success_rate():
 
 def test_distance_to_cloud_matches_the_norm_loop(briancon_speder, monkeypatch):
     monkeypatch.setattr(foliation, "SIGMA_CLOUD_POINTS", 40)
-    cloud = sigma_link_cloud(briancon_speder, seed=0)
+    cloud = sigma_link_cloud(briancon_speder, seed=0, budget=Budget())
     samples = sample_link(briancon_speder, 8, seed=0, sigma_cloud=cloud)
     for s in samples:
         point = np.asarray(s.s, dtype=complex)

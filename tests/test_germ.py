@@ -106,7 +106,7 @@ def test_delta_and_bound_same_order(briancon_speder):
 
 
 def test_sigma_briancon_speder_exact(briancon_speder):
-    locus = sigma(briancon_speder)
+    locus = sigma(briancon_speder, Budget())
     names = list(briancon_speder.variables)
     got = {
         c.label: (c.dimension, c.status, sorted(poly_to_string(g, names) for g in c.basis.generators))
@@ -123,7 +123,7 @@ def test_sigma_briancon_speder_exact(briancon_speder):
 
 def test_sigma_equal_weights_has_single_component():
     g = germ_system(["x", "y", "z"], [P("x^2 + y^2 + z^2")], [P("0")], [F(1, 2)] * 3)
-    locus = sigma(g)
+    locus = sigma(g, Budget())
     assert [c.label for c in locus.components] == ["Sing[X0]"]
     assert locus.components[0].dimension == 0
     assert locus.total_dim == 0
@@ -145,7 +145,7 @@ def test_sigma_equal_weights_property(seed, nvars, degree):
         terms[tuple(mono)] = QI(rng.choice([-2, -1, 1, 2, 3]))
     f = Poly(nvars, terms)
     g = germ_system(names, [f], [Poly.zero(nvars)], [F(1, degree)] * nvars)
-    locus = sigma(g)
+    locus = sigma(g, Budget())
     assert [c.label for c in locus.components] == ["Sing[X0]"]
 
 
@@ -154,7 +154,7 @@ def test_sigma_equal_weights_property(seed, nvars, degree):
 
 def test_analyze_a1_is_silent():
     g = germ_system(["z", "x", "y"], [P("z^2 + x^2 + y^2", "z x y")], [P("0")], [F(1, 2)] * 3)
-    rep = analyze(g)
+    rep = analyze(g, frozenset(), 0, Budget())
     assert rep.verdict == "NO_OBSTRUCTION_FOUND"
     assert rep.l == 2
     assert rep.certificates is None
@@ -170,7 +170,7 @@ def test_analyze_ak_finds_the_fast_cycle(k):
         [P("0")],
         [F(1, k + 1), F("1/2"), F("1/2")],
     )
-    rep = analyze(g)
+    rep = analyze(g, frozenset(), 0, Budget())
     assert rep.verdict == "FAST_CYCLE_FOUND"
     assert rep.l == 2
     c = rep.certificates
@@ -189,7 +189,7 @@ def test_analyze_quadric_cone_ledger():
         [P("0", "x1 x2 x3 x4")],
         [F("1/5"), F("2/5"), F("3/5"), F("4/5")],
     )
-    rep = analyze(g)
+    rep = analyze(g, frozenset(), 0, Budget())
     assert rep.verdict == "HYPOTHESES_UNVERIFIED"
     led = ledger_map(rep)
     assert led["order"].status == "verified"
@@ -212,7 +212,7 @@ def test_analyze_quadric_cone_with_asserted_milnor_fibre():
         [P("0", "x1 x2 x3 x4")],
         [F("1/5"), F("2/5"), F("3/5"), F("4/5")],
     )
-    rep = analyze(g, {"milnor-fibre"})
+    rep = analyze(g, {"milnor-fibre"}, 0, Budget())
     assert rep.verdict == "FAST_CYCLE_FOUND"
     led = ledger_map(rep)
     assert led["c"].status == "user-asserted"
@@ -227,7 +227,7 @@ def test_analyze_quadric_cone_with_asserted_milnor_fibre():
 
 
 def test_analyze_same_order_family_is_unverified(briancon_speder):
-    rep = analyze(briancon_speder)
+    rep = analyze(briancon_speder, frozenset(), 0, Budget())
     assert rep.verdict == "HYPOTHESES_UNVERIFIED"
     led = ledger_map(rep)
     assert led["order"].status == "failed"
@@ -245,11 +245,11 @@ def test_analyze_surface_branch_fires_only_with_assumption():
         [P("0", "a b c")],
         [F("1/4"), F("1/3"), F("1/2")],
     )
-    plain = analyze(g)
+    plain = analyze(g, frozenset(), 0, Budget())
     assert plain.verdict == "HYPOTHESES_UNVERIFIED"
     assert ledger_map(plain)["b"].status == "failed"
 
-    surf = analyze(g, {"noncontractible-component"})
+    surf = analyze(g, {"noncontractible-component"}, 0, Budget())
     assert surf.verdict == "FAST_CYCLE_FOUND"
     assert ledger_map(surf)["surface"].status == "user-asserted"
     assert "verdict via the user-asserted surface branch (fast loop)" in surf.notes
@@ -268,14 +268,14 @@ def test_surface_assumption_ignored_off_dimension():
         [P("0", "x1 x2 x3 x4")],
         [F("1/5"), F("2/5"), F("3/5"), F("4/5")],
     )
-    rep = analyze(g, {"noncontractible-component"})
+    rep = analyze(g, {"noncontractible-component"}, 0, Budget())
     assert "surface" not in ledger_map(rep)
     assert "noncontractible-component assumption ignored: germ dimension is not 2" in rep.notes
 
 
 def test_analyze_determinism():
     g = germ_system(["z", "x", "y"], [P("z^3 + x^2 + y^2", "z x y")], [P("0")], [F(1, 3), F(1, 2), F(1, 2)])
-    a, b = analyze(g, seed=3), analyze(g, seed=3)
+    a, b = analyze(g, frozenset(), 3, Budget()), analyze(g, frozenset(), 3, Budget())
     assert a == b
 
 
@@ -283,7 +283,7 @@ def test_analyze_budget_exhaustion_is_unchecked_not_wrong():
     weights = [F(1, 3), F(1, 2), F(1, 2)]
     g = germ_system(["z", "x", "y"], [P("z^3 + x^2 + y^2", "z x y")], [P("0")], weights)
     budget = Budget(5)
-    rep = analyze(g, budget=budget)
+    rep = analyze(g, frozenset(), 0, budget)
     assert rep.verdict == "HYPOTHESES_UNVERIFIED"
     assert any(e.status == "unchecked" for e in rep.hypothesis_ledger)
     entries = {e.key: e for e in rep.hypothesis_ledger}
@@ -300,8 +300,8 @@ def test_analyze_budget_exhaustion_is_unchecked_not_wrong():
     # perturbed germ, where (d) is not attempted either
     perturbed = germ_system(["z", "x", "y"], [P("z^3 + x^2 + y^2", "z x y")], [P("z^2*x", "z x y")], weights)
     for system in (g, perturbed):
-        budgeted = {e.key: e for e in analyze(system, budget=Budget(5)).hypothesis_ledger}
-        unbudgeted = {e.key: e for e in analyze(system).hypothesis_ledger}
+        budgeted = {e.key: e for e in analyze(system, frozenset(), 0, Budget(5)).hypothesis_ledger}
+        unbudgeted = {e.key: e for e in analyze(system, frozenset(), 0, Budget()).hypothesis_ledger}
         for key in ("b", "c", "d", "e"):
             assert budgeted[key].statement == unbudgeted[key].statement
     assert budgeted["d"].evidence == "not attempted: the shared budget was exhausted in entry (a)"
@@ -311,7 +311,7 @@ def test_analyze_budget_exhaustion_is_unchecked_not_wrong():
 
 
 def test_newton_route_brieskorn_certificate():
-    na = analyze_newton(P("x^2 + y^3 + z^7"))
+    na = analyze_newton(P("x^2 + y^3 + z^7"), Budget())
     assert na.criterion_applicable is False  # single top face
     assert na.any_certificate is True
     (v,) = na.face_verdicts
@@ -328,7 +328,7 @@ def test_newton_route_brieskorn_certificate():
 
 
 def test_newton_route_cube_is_silent():
-    na = analyze_newton(P("x^3 + y^3 + z^3"))
+    na = analyze_newton(P("x^3 + y^3 + z^3"), Budget())
     assert na.any_certificate is False
     (v,) = na.face_verdicts
     assert v.sorted_weights == (F("1/3"), F("1/3"), F("1/3"))
@@ -337,7 +337,7 @@ def test_newton_route_cube_is_silent():
 
 
 def test_newton_route_two_faces_applicable():
-    na = analyze_newton(P("x^2 + z^6 + y^3*z + y^5"))
+    na = analyze_newton(P("x^2 + z^6 + y^3*z + y^5"), Budget())
     assert na.criterion_applicable is True
     assert [v.certificate for v in na.face_verdicts] == [True, True]
     assert [v.sorted_weights for v in na.face_verdicts] == [
@@ -349,9 +349,9 @@ def test_newton_route_two_faces_applicable():
 
 def test_newton_route_rejects_non_convenient():
     with pytest.raises(ValueError, match="convenient"):
-        analyze_newton(P("x*y + z^2"))
+        analyze_newton(P("x*y + z^2"), Budget())
 
 
 def test_newton_route_rejects_curves():
     with pytest.raises(ValueError, match="at least 3 variables"):
-        analyze_newton(P("x^2 + y^3", "x y"))
+        analyze_newton(P("x^2 + y^3", "x y"), Budget())

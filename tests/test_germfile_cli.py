@@ -7,6 +7,8 @@ byte-level determinism.
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import io
 import json
 import os
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import germlab
+from germlab import groebner
 from germlab.cli import _build_parser, main
 from germlab.germfile import (
     GermFileError,
@@ -287,6 +290,56 @@ def test_cli_budget_exhaustion_names_its_stage(capsys, argv, code, stage):
     else:
         evidence = [v["evidence"] for v in doc["newton"]["face_verdicts"]]
     assert evidence == [message]
+
+
+def test_exact_functions_take_the_budget_they_charge():
+    # none of them falls back on a budget of its own, nor buchberger on an order
+    taking = set()
+    for short in ("groebner", "germ", "newton", "foliation"):
+        module = importlib.import_module(f"germlab.{short}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            parameters = inspect.signature(fn).parameters
+            if fn.__module__ == module.__name__ and "budget" in parameters:
+                assert parameters["budget"].default is inspect.Parameter.empty, f"{short}.{name}"
+                taking.add(f"{short}.{name}")
+    assert taking >= {
+        "groebner.division", "groebner.normal_form", "groebner.buchberger", "groebner.is_groebner_basis",
+        "groebner.ideal_membership", "groebner.quotient_dimension", "groebner.saturation",
+        "groebner.local_standard_basis", "groebner.milnor_number", "germ.variety_dimension", "germ.sigma",
+        "germ.is_reduced_ci", "germ.is_icis", "germ.analyze", "germ.analyze_newton",
+        "newton.is_newton_nondegenerate", "foliation.sigma_link_cloud",
+    }
+    order = inspect.signature(groebner.buchberger).parameters["order"]
+    assert order.default is inspect.Parameter.empty
+
+
+@pytest.mark.parametrize("limit", [[], ["--budget", "1000000"]], ids=["default", "given"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "a2.json"],
+        ["sigma", "briancon_speder.json"],
+        ["newton", "x2y3z7.json"],
+        ["foliate", "sphere_cubic.json", "--samples", "4"],
+        ["milnor", "a3.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_command_builds_one_budget(monkeypatch, tmp_path, argv, limit):
+    built = []
+    init = groebner.Budget.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groebner.Budget, "__init__", counted)
+    command, germ, *extra = argv
+    if command == "foliate":
+        extra += ["--csv", str(tmp_path / "arcs.csv")]
+    code = main([command, fixture_path(germ), *extra, "--out", str(tmp_path / "report.json"), *limit])
+    assert code in (0, 10)
+    assert built == [(1000000,) if limit else ()]
 
 
 def test_cli_sigma(capsys):

@@ -18,6 +18,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from germlab.groebner import Budget, BudgetExhausted, buchberger
+from germlab.orders import grevlex
 from germlab.poly import Poly
 from germlab.qi import QI
 
@@ -62,7 +63,7 @@ def _sympy_basis(gens: list[Poly], domain) -> set:
 
 def _our_basis(gens: list[Poly]) -> set:
     try:
-        basis = buchberger(gens, budget=Budget(20_000))
+        basis = buchberger(gens, grevlex(gens[0].nvars), Budget(20_000))
     except BudgetExhausted:
         assume(False)
     event(f"{len(basis.generators)} basis elements")

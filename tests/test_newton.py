@@ -116,7 +116,7 @@ def test_zero_poly_rejected():
 
 
 def test_nondegenerate_brieskorn():
-    report = is_newton_nondegenerate(P("x^2 + y^3 + z^7"))
+    report = is_newton_nondegenerate(P("x^2 + y^3 + z^7"), Budget())
     assert report.overall is True
     assert set(report.statuses) == {"nondegenerate"}
     assert set(report.methods) == {"exact"}
@@ -124,7 +124,7 @@ def test_nondegenerate_brieskorn():
 
 def test_degenerate_square_of_linear():
     # (x+y)^2 + z^2: the edge restricted to x,y is (x+y)^2, singular on the torus
-    report = is_newton_nondegenerate(P("x^2 + 2*x*y + y^2 + z^2"))
+    report = is_newton_nondegenerate(P("x^2 + 2*x*y + y^2 + z^2"), Budget())
     assert report.overall is False
     assert "degenerate" in report.statuses
 
@@ -161,7 +161,7 @@ def test_nondegeneracy_charges_one_budget_across_faces():
 
 def test_nondegeneracy_requires_convenient():
     with pytest.raises(ValueError, match="non-degeneracy check requires a convenient diagram"):
-        is_newton_nondegenerate(P("x*y + z^2"))
+        is_newton_nondegenerate(P("x*y + z^2"), Budget())
 
 
 def test_analyze_newton_builds_one_diagram_per_call(monkeypatch):
@@ -174,9 +174,9 @@ def test_analyze_newton_builds_one_diagram_per_call(monkeypatch):
     monkeypatch.setattr(germ, "newton_diagram", counted)
     monkeypatch.setattr(newton, "newton_diagram", counted)
     f = P("x^3 + y^4 + z^5 + x*y*z")
-    first = analyze_newton(f)
+    first = analyze_newton(f, Budget())
     assert len(calls) == 1
-    second = analyze_newton(f)
+    second = analyze_newton(f, Budget())
     assert len(calls) == 2
     assert len(first.diagram.top_faces()) > 1
     assert first.nondegeneracy.statuses == second.nondegeneracy.statuses

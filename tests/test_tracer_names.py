@@ -16,6 +16,7 @@ from pathlib import Path
 
 from germlab import foliation, groebner
 from germlab.germ import germ_system, singular_locus_ideal
+from germlab.orders import grevlex
 
 from conftest import F, P
 
@@ -58,13 +59,14 @@ def test_the_observers_count_what_the_real_calls_return(tmp_path):
     sample = foliation.sample_link(sphere, 1, seed=0)[0]
     arc = foliation.deform_arc(sphere, 0.5, sample)
     gens = singular_locus_ideal([P("z^5 + x^15 + x*y^7")])
-    basis = groebner.buchberger(gens)
+    order, budget = grevlex(3), groebner.Budget()
+    basis = groebner.buchberger(gens, order, budget)
     tracer.spans[:] = [
         ["groebner.buchberger", 0.0, 1.0, -1, "run"],
         ["foliation.deform_arc", 1.0, 2.0, -1, "run"],
         ["foliation.write_arc_csv", 2.0, 3.0, -1, "run"],
     ]
-    tracer.observers["groebner.buchberger"](tracer.spans[0], (gens,), {}, basis)
+    tracer.observers["groebner.buchberger"](tracer.spans[0], (gens, order, budget), {}, basis)
     tracer.observers["foliation.deform_arc"](tracer.spans[1], (sphere, 0.5, sample), {}, arc)
     tracer.observers["foliation.write_arc_csv"](tracer.spans[2], (tmp_path / "arcs.csv", [arc, arc], 0), {}, None)
 
