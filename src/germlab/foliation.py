@@ -360,12 +360,10 @@ def _project_attempts(
     return points, residuals, attempts
 
 
-def _distance_to_cloud(point: np.ndarray, cloud: np.ndarray | None) -> float:
-    """min |point - q| over the rows q of ``cloud`` (inf without a cloud),
+def _distance_to_cloud(point: np.ndarray, cloud: np.ndarray) -> float:
+    """min |point - q| over the rows q of ``cloud`` (inf when it has none),
     each norm that of ``np.linalg.norm``; like ``min`` in a loop, nan
     distances are skipped."""
-    if cloud is None or not len(cloud):
-        return math.inf
     distances = _row_norms(point - cloud)
     distances = distances[~np.isnan(distances)]
     return float(distances.min()) if len(distances) else math.inf
@@ -376,7 +374,7 @@ def sample_link(
     count: int,
     seed: int,
     *,
-    sigma_cloud: Sequence[Sequence[complex]] | None = None,
+    sigma_cloud: Sequence[Sequence[complex]],
 ) -> list[LinkSample]:
     """``count`` random points of Link[X0] = {f_p = 0} ∩ {|s| = 1}.
 
@@ -392,15 +390,12 @@ def sample_link(
     link at this tolerance), the partial list is returned with a warning.
 
     ``sigma_cloud`` (from :func:`sigma_link_cloud`) fills in
-    ``distance_to_sigma``; without it the distance is reported as inf."""
+    ``distance_to_sigma``; it may be empty (Sigma = {o}), and then every
+    distance is reported as inf."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    if count == 0:
-        return []
     equations, _, partials, _ = system.evaluators
-    cloud = None
-    if sigma_cloud is not None and len(sigma_cloud):
-        cloud = np.asarray(sigma_cloud, dtype=complex)
+    cloud = np.asarray(sigma_cloud, dtype=complex).reshape(-1, system.nvars)
     points, residuals, attempts = _project_attempts(
         equations, partials, system.nvars, count, LINK_ATTEMPT_FACTOR * count, (seed,), LINK_TOLERANCE, 60
     )
@@ -425,7 +420,7 @@ def sample_link(
 def sigma_link_cloud(
     system: GermSystem,
     *,
-    seed: int = 0,
+    seed: int,
     budget: Budget,
 ) -> list[tuple[complex, ...]]:
     """A numeric point cloud on Link[Sigma], for distance estimates.
@@ -766,7 +761,7 @@ def verify_foliation(
     epsilon: complex,
     samples: Sequence[LinkSample],
     *,
-    seed: int = 0,
+    seed: int,
 ) -> FoliationReport:
     """Check the deformed family over ``samples`` at scale ``epsilon``, its
     arcs and the unperturbed ones solved as :func:`deform_arc` does on

@@ -595,8 +595,8 @@ class NewtonAnalysis:
 def analyze_newton(
     f: Poly,
     budget: Budget,
-    probabilistic: bool = False,
-    seed: int = 0,
+    probabilistic: bool,
+    seed: int,
 ) -> NewtonAnalysis:
     """Per-top-face obstruction certificates for a convenient hypersurface
     germ: a face certifies non-conicalness when dim Sing V(f_sigma) <
@@ -634,44 +634,31 @@ def analyze_newton(
         applicable = False
         notes.append("nondegeneracy undetermined within budget: criterion hypotheses not established")
 
-    weight_rows = face_weight_report(diagram)
     verdicts: list[FaceVerdict] = []
-    for idx, row in enumerate(weight_rows):
-        face = row.face
+    for idx, row in enumerate(face_weight_report(diagram)):  # top faces lead diagram.faces
         ws = row.sorted_weights
         lower = ws[:n]
         coincide = all(w == lower[0] for w in lower)
-        nd_status = next(
-            (st for fc, st in zip(nnd.faces, nnd.statuses) if fc == face), "undetermined"
-        )
-        if nd_status != "nondegenerate":
-            verdicts.append(
-                FaceVerdict(
-                    idx, ws, None, None, coincide, False, "unchecked",
-                    f"face nondegeneracy is {nd_status}",
-                )
-            )
-            continue
-        if n == 2:
-            sing_dim: int | None = None
-            dim_ok = True
-            dim_ev = "dimension condition automatic for surface germs"
+        sing_dim: int | None = None
+        dim_ok: bool | None = None
+        if nnd.statuses[idx] != "nondegenerate":
+            status, evidence = "unchecked", f"face nondegeneracy is {nnd.statuses[idx]}"
+        elif n == 2:
+            dim_ok, evidence = True, "dimension condition automatic for surface germs"
         else:
-            f_sigma = face_restriction(f, face)
             try:
-                sing_dim = variety_dimension(singular_locus_ideal([f_sigma]), budget)
+                sing_dim = variety_dimension(singular_locus_ideal([face_restriction(f, row.face)]), budget)
                 dim_ok = Fraction(sing_dim) < Fraction(n + 3, 2)
-                dim_ev = f"dim Sing V(f_sigma) = {sing_dim}, bound {Fraction(n + 3, 2)}"
+                evidence = f"dim Sing V(f_sigma) = {sing_dim}, bound {Fraction(n + 3, 2)}"
             except BudgetExhausted as exc:
-                verdicts.append(FaceVerdict(idx, ws, None, None, coincide, False, "unchecked", str(exc)))
-                continue
-        fires = dim_ok and not coincide
-        if fires:
-            ev = f"{dim_ev}; lower {n} weights {tuple(str(w) for w in lower)} differ"
-            verdicts.append(FaceVerdict(idx, ws, sing_dim, dim_ok, coincide, True, "certificate", ev))
-        else:
-            reason = "lower weights coincide" if coincide else "dimension condition fails"
-            verdicts.append(
-                FaceVerdict(idx, ws, sing_dim, dim_ok, coincide, False, "silent", f"{dim_ev}; {reason}")
-            )
+                status, evidence = "unchecked", str(exc)
+        if dim_ok and not coincide:
+            status = "certificate"
+            evidence += f"; lower {n} weights {tuple(str(w) for w in lower)} differ"
+        elif dim_ok is not None:
+            status = "silent"
+            evidence += "; lower weights coincide" if coincide else "; dimension condition fails"
+        verdicts.append(
+            FaceVerdict(idx, ws, sing_dim, dim_ok, coincide, status == "certificate", status, evidence)
+        )
     return NewtonAnalysis(diagram, nnd, applicable, verdicts, notes)

@@ -88,6 +88,8 @@ def read_germ_file(source: str | Path) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GermFileError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise GermFileError(f"{path} nests JSON too deeply to read") from None
     if not isinstance(data, dict):
         raise GermFileError(f"{path}: top level must be a JSON object")
     _validate_shape(data)

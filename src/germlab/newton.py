@@ -75,6 +75,9 @@ class Face:
 
 @dataclass(frozen=True)
 class NewtonDiagram:
+    """``faces`` descend in dimension, so the top faces lead it in
+    ``top_faces()`` order: a face's position there is its index."""
+
     ambient_dim: int
     support: tuple[Monomial, ...]
     faces: tuple[Face, ...]
@@ -199,14 +202,15 @@ def face_restriction(f: Poly, face: Face) -> Poly:
 
 @dataclass
 class NondegeneracyReport:
-    """Per-face torus criticality verdicts.
+    """Per-face torus criticality verdicts, in the order of the diagram's
+    ``faces``: ``statuses[k]`` and ``methods[k]`` are those of
+    ``diagram.faces[k]``.
 
     status per face: "nondegenerate" | "degenerate" | "undetermined";
     method per face: "exact" | "probabilistic".  ``overall`` is True when all
     faces are nondegenerate, False when some face is degenerate, None when
     any face is undetermined and none is degenerate."""
 
-    faces: list[Face]
     statuses: list[str]
     methods: list[str]
 
@@ -219,7 +223,7 @@ class NondegeneracyReport:
         return True
 
 
-def _torus_search(f_sigma: Poly, seed: int = 0) -> bool:
+def _torus_search(f_sigma: Poly, seed: int) -> bool:
     """Monte-Carlo fallback: hunt for a torus critical point of a face
     polynomial by damped Gauss-Newton on its gradient from 40 random torus
     starts; True when a convincing critical point with all coordinates away
@@ -310,7 +314,7 @@ def face_nondegeneracy(
             else:
                 statuses.append("undetermined")
                 methods.append("exact")
-    return NondegeneracyReport(list(diagram.faces), statuses, methods)
+    return NondegeneracyReport(statuses, methods)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ Grammar (whitespace ignored, no implicit multiplication):
 Every identifier must be a declared variable or the literal ``i``; ``i`` is
 reserved and cannot be declared as a variable.  Parenthesized sub-expressions
 must evaluate to constants (they exist for complex coefficients only).
-Exponents are positive integers.  Errors carry the offending position.
+Exponents are positive integers.  Parentheses nest at most ``MAX_NESTING``
+deep, so the recursive descent stays well inside Python's recursion limit.
+Errors carry the offending position.
 
 The printer emits a canonical form (terms in descending graded reverse
 lexicographic order, monic-style coefficient formatting) that re-parses to the
@@ -37,6 +39,9 @@ class ParseError(ValueError):
 
 
 _SYMBOLS = set("+-*/^()")
+
+#: deepest parenthesis nesting accepted; each level costs three stack frames.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -75,6 +80,7 @@ class _Parser:
             raise ParseError("'i' is reserved for the imaginary unit", 0)
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.variables = variables
         self.var_index = {name: j for j, name in enumerate(variables)}
         self.nvars = len(variables)
@@ -164,8 +170,12 @@ class _Parser:
                 return base ** e
             return base
         if kind == "sym" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", at)
             self.advance()
+            self.depth += 1
             inner = self.parse_poly()
+            self.depth -= 1
             self.expect_sym(")")
             if not inner.is_constant():
                 raise ParseError("parenthesized coefficients must be constant", at)

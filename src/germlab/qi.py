@@ -89,12 +89,6 @@ class QI:
     def __neg__(self) -> "QI":
         return _make(-self._a, -self._b, self._d)
 
-    def __sub__(self, other) -> "QI":
-        return self + -QI.coerce(other)
-
-    def __rsub__(self, other) -> "QI":
-        return QI.coerce(other) - self
-
     def __mul__(self, other) -> "QI":
         if other.__class__ is not QI:
             other = QI.coerce(other)
@@ -130,12 +124,6 @@ class QI:
         norm = a * a + b * b
         g = gcd(norm, a * d, b * d)
         return _make(a * d // g, -b * d // g, norm // g)
-
-    def __truediv__(self, other) -> "QI":
-        return self * QI.coerce(other).inverse()
-
-    def __rtruediv__(self, other) -> "QI":
-        return QI.coerce(other) * self.inverse()
 
     # -- conversions ---------------------------------------------------
 

@@ -144,7 +144,6 @@ def newton_body(raw: RawGerm, analysis: NewtonAnalysis) -> dict:
     names = list(raw.variables)
     diagram = analysis.diagram
     nd = analysis.nondegeneracy
-    face_index = {face: k for k, face in enumerate(diagram.faces)}
     return {
         "variables": names,
         "equation": poly_to_string(raw.equations[0], names),
@@ -158,8 +157,8 @@ def newton_body(raw: RawGerm, analysis: NewtonAnalysis) -> dict:
             "nondegeneracy": {
                 "overall": nd.overall,
                 "per_face": [
-                    {"face": face_index[face], "status": status, "method": method}
-                    for face, status, method in zip(nd.faces, nd.statuses, nd.methods)
+                    {"face": k, "status": status, "method": method}
+                    for k, (status, method) in enumerate(zip(nd.statuses, nd.methods))
                 ],
             },
             "criterion_applicable": analysis.criterion_applicable,

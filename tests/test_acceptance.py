@@ -159,7 +159,7 @@ def test_criterion_05_milnor_numbers_dual_route():
 
 
 def test_criterion_06_newton_face_weight_flags():
-    flagged = analyze_newton(P("x^2 + y^3 + z^7"), Budget())
+    flagged = analyze_newton(P("x^2 + y^3 + z^7"), Budget(), False, 0)
     assert len(flagged.face_verdicts) == 1  # one top face
     verdict = flagged.face_verdicts[0]
     assert verdict.certificate is True
@@ -168,7 +168,7 @@ def test_criterion_06_newton_face_weight_flags():
     assert verdict.sorted_weights[1] == F(1, 3)
     assert verdict.lower_weights_coincide is False
 
-    silent = analyze_newton(P("x^3 + y^3 + z^3"), Budget())
+    silent = analyze_newton(P("x^3 + y^3 + z^3"), Budget(), False, 0)
     assert len(silent.face_verdicts) == 1
     verdict = silent.face_verdicts[0]
     assert verdict.certificate is False
@@ -185,7 +185,7 @@ def test_criterion_07_foliation_residuals_and_contact_order():
         [parse_poly("z^3", variables)],
         [F(1, 2), F(1, 2), F(1, 2)],
     )
-    samples = sample_link(sphere, 50, seed=0)
+    samples = sample_link(sphere, 50, seed=0, sigma_cloud=[])
     assert len(samples) == 50
     full_grid = 0
     for s in samples:

@@ -74,7 +74,7 @@ def briancon_speder():
 
 
 def test_link_samples_lie_on_link(sphere):
-    samples = sample_link(sphere, 10, seed=0)
+    samples = sample_link(sphere, 10, seed=0, sigma_cloud=[])
     assert len(samples) == 10
     for s in samples:
         assert s.residual < 1e-12
@@ -85,10 +85,10 @@ def test_link_samples_lie_on_link(sphere):
 
 
 def test_link_sampling_is_deterministic(sphere):
-    a = sample_link(sphere, 5, seed=3)
-    b = sample_link(sphere, 5, seed=3)
+    a = sample_link(sphere, 5, seed=3, sigma_cloud=[])
+    b = sample_link(sphere, 5, seed=3, sigma_cloud=[])
     assert a == b
-    c = sample_link(sphere, 5, seed=4)
+    c = sample_link(sphere, 5, seed=4, sigma_cloud=[])
     assert a != c
 
 
@@ -97,7 +97,7 @@ def test_link_sampling_warns_when_link_is_empty(sphere, monkeypatch):
     monkeypatch.setattr(foliation, "LINK_TOLERANCE", -1.0)
     monkeypatch.setattr(foliation, "LINK_ATTEMPT_FACTOR", 5)
     with pytest.warns(UserWarning) as caught:
-        out = sample_link(sphere, 3, seed=0)
+        out = sample_link(sphere, 3, seed=0, sigma_cloud=[])
     assert out == []
     assert [str(w.message) for w in caught] == [
         "link sampling produced 0/3 points after 15 attempts; the link may be "
@@ -110,14 +110,14 @@ def test_link_sampling_rejects_constant_equations(sphere):
     with pytest.raises(ValueError, match="total degree < 2"):
         germ_system(["x", "y", "z"], [P("3")], [P("0")], [F(1, 2)] * 3)
     with pytest.raises(ValueError):
-        sample_link(sphere, -1, seed=0)
+        sample_link(sphere, -1, seed=0, sigma_cloud=[])
 
 
 def test_sigma_cloud_fills_distances(sphere, briancon_speder, monkeypatch):
     # The sphere germ has isolated singularity: empty cloud, inf distances.
     monkeypatch.setattr(foliation, "SIGMA_CLOUD_POINTS", 20)
     assert sigma_link_cloud(sphere, seed=0, budget=Budget()) == []
-    plain = sample_link(sphere, 3, seed=0)
+    plain = sample_link(sphere, 3, seed=0, sigma_cloud=[])
     assert all(s.distance_to_sigma == math.inf for s in plain)
 
     monkeypatch.setattr(foliation, "SIGMA_CLOUD_POINTS", 30)
@@ -156,7 +156,7 @@ def test_sigma_link_cloud_lands_on_singular_circle(briancon_speder, monkeypatch)
 
 
 def test_zero_epsilon_arc_is_the_exact_power_law(sphere):
-    samples = sample_link(sphere, 4, seed=1)
+    samples = sample_link(sphere, 4, seed=1, sigma_cloud=[])
     w = np.array([float(wi) for wi in sphere.weights])
     for s in samples:
         arc = deform_arc(sphere, 0.0, s)
@@ -170,7 +170,7 @@ def test_zero_epsilon_arc_is_the_exact_power_law(sphere):
 
 
 def test_perturbed_sphere_arc_converges_on_the_full_grid(sphere):
-    samples = sample_link(sphere, 10, seed=0)
+    samples = sample_link(sphere, 10, seed=0, sigma_cloud=[])
     arc = deform_arc(sphere, 0.5, samples[0])
     assert all(arc.converged)
     assert max(arc.residuals) < 1e-10
@@ -179,7 +179,7 @@ def test_perturbed_sphere_arc_converges_on_the_full_grid(sphere):
 
 def test_arc_residual_matches_direct_evaluation(sphere):
     eps = 0.5
-    s = sample_link(sphere, 1, seed=2)[0]
+    s = sample_link(sphere, 1, seed=2, sigma_cloud=[])[0]
     arc = deform_arc(sphere, eps, s)
     f = sphere.principal[0]
     q = sphere.perturbation[0]
@@ -189,7 +189,7 @@ def test_arc_residual_matches_direct_evaluation(sphere):
 
 
 def test_newton_runs_are_short_and_quadratic(sphere):
-    s = sample_link(sphere, 1, seed=0)[0]
+    s = sample_link(sphere, 1, seed=0, sigma_cloud=[])[0]
     arc = deform_arc(sphere, 0.5, s)
     lengths = [len(h) for h in arc.iteration_residuals]
     assert max(lengths) <= 5  # warm starts keep every run short
@@ -202,7 +202,7 @@ def test_newton_runs_are_short_and_quadratic(sphere):
 
 
 def test_arc_deviation_scales_linearly_with_epsilon(sphere):
-    s = sample_link(sphere, 1, seed=0)[0]
+    s = sample_link(sphere, 1, seed=0, sigma_cloud=[])[0]
     reference = deform_arc(sphere, 0.0, s)
     deviations = []
     for eps in (0.08, 0.04, 0.02, 0.01):
@@ -219,12 +219,12 @@ def test_arc_deviation_scales_linearly_with_epsilon(sphere):
 
 
 def test_same_order_epsilon_cap(briancon_speder):
-    samples = sample_link(briancon_speder, 2, seed=0)
+    samples = sample_link(briancon_speder, 2, seed=0, sigma_cloud=[])
     s = samples[0]
     assert briancon_speder.is_same_order()
     # the library takes any scale: the same-order cap is the command line's note
     assert repr(deform_arc(briancon_speder, 0.5, s)) == repr(_oracle_arc(briancon_speder, 0.5, s))
-    arc = verify_foliation(briancon_speder, 0.5, samples).arcs[0]
+    arc = verify_foliation(briancon_speder, 0.5, samples, seed=0).arcs[0]
     assert arc.epsilon == 0.5
     deform_arc(briancon_speder, 0.1, s)
 
@@ -323,7 +323,7 @@ def test_tangency_recovers_random_exponents(alpha):
 
 
 def test_tangency_of_identical_arcs_is_infinite(sphere):
-    s = sample_link(sphere, 1, seed=0)[0]
+    s = sample_link(sphere, 1, seed=0, sigma_cloud=[])[0]
     arc = deform_arc(sphere, 0.5, s)
     est = tangency_exponent(arc, arc)
     assert est.alpha == math.inf
@@ -342,7 +342,7 @@ def test_tangency_grid_and_count_validation(sphere):
 def test_perturbed_arc_contacts_its_reference_at_the_predicted_order(sphere):
     # delta = 3/2 - 1 = 1/2 and the largest weight is 1/2, so the deformed
     # arc should contact the unperturbed one at order 1 + delta/w = 2.
-    s = sample_link(sphere, 1, seed=0)[0]
+    s = sample_link(sphere, 1, seed=0, sigma_cloud=[])[0]
     perturbed = deform_arc(sphere, 0.5, s)
     reference = deform_arc(sphere, 0.0, s)
     est = tangency_exponent(perturbed, reference)
@@ -355,7 +355,7 @@ def test_perturbed_arc_contacts_its_reference_at_the_predicted_order(sphere):
 
 
 def test_verify_foliation_on_the_perturbed_sphere(sphere):
-    samples = sample_link(sphere, 12, seed=0)
+    samples = sample_link(sphere, 12, seed=0, sigma_cloud=[])
     report = verify_foliation(sphere, 0.5, samples, seed=0)
     assert report.passed
     assert report.failures == ()
@@ -373,16 +373,16 @@ def test_verify_foliation_on_the_perturbed_sphere(sphere):
 
 
 def test_verify_foliation_is_deterministic(sphere):
-    samples = sample_link(sphere, 6, seed=5)
+    samples = sample_link(sphere, 6, seed=5, sigma_cloud=[])
     a = verify_foliation(sphere, 0.5, samples, seed=1)
     b = verify_foliation(sphere, 0.5, samples, seed=1)
     assert a == b
 
 
 def test_verify_foliation_needs_two_samples(sphere):
-    samples = sample_link(sphere, 1, seed=0)
+    samples = sample_link(sphere, 1, seed=0, sigma_cloud=[])
     with pytest.raises(ValueError, match="at least 2"):
-        verify_foliation(sphere, 0.5, samples)
+        verify_foliation(sphere, 0.5, samples, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +390,7 @@ def test_verify_foliation_needs_two_samples(sphere):
 
 
 def test_write_arc_csv_layout(tmp_path, sphere):
-    samples = sample_link(sphere, 2, seed=0)
+    samples = sample_link(sphere, 2, seed=0, sigma_cloud=[])
     arcs = [deform_arc(sphere, 0.5, s) for s in samples]
     path = tmp_path / "arcs.csv"
     write_arc_csv(path, arcs, seed=7)
@@ -641,7 +641,7 @@ def test_link_sampling_over_several_blocks_matches_the_oracle(sphere, monkeypatc
         assert attempts > count if factor > 1 else len(found) < count
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            samples = sample_link(sphere, count, 4)
+            samples = sample_link(sphere, count, 4, sigma_cloud=[])
         assert [(s.s, s.residual) for s in samples] == [
             (tuple(point.tolist()), residual) for point, residual in found
         ]
@@ -792,7 +792,7 @@ def test_distance_to_cloud_matches_the_norm_loop(briancon_speder, monkeypatch):
 
 
 def _assert_arcs_match(system, epsilon, samples):
-    arcs = verify_foliation(system, epsilon, samples).arcs
+    arcs = verify_foliation(system, epsilon, samples, seed=0).arcs
     for sample, arc in zip(samples, arcs):
         assert repr(arc) == repr(_oracle_arc(system, epsilon, sample))
         assert repr(deform_arc(system, epsilon, sample)) == repr(arc)
@@ -800,13 +800,13 @@ def _assert_arcs_match(system, epsilon, samples):
 
 
 def test_lockstep_arcs_match_the_per_arc_oracle(sphere, briancon_speder):
-    samples = sample_link(sphere, 8, seed=3)
+    samples = sample_link(sphere, 8, seed=3, sigma_cloud=[])
     _assert_arcs_match(sphere, 0.5, samples)
     _assert_arcs_match(sphere, 0.0, samples)
     # Near Sigma one arc diverges: an escape past z_cap, every smaller t
     # marked failed, while its batch mates converge on the whole grid.
     near = _bs_link_point_near_axis(briancon_speder, 1e-10)
-    samples = [near] + sample_link(briancon_speder, 5, seed=0)
+    samples = [near] + sample_link(briancon_speder, 5, seed=0, sigma_cloud=[])
     arcs = _assert_arcs_match(briancon_speder, 0.1, samples)
     assert not any(arcs[0].converged)
     assert max(abs(c) for z in arcs[0].z_values for c in z) > 1e3
@@ -824,7 +824,7 @@ def test_singular_newton_matrix_falls_back_per_row(briancon_speder):
         [F(1, 15), F(2, 15), F(3, 15)],
     )
     axis = LinkSample(s=(0j, 1 + 0j, 0j), residual=0.0)
-    samples = [axis] + sample_link(system, 3, seed=1)
+    samples = [axis] + sample_link(system, 3, seed=1, sigma_cloud=[])
     arcs = _assert_arcs_match(system, 0.1, samples)
     assert arcs[0].gram_determinant == 0.0
     assert not arcs[0].converged[0]
@@ -833,8 +833,8 @@ def test_singular_newton_matrix_falls_back_per_row(briancon_speder):
 
 def test_separation_scan_matches_the_pair_loop(briancon_speder):
     near = _bs_link_point_near_axis(briancon_speder, 1e-10)
-    samples = sample_link(briancon_speder, 7, seed=0) + [near, near]
-    report = verify_foliation(briancon_speder, 0.1, samples)
+    samples = sample_link(briancon_speder, 7, seed=0, sigma_cloud=[]) + [near, near]
+    report = verify_foliation(briancon_speder, 0.1, samples, seed=0)
     arcs = report.arcs
     failures, min_separation = [], math.inf
     for i, j in itertools.combinations(range(len(arcs)), 2):
@@ -864,7 +864,7 @@ def test_rescaled_gradient_matches_the_per_sample_oracle(sphere, briancon_speder
     # check whole batches.  (0, 1, 0) has an exactly-zero first block on
     # briancon_speder.
     for system in (sphere, briancon_speder):
-        samples = [s.s for s in sample_link(system, 6, seed=5)] + [(0j, 1 + 0j, 0j)]
+        samples = [s.s for s in sample_link(system, 6, seed=5, sigma_cloud=[])] + [(0j, 1 + 0j, 0j)]
         for s in samples:
             s_arr = np.asarray(s, dtype=complex)
             assert rescaled_gradient(system, s).tobytes() == (
@@ -1066,8 +1066,8 @@ def _oracle_dichotomy(report, margin=0.1, seed=0, max_pairs=60, fit_tolerance=0.
 def test_verify_foliation_fits_match_the_pair_loop(sphere, briancon_speder):
     near = _bs_link_point_near_axis(briancon_speder, 1e-10)
     for system, epsilon, samples, seed in (
-        (sphere, 0.5, sample_link(sphere, 12, seed=2), 4),
-        (briancon_speder, 0.1, [near] + sample_link(briancon_speder, 7, seed=0), 0),
+        (sphere, 0.5, sample_link(sphere, 12, seed=2, sigma_cloud=[]), 4),
+        (briancon_speder, 0.1, [near] + sample_link(briancon_speder, 7, seed=0, sigma_cloud=[]), 0),
     ):
         report = verify_foliation(system, epsilon, samples, seed=seed)
         dichotomy, failures = _oracle_dichotomy(report, seed=seed)
@@ -1282,7 +1282,7 @@ def test_write_arc_csv_matches_the_csv_writer_bytes(tmp_path, sphere):
         gram_determinant=0.0,
         iteration_residuals=((),) * size,
     )
-    report = verify_foliation(sphere, 0.5j, sample_link(sphere, 2, seed=0))
+    report = verify_foliation(sphere, 0.5j, sample_link(sphere, 2, seed=0, sigma_cloud=[]), seed=0)
     arcs = [odd, *report.arcs, *report.reference_arcs, odd]
     for seed in (-3, 0, 12):
         ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"

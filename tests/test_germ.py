@@ -311,7 +311,7 @@ def test_analyze_budget_exhaustion_is_unchecked_not_wrong():
 
 
 def test_newton_route_brieskorn_certificate():
-    na = analyze_newton(P("x^2 + y^3 + z^7"), Budget())
+    na = analyze_newton(P("x^2 + y^3 + z^7"), Budget(), False, 0)
     assert na.criterion_applicable is False  # single top face
     assert na.any_certificate is True
     (v,) = na.face_verdicts
@@ -328,7 +328,7 @@ def test_newton_route_brieskorn_certificate():
 
 
 def test_newton_route_cube_is_silent():
-    na = analyze_newton(P("x^3 + y^3 + z^3"), Budget())
+    na = analyze_newton(P("x^3 + y^3 + z^3"), Budget(), False, 0)
     assert na.any_certificate is False
     (v,) = na.face_verdicts
     assert v.sorted_weights == (F("1/3"), F("1/3"), F("1/3"))
@@ -337,7 +337,7 @@ def test_newton_route_cube_is_silent():
 
 
 def test_newton_route_two_faces_applicable():
-    na = analyze_newton(P("x^2 + z^6 + y^3*z + y^5"), Budget())
+    na = analyze_newton(P("x^2 + z^6 + y^3*z + y^5"), Budget(), False, 0)
     assert na.criterion_applicable is True
     assert [v.certificate for v in na.face_verdicts] == [True, True]
     assert [v.sorted_weights for v in na.face_verdicts] == [
@@ -349,9 +349,9 @@ def test_newton_route_two_faces_applicable():
 
 def test_newton_route_rejects_non_convenient():
     with pytest.raises(ValueError, match="convenient"):
-        analyze_newton(P("x*y + z^2"), Budget())
+        analyze_newton(P("x*y + z^2"), Budget(), False, 0)
 
 
 def test_newton_route_rejects_curves():
     with pytest.raises(ValueError, match="at least 3 variables"):
-        analyze_newton(P("x^2 + y^3", "x y"), Budget())
+        analyze_newton(P("x^2 + y^3", "x y"), Budget(), False, 0)

@@ -742,6 +742,25 @@ def test_cli_input_errors_exit_one(capsys, argv):
     assert err != ""
 
 
+DEEP_PARENTHESES = {"variables": ["x", "y", "z"], "equations": ["(" * 400 + "1" + ")" * 400 + "*x^2 + y^2 + z^2"]}
+DEEP_JSON = '{"variables": ' + "[" * 1000 + "]" * 1000 + "}"
+
+
+@pytest.mark.parametrize("command", ["analyze", "sigma", "newton", "foliate", "milnor"])
+@pytest.mark.parametrize("text", [json.dumps(DEEP_PARENTHESES), DEEP_JSON], ids=["parentheses", "json"])
+def test_deeply_nested_input_is_an_input_error(capsys, tmp_path, command, text):
+    # past Python's recursion limit in the parser or in json.loads: one
+    # germlab line on stderr, not a RecursionError traceback
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    csv_path = tmp_path / "arcs.csv"
+    extra = ["--csv", str(csv_path)] if command == "foliate" else []
+    code, out, err = run_cli(capsys, command, str(path), *extra)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("germlab: ")
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize(
     "epsilon, message",
     [

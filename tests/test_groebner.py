@@ -71,7 +71,8 @@ def test_normal_form_is_zero_exactly_on_members():
 
 def _reference_division(f, divisors, order, budget=None):
     """The Poly-level division kernel that the in-place one replaced, kept
-    verbatim as an oracle for its remainders and its charge points."""
+    as an oracle for its remainders and its charge points (its coefficient
+    quotient written as a product with the inverse)."""
     if not order.is_global:
         raise ValueError("division requires a global monomial order")
     budget = budget or Budget()
@@ -85,7 +86,7 @@ def _reference_division(f, divisors, order, budget=None):
         for k, (dm, dc) in enumerate(lts):
             q = mono_div(wm, dm)
             if q is not None:
-                work = work - divisors[k].mul_monomial(q, wc / dc)
+                work = work - divisors[k].mul_monomial(q, wc * dc.inverse())
                 break
         else:
             remainder_terms[wm] = wc

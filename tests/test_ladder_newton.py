@@ -4,7 +4,8 @@ manifest's exit code and the seed-normalised SHA-256 of every report.
 
 Reads ``bench/manifest.json`` and ``bench/goldens.json`` and changes
 neither; the checks are the benchmark's own (``harness.expected_exit``,
-``ladder.report_digest``)."""
+``ladder.report_digest``).  On the convenient ones, a face's index is
+checked to name the same face in the analysis and in the report."""
 
 from __future__ import annotations
 
@@ -14,12 +15,15 @@ from pathlib import Path
 import pytest
 
 from germlab.cli import main
+from germlab.germ import Budget, analyze_newton
+from germlab.germfile import load_raw, read_germ_file
+from germlab.report import newton_body
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import harness  # noqa: E402
 import ladder  # noqa: E402
-from workloads import WORKLOADS, invocation_argv, invocation_id  # noqa: E402
+from workloads import GERMS_DIR, WORKLOADS, invocation_argv, invocation_id  # noqa: E402
 
 CLI_SEED = 0
 NEWTON_RUNS = [
@@ -42,3 +46,45 @@ def test_newton_report_matches_its_golden(slot, invocation, tmp_path, monkeypatc
     report = tmp_path / f"report{slot:02d}.json"
     digest = ladder.report_digest(report.read_bytes(), CLI_SEED) if report.exists() else None
     assert digest == harness.goldens()["reports"][invocation_id(command, germ, extra)]
+
+
+def _assert_face_indices_agree(raw, analysis):
+    # diagram.faces lists the top faces first, so FaceVerdict k, the report's
+    # nondegeneracy.per_face[k] and newton.faces[k] all speak of faces[k]
+    diagram, nnd = analysis.diagram, analysis.nondegeneracy
+    tops = diagram.top_faces()
+    assert list(diagram.faces[: len(tops)]) == tops
+    assert len(nnd.statuses) == len(nnd.methods) == len(diagram.faces)
+    assert [v.face_index for v in analysis.face_verdicts] == list(range(len(tops)))
+    body = newton_body(raw, analysis)["newton"]
+    assert [row["face"] for row in body["nondegeneracy"]["per_face"]] == list(range(len(diagram.faces)))
+    for k, face in enumerate(diagram.faces):
+        row = body["nondegeneracy"]["per_face"][k]
+        assert (row["status"], row["method"]) == (nnd.statuses[k], nnd.methods[k])
+        assert body["faces"][k]["vertices"] == [list(v) for v in face.vertices]
+        assert body["faces"][k]["is_top"] is (k < len(tops))
+    for k, verdict in enumerate(analysis.face_verdicts):
+        assert verdict.sorted_weights == tuple(sorted(diagram.faces[k].weights))
+        assert body["face_verdicts"][k]["face_index"] == k
+        if nnd.statuses[k] != "nondegenerate":
+            assert verdict.evidence == f"face nondegeneracy is {nnd.statuses[k]}"
+
+
+# the ladder's newton germs with a convenient diagram in 3 or more variables
+CONVENIENT = ("bs_6633", "bs_pert4", "a1", "a2", "a3", "a4", "a5", "a6", "cube", "sphere_cubic", "x2y3z7")
+
+
+@pytest.mark.parametrize("germ", CONVENIENT)
+def test_a_face_index_names_the_same_face_everywhere(germ):
+    raw = load_raw(read_germ_file(GERMS_DIR / f"{germ}.json"))
+    _assert_face_indices_agree(raw, analyze_newton(raw.equations[0], Budget(), False, CLI_SEED))
+
+
+@pytest.mark.parametrize("limit, statuses", [(None, ["certificate", "certificate"]), (2, ["certificate", "unchecked"])])
+def test_face_indices_agree_with_two_top_faces(limit, statuses):
+    # every ladder germ has one top face; this one has two, and 2 steps
+    # settle the first one's nondegeneracy but not the second one's
+    raw = load_raw({"variables": ["x", "y", "z"], "equations": ["x^2 + z^6 + y^3*z + y^5"]})
+    analysis = analyze_newton(raw.equations[0], Budget() if limit is None else Budget(limit), False, CLI_SEED)
+    assert [v.status for v in analysis.face_verdicts] == statuses
+    _assert_face_indices_agree(raw, analysis)

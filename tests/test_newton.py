@@ -174,9 +174,9 @@ def test_analyze_newton_builds_one_diagram_per_call(monkeypatch):
     monkeypatch.setattr(germ, "newton_diagram", counted)
     monkeypatch.setattr(newton, "newton_diagram", counted)
     f = P("x^3 + y^4 + z^5 + x*y*z")
-    first = analyze_newton(f, Budget())
+    first = analyze_newton(f, Budget(), False, 0)
     assert len(calls) == 1
-    second = analyze_newton(f, Budget())
+    second = analyze_newton(f, Budget(), False, 0)
     assert len(calls) == 2
     assert len(first.diagram.top_faces()) > 1
     assert first.nondegeneracy.statuses == second.nondegeneracy.statuses

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germlab.parse import ParseError, parse_poly, poly_to_string
+from germlab.parse import MAX_NESTING, ParseError, parse_poly, poly_to_string
 from germlab.poly import Poly
 from germlab.qi import QI
 
@@ -58,6 +58,14 @@ def test_errors_carry_positions():
         parse_poly("(x + y)*z", VARS)  # parens are for constants only
     with pytest.raises(ParseError):
         parse_poly("", VARS)
+
+
+def test_nesting_stops_at_the_first_parenthesis_past_the_bound():
+    deepest = "(" * MAX_NESTING + "2" + ")" * MAX_NESTING
+    assert parse_poly(f"{deepest}*x", VARS) == P("2*x")
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}") as err:
+        parse_poly(f"x + ({deepest})", VARS)
+    assert err.value.position == 4 + MAX_NESTING
 
 
 def test_variable_name_i_is_reserved():

@@ -97,7 +97,7 @@ def test_newton_renders_nested_tuples_and_face_weights():
     edge = Face(1, ((1, 1), (3, 0)), (1, 2), 3)
     corner = Face(0, ((1, 1),), (3, 3), 6)
     diagram = NewtonDiagram(2, ((0, 3), (1, 1), (3, 0)), (edge, corner), True)
-    nondegeneracy = NondegeneracyReport([edge, corner], ["nondegenerate", "undetermined"], ["exact", "probabilistic"])
+    nondegeneracy = NondegeneracyReport(["nondegenerate", "undetermined"], ["exact", "probabilistic"])
     verdicts = [
         FaceVerdict(0, (F(1, 3), F(2, 3)), None, None, False, False, "unchecked", "budget"),
         FaceVerdict(1, (F(1, 2), F(1, 2)), 0, True, True, True, "certificate", "dim 0"),

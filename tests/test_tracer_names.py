@@ -56,7 +56,7 @@ def test_the_observers_count_what_the_real_calls_return(tmp_path):
     tracing = _tracing()
     tracer = tracing.Tracer()
     sphere = germ_system(["x", "y", "z"], [P("x^2 + y^2 + z^2")], [P("z^3")], [F(1, 2)] * 3)
-    sample = foliation.sample_link(sphere, 1, seed=0)[0]
+    sample = foliation.sample_link(sphere, 1, seed=0, sigma_cloud=[])[0]
     arc = foliation.deform_arc(sphere, 0.5, sample)
     gens = singular_locus_ideal([P("z^5 + x^15 + x*y^7")])
     order, budget = grevlex(3), groebner.Budget()
