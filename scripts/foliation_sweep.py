@@ -21,6 +21,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from germlab.foliation import sample_link, sigma_link_cloud, tangency_exponent, verify_foliation
 from germlab.germfile import load_system
 from germlab.groebner import Budget
@@ -65,11 +67,18 @@ def main() -> int:
     print("-" * len(header))
     for eps in sweep:
         report = verify_foliation(system, float(eps), samples, seed=args.seed)
-        worst = float("inf")
-        for arc, reference in zip(report.arcs, report.reference_arcs):
-            if not all(arc.converged):
-                continue
-            worst = min(worst, tangency_exponent(arc, reference).alpha)
+        # each fully converged arc against its reference, in one batch fit
+        arcs = report.arcs + report.reference_arcs
+        full = [i for i, arc in enumerate(report.arcs) if all(arc.converged)]
+        fits = tangency_exponent(
+            np.array([arc.points for arc in arcs]),
+            np.array([arc.converged for arc in arcs]),
+            np.array([(i, len(report.arcs) + i) for i in full], dtype=int).reshape(-1, 2),
+        )
+        for fit in fits:
+            if isinstance(fit, ValueError):
+                raise fit
+        worst = min((fit.alpha for fit in fits), default=float("inf"))
         worst_text = f"{worst:.3f}" if worst != float("inf") else "-"
         print(
             f"{str(eps):>10} {report.converged_fraction:>10.2f} "

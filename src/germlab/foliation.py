@@ -30,9 +30,11 @@ family's tangency fits of one length, each bit for bit ``np.polyfit``'s.
 
 The entry points take what the ``foliate`` pipeline produces: a
 :class:`GermSystem`, the :class:`LinkSample` points :func:`sample_link`
-returns, and the :class:`ArcSample` arcs the solver tabulates, every one on
-``DEFAULT_T_GRID``.  They take any scale ``epsilon``; the same-order default
-and its note are the command line's.
+returns, and the arrays the lockstep solver works on, every arc on
+``DEFAULT_T_GRID``: :func:`rescaled_gradient` takes (m, N) sample rows and
+:func:`tangency_exponent` a family's stacked points and converged flags.
+They take any scale ``epsilon``; the same-order default and its note are
+the command line's.
 
 Everything here is sampled pointwise in floating point; no symbolic Puiseux
 expansion is constructed.  Exactness claims are limited to coordinate-plane
@@ -121,12 +123,11 @@ class LinkSample:
     sphere with ``f_p(s) = 0`` at tolerance.
 
     ``distance_to_sigma`` is the distance to a numerically sampled link of
-    the obstruction locus, ``inf`` when that locus is the origin alone (or
-    no cloud was supplied)."""
+    the obstruction locus, ``inf`` when that locus is the origin alone."""
 
     s: tuple[complex, ...]
     residual: float
-    distance_to_sigma: float = math.inf
+    distance_to_sigma: float
 
 
 @dataclass(frozen=True)
@@ -469,23 +470,18 @@ def _block_scales(system: GermSystem, s: np.ndarray) -> np.ndarray:
     return np.sqrt(np.cumsum(np.abs(s) ** 2, axis=1))[:, boundaries]
 
 
-def _rescaled_gradients(system: GermSystem, s: np.ndarray) -> np.ndarray:
-    """:func:`rescaled_gradient` at every row of the (m, N) array ``s``, as
-    an (m, r, N) array."""
-    _, _, df_p, _ = system.evaluators
-    grads = df_p.rows(s).reshape(len(s), system.c, system.nvars)
-    return grads * _block_scales(system, s)[:, np.newaxis, :]
-
-
-def rescaled_gradient(system: GermSystem, s: Sequence[complex]) -> np.ndarray:
-    """The r×N gradient of the principal part at ``s`` with column j
-    multiplied by sqrt(sum_{i <= r_l} |s_i|^2) for j's block boundary r_l.
+def rescaled_gradient(system: GermSystem, s: np.ndarray) -> np.ndarray:
+    """The rescaled gradients at the rows of the (m, N) array ``s``, as an
+    (m, r, N) array: row i's r×N gradient of the principal part with column
+    j multiplied by sqrt(sum_{k <= r_l} |s_ik|^2) for j's block boundary r_l.
 
     With all weights equal this is the plain gradient times |s| (= 1 on the
     unit sphere); a sample with its first block exactly zero gets exactly
     zero columns there, which is what forces coordinate-plane preservation
     of the deformed arcs."""
-    return _rescaled_gradients(system, np.asarray(s, dtype=complex)[np.newaxis])[0]
+    _, _, df_p, _ = system.evaluators
+    grads = df_p.rows(s).reshape(len(s), system.c, system.nvars)
+    return grads * _block_scales(system, s)[:, np.newaxis, :]
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +535,7 @@ def _deform_arcs(
     s_arr = np.array([sample.s for sample in samples], dtype=complex).reshape(m, nvars)
     w_float = np.array([float(w) for w in system.weights])
     p_float = np.array([float(d) for d in system.degrees])
-    grads = _rescaled_gradients(system, s_arr)
+    grads = rescaled_gradient(system, s_arr)
     gram_determinants = [float(np.linalg.det(g @ g.conj().T).real) for g in grads]
     # conj[i].T is sample i's N x r map z -> h; a transposed view, as its
     # layout decides which BLAS kernel runs
@@ -637,18 +633,26 @@ def _solve_or_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # tangency exponents
 
 
-def _tangency_fits(
+def tangency_exponent(
     points: np.ndarray, converged: np.ndarray, pairs: np.ndarray
 ) -> list[TangencyEstimate | ValueError]:
-    """:func:`tangency_exponent` of arcs ``i`` and ``j`` for every row
-    ``(i, j)`` of ``pairs``, over one family: arc points of shape (m, T, N)
-    and converged flags of shape (m, T) on ``DEFAULT_T_GRID``.  A pair the
-    one-pair fit rejects gets the ValueError it raises.
+    """Fitted contact order of arcs ``i`` and ``j`` for every row ``(i, j)``
+    of ``pairs``, over one family: arc points of shape (m, T, N) and
+    converged flags of shape (m, T) on ``DEFAULT_T_GRID``, as the arc solver
+    tabulates them (:attr:`ArcSample.points` and :attr:`ArcSample.converged`
+    stacked).
+
+    Each fit is the least-squares slope of log|a(t) - b(t)| against the log
+    of the distance scale (mean of the two arc norms) over the smallest-t
+    window of commonly converged points — at least ``MIN_FIT_POINTS``, at
+    most half the available ones.  Identical arcs over the window report
+    alpha = inf.  A pair the fit rejects, say for fewer than
+    ``MIN_FIT_POINTS`` usable points, gets its ValueError in its place.
 
     Every fit with the same number of points is one stacked least-squares
     call that repeats ``np.polyfit``'s steps (columns [x, 1] scaled by their
-    root sum of squares, coefficients unscaled), so each result is bit for
-    bit the one-pair fit's.  Polyfit's rcond, len(x) * eps, is lstsq's
+    root sum of squares, coefficients unscaled), so each slope is bit for
+    bit ``np.polyfit``'s.  Polyfit's rcond, len(x) * eps, is lstsq's
     default eps * max(len(x), 2) except for one point, whose 1 x 2 matrix
     has one singular value and so no cutoff to apply.  A fit of rank < 2 warns
     as polyfit does, in pair order; a group whose SVD fails is solved again
@@ -731,27 +735,6 @@ def _tangency_fits(
     return results
 
 
-def tangency_exponent(a: ArcSample, b: ArcSample) -> TangencyEstimate:
-    """Fitted contact order of two arcs.
-
-    Least-squares slope of log|a(t) - b(t)| against the log of the distance
-    scale (mean of the two arc norms) over the smallest-t window of commonly
-    converged points — at least ``MIN_FIT_POINTS``, at most half the available
-    ones.  Identical arcs over the window report alpha = inf.  Raises
-    ValueError on fewer than ``MIN_FIT_POINTS`` usable points.
-
-    This is the stacked fit of :func:`verify_foliation` run on one pair; its
-    slope is bit for bit ``np.polyfit``'s, which also sets its RankWarning."""
-    (estimate,) = _tangency_fits(
-        np.array([a.points, b.points], dtype=complex),
-        np.array([a.converged, b.converged], dtype=bool),
-        np.array([[0, 1]]),
-    )
-    if isinstance(estimate, ValueError):
-        raise estimate
-    return estimate
-
-
 # ---------------------------------------------------------------------------
 # property verification
 
@@ -776,10 +759,10 @@ def verify_foliation(
     coordinate-plane preservation for samples whose leading weight block
     vanishes exactly.  Any failure names the offending pair or sample.
 
-    The contact orders are :func:`tangency_exponent`'s, fitted for all
-    pairs of a family at once (a pair's perturbed fit only when its
-    unperturbed one succeeds), from the point and flag arrays the arc
-    solver tabulated."""
+    The contact orders are two :func:`tangency_exponent` calls, one per
+    family, on the point and flag arrays the arc solver tabulated: the
+    unperturbed family's over the chosen pairs, then the perturbed family's
+    over the pairs whose unperturbed fit succeeded."""
     if len(samples) < 2:
         raise ValueError("verify_foliation needs at least 2 samples")
     perturbed, reference = _deform_arcs(system, [epsilon, 0.0], samples)
@@ -798,9 +781,9 @@ def verify_foliation(
 
     # a pair's perturbed fit is made only when its reference fit succeeds
     pairs = np.array(fit_pairs, dtype=int).reshape(-1, 2)
-    reference_fits = _tangency_fits(reference.points, reference.converged, pairs)
+    reference_fits = tangency_exponent(reference.points, reference.converged, pairs)
     fitted = [n for n, fit in enumerate(reference_fits) if isinstance(fit, TangencyEstimate)]
-    perturbed_fits = dict(zip(fitted, _tangency_fits(
+    perturbed_fits = dict(zip(fitted, tangency_exponent(
         perturbed.points, perturbed.converged, pairs[fitted]
     )))
     dichotomy: list[PairDichotomy] = []

@@ -42,9 +42,9 @@ from germlab.groebner import (
 from germlab.newton import (
     NewtonDiagram,
     NondegeneracyReport,
-    face_nondegeneracy,
     face_restriction,
     face_weight_report,
+    is_newton_nondegenerate,
     newton_diagram,
 )
 from germlab.orders import grevlex
@@ -615,7 +615,7 @@ def analyze_newton(
     if n < 2:
         raise ValueError("the Newton route requires at least 3 variables (a germ of dimension >= 2)")
     notes: list[str] = []
-    nnd = face_nondegeneracy(f, diagram, budget, probabilistic, seed)
+    nnd = is_newton_nondegenerate(f, diagram, budget, probabilistic, seed)
     if any(m == "probabilistic" for m in nnd.methods):
         notes.append("nondegeneracy partially established by random torus search (probabilistic)")
 

@@ -136,7 +136,7 @@ def division(
     order: MonomialOrder,
     budget: Budget,
     *,
-    heads: list[tuple] | None = None,
+    heads: list[tuple],
 ) -> Poly:
     """Multivariate division: the remainder r of f = sum q_k * divisors[k] + r,
     no term of r divisible by any divisor's leading monomial.  Divisors are
@@ -145,14 +145,12 @@ def division(
 
     Reduces in place on a copy of f's term dict (subtracting c*x^q*divisor
     term by term, deleting cancelled terms) and builds one Poly at the end.
-    Divisor heads are ``heads`` when given (``_head`` of each divisor, kept
-    by ``buchberger`` and ``_interreduce`` from the moment an element joins
-    the basis), else found once per call.  Order keys are memoized per call,
-    and each reduction or remainder step charges one budget step."""
+    ``heads`` holds ``_head`` of each divisor: ``buchberger`` and
+    ``_interreduce`` keep them from the moment an element joins the basis,
+    and ``normal_form`` finds them once per call.  Order keys are memoized
+    per call, and each reduction or remainder step charges one budget step."""
     if not order.is_global:
         raise ValueError("division requires a global monomial order")
-    if heads is None:
-        heads = [_head(d, order) for d in divisors]
     cached_key = lru_cache(maxsize=None)(order.key)
     remainder_terms: dict[Monomial, QI] = {}
     work = dict(f.terms)
@@ -181,7 +179,7 @@ def division(
 
 
 def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder, budget: Budget) -> Poly:
-    return division(f, basis, order, budget)
+    return division(f, basis, order, budget, heads=[_head(g, order) for g in basis])
 
 
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:

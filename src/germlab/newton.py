@@ -20,7 +20,8 @@ signed maximal minors of its matrix of exponent differences, computed by
 fraction-free elimination (``exact.integer_determinant``), and ranks come
 from the same elimination.  ``newton_diagram`` is the costly step, so a
 caller holding a diagram passes it on: ``germ.analyze_newton`` builds one
-per call and hands it to ``face_nondegeneracy``."""
+per call, checks that it is convenient, and hands it to
+``is_newton_nondegenerate``."""
 
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ __all__ = [
     "newton_diagram",
     "face_restriction",
     "is_newton_nondegenerate",
-    "face_nondegeneracy",
     "face_weight_report",
 ]
 
@@ -268,35 +268,22 @@ def _torus_search(f_sigma: Poly, seed: int) -> bool:
 
 def is_newton_nondegenerate(
     f: Poly,
-    budget: Budget,
-    probabilistic: bool = False,
-    seed: int = 0,
-) -> NondegeneracyReport:
-    """Check, per compact face, that the face polynomial has no critical
-    point on the torus: exactly, via saturation of its partial derivatives by
-    the product of the variables (unit ideal <=> empty torus critical locus).
-
-    Budget exhaustion on a face marks it "undetermined" unless
-    ``probabilistic`` is set, in which case a random torus search substitutes
-    and the face is marked with method "probabilistic" (search finds a
-    critical point -> degenerate; finds none -> nondegenerate by sampling
-    only).  All faces charge the one budget, so once it runs out every later
-    face is exhausted too."""
-    diagram = newton_diagram(f)
-    if not diagram.convenient:
-        raise ValueError("non-degeneracy check requires a convenient diagram")
-    return face_nondegeneracy(f, diagram, budget, probabilistic, seed)
-
-
-def face_nondegeneracy(
-    f: Poly,
     diagram: NewtonDiagram,
     budget: Budget,
     probabilistic: bool,
     seed: int,
 ) -> NondegeneracyReport:
-    """The per-face loop of ``is_newton_nondegenerate`` on a diagram the
-    caller has already built from f (and checked to be convenient)."""
+    """Check, per compact face of ``diagram`` (built from f by
+    :func:`newton_diagram`), that the face polynomial has no critical point
+    on the torus: exactly, via saturation of its partial derivatives by the
+    product of the variables (unit ideal <=> empty torus critical locus).
+
+    Budget exhaustion on a face marks it "undetermined" unless
+    ``probabilistic`` is set, in which case a random torus search seeded by
+    ``seed`` plus the face's index substitutes and the face is marked with
+    method "probabilistic" (search finds a critical point -> degenerate;
+    finds none -> nondegenerate by sampling only).  All faces charge the one
+    budget, so once it runs out every later face is exhausted too."""
     torus = Poly(f.nvars, {tuple(1 for _ in range(f.nvars)): QI.one()})
     statuses: list[str] = []
     methods: list[str] = []

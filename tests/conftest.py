@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,16 @@ from germlab.parse import parse_poly
 from germlab.germ import germ_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def bench_tracing():
+    """``bench/tracing.py`` as a module, imported from its file; importing it
+    installs nothing."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def fixture_path(name: str) -> str:

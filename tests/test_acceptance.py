@@ -193,7 +193,11 @@ def test_criterion_07_foliation_residuals_and_contact_order():
         if all(arc.converged) and max(arc.residuals) < 1e-9:
             full_grid += 1
             reference = deform_arc(sphere, 0.0, s)
-            est = tangency_exponent(arc, reference)
+            (est,) = tangency_exponent(
+                np.array([arc.points, reference.points]),
+                np.array([arc.converged, reference.converged]),
+                np.array([[0, 1]]),
+            )
             # delta/w_N = (3/2 - 1)/(1/2) = 1, so the contact order is 2
             assert est.alpha >= 1.95
     elapsed = time.monotonic() - started

@@ -232,7 +232,7 @@ def test_same_order_epsilon_cap(briancon_speder):
 def test_coordinate_plane_membership_is_bitwise(briancon_speder):
     # (0, 1, 0) lies on the link (the equation and the perturbation both
     # vanish on the y-axis); the deformed arc must stay in V(x, z) exactly.
-    plane = LinkSample(s=(0j, 1 + 0j, 0j), residual=0.0)
+    plane = LinkSample(s=(0j, 1 + 0j, 0j), residual=0.0, distance_to_sigma=math.inf)
     arc = deform_arc(briancon_speder, 0.1, plane)
     points = np.array(arc.points)
     assert np.all(points[:, 0] == 0.0)
@@ -301,6 +301,19 @@ def _arcs(*curves, converged=None):
     return _family_arcs(points, np.broadcast_to(converged, points.shape[:2]))
 
 
+def _fit_pair(a, b):
+    """``tangency_exponent`` of two arcs: the batch fit on the one pair, its
+    ValueError raised."""
+    (fit,) = tangency_exponent(
+        np.array([a.points, b.points], dtype=complex),
+        np.array([a.converged, b.converged], dtype=bool),
+        np.array([[0, 1]]),
+    )
+    if isinstance(fit, ValueError):
+        raise fit
+    return fit
+
+
 def _power_law_pair(alpha, converged=None):
     t = DEFAULT_T_GRID
     return _arcs([(ti, ti**alpha) for ti in t], [(ti, 0.0) for ti in t], converged=converged)
@@ -308,7 +321,7 @@ def _power_law_pair(alpha, converged=None):
 
 def test_tangency_of_synthetic_power_law_curves():
     a, b = _power_law_pair(2.0)
-    est = tangency_exponent(a, b)
+    est = _fit_pair(a, b)
     assert est.alpha == pytest.approx(2.0, abs=0.05)
     assert est.r2 > 0.999
     assert est.window[0] < est.window[1] <= 0.5
@@ -318,14 +331,14 @@ def test_tangency_of_synthetic_power_law_curves():
 @given(st.floats(min_value=1.2, max_value=3.0, allow_nan=False))
 def test_tangency_recovers_random_exponents(alpha):
     a, b = _power_law_pair(alpha)
-    est = tangency_exponent(a, b)
+    est = _fit_pair(a, b)
     assert est.alpha == pytest.approx(alpha, abs=0.08)
 
 
 def test_tangency_of_identical_arcs_is_infinite(sphere):
     s = sample_link(sphere, 1, seed=0, sigma_cloud=[])[0]
     arc = deform_arc(sphere, 0.5, s)
-    est = tangency_exponent(arc, arc)
+    est = _fit_pair(arc, arc)
     assert est.alpha == math.inf
     assert est.r2 == 1.0
 
@@ -336,7 +349,7 @@ def test_tangency_grid_and_count_validation(sphere):
     assert all(arc.t_grid is DEFAULT_T_GRID for arc in _power_law_pair(2.0))
     tiny, tiny2 = _power_law_pair(2.0, converged=np.arange(len(DEFAULT_T_GRID)) < 5)
     with pytest.raises(ValueError, match=r"insufficient converged points for a tangency fit \(5 < 6\)"):
-        tangency_exponent(tiny, tiny2)
+        _fit_pair(tiny, tiny2)
 
 
 def test_perturbed_arc_contacts_its_reference_at_the_predicted_order(sphere):
@@ -345,7 +358,7 @@ def test_perturbed_arc_contacts_its_reference_at_the_predicted_order(sphere):
     s = sample_link(sphere, 1, seed=0, sigma_cloud=[])[0]
     perturbed = deform_arc(sphere, 0.5, s)
     reference = deform_arc(sphere, 0.0, s)
-    est = tangency_exponent(perturbed, reference)
+    est = _fit_pair(perturbed, reference)
     assert est.alpha == pytest.approx(2.0, abs=0.05)
     assert est.r2 > 0.999
 
@@ -823,7 +836,7 @@ def test_singular_newton_matrix_falls_back_per_row(briancon_speder):
         [P("y^8")],
         [F(1, 15), F(2, 15), F(3, 15)],
     )
-    axis = LinkSample(s=(0j, 1 + 0j, 0j), residual=0.0)
+    axis = LinkSample(s=(0j, 1 + 0j, 0j), residual=0.0, distance_to_sigma=math.inf)
     samples = [axis] + sample_link(system, 3, seed=1, sigma_cloud=[])
     arcs = _assert_arcs_match(system, 0.1, samples)
     assert arcs[0].gram_determinant == 0.0
@@ -860,16 +873,16 @@ def test_separation_scan_matches_the_pair_loop(briancon_speder):
 
 
 def test_rescaled_gradient_matches_the_per_sample_oracle(sphere, briancon_speder):
-    # rescaled_gradient is the batched code on one row; the arc oracles
-    # check whole batches.  (0, 1, 0) has an exactly-zero first block on
-    # briancon_speder.
+    # each row of the batch is bit for bit the one-sample oracle; the arc
+    # oracles check whole arc batches.  (0, 1, 0) has an exactly-zero first
+    # block on briancon_speder.
     for system in (sphere, briancon_speder):
         samples = [s.s for s in sample_link(system, 6, seed=5, sigma_cloud=[])] + [(0j, 1 + 0j, 0j)]
-        for s in samples:
-            s_arr = np.asarray(s, dtype=complex)
-            assert rescaled_gradient(system, s).tobytes() == (
-                _oracle_rescaled_gradient(system, s_arr).tobytes()
-            )
+        s_arr = np.array(samples, dtype=complex)
+        grads = rescaled_gradient(system, s_arr)
+        assert grads.shape == (len(samples), system.c, system.nvars)
+        for grad, row in zip(grads, s_arr):
+            assert grad.tobytes() == _oracle_rescaled_gradient(system, row).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +937,8 @@ def _oracle_tangency_exponent(a, b, *, min_points=6):
 def _family_arcs(points, converged):
     return [
         ArcSample(
-            s=LinkSample(s=tuple(pts[0].tolist()), residual=0.0), epsilon=0j,
+            s=LinkSample(s=tuple(pts[0].tolist()), residual=0.0, distance_to_sigma=math.inf),
+            epsilon=0j,
             z_values=(), points=tuple(map(tuple, pts.tolist())),
             residuals=(0.0,) * len(pts), converged=tuple(flags.tolist()),
             gram_determinant=0.0, iteration_residuals=(),
@@ -963,7 +977,7 @@ def _assert_fits_match_the_oracle(points, converged, pairs, min_points=6):
     # the fits read their minimum from the module; set it for this family
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(foliation, "MIN_FIT_POINTS", min_points)
-        fits, caught = _recorded(lambda: foliation._tangency_fits(
+        fits, caught = _recorded(lambda: tangency_exponent(
             points, converged, np.array(pairs).reshape(-1, 2)
         ))
         assert [_fit_words(fit) for fit in fits] == [_fit_words(fit) for fit in expected]
@@ -971,7 +985,7 @@ def _assert_fits_match_the_oracle(points, converged, pairs, min_points=6):
         assert caught.count(rank) == expected_warnings.count(rank)
         assert set(caught) == set(expected_warnings)
         for (i, j), fit in zip(pairs, expected):
-            one, _ = _recorded(lambda: tangency_exponent(arcs[i], arcs[j]))
+            one, _ = _recorded(lambda: _fit_pair(arcs[i], arcs[j]))
             assert _fit_words(one) == _fit_words(fit)
     return fits
 
@@ -1015,7 +1029,7 @@ def test_constant_distance_scale_warns_as_polyfit_does():
     fits = _assert_fits_match_the_oracle(points, np.ones((3, 20), dtype=bool), [(0, 1), (0, 2), (1, 2)])
     assert all(isinstance(fit, TangencyEstimate) for fit in fits)
     a, b = _arcs(points[0], points[1])
-    _, caught = _recorded(lambda: tangency_exponent(a, b))
+    _, caught = _recorded(lambda: _fit_pair(a, b))
     assert caught == [(np.exceptions.RankWarning, "Polyfit may be poorly conditioned")]
 
 
@@ -1228,7 +1242,7 @@ def test_an_infinite_arc_point_fails_its_fit_without_lapack_output(capfd):
     points[1, 15, 1] = math.inf
     a, b = _arcs(points[0], points[1])
     with pytest.raises(np.linalg.LinAlgError, match=f"^{LSTSQ_FAILED}$"):
-        tangency_exponent(a, b)
+        _fit_pair(a, b)
     assert capfd.readouterr() == ("", "")
 
 
@@ -1273,7 +1287,7 @@ def test_write_arc_csv_matches_the_csv_writer_bytes(tmp_path, sphere):
         (complex(0.1, 1 / 3), complex(-1e22, 123456789.0), complex(2.0**-1074, -1e308)),
     )
     odd = ArcSample(
-        s=LinkSample(s=(complex(nan, -0.0), complex(inf, -inf), complex(5e-324, 1e22)), residual=0.0),
+        s=LinkSample(s=(complex(nan, -0.0), complex(inf, -inf), complex(5e-324, 1e22)), residual=0.0, distance_to_sigma=math.inf),
         epsilon=complex(-0.0, 0.25),
         z_values=((0j,),) * size,
         points=(odd_points * size)[:size],

@@ -116,7 +116,8 @@ def test_zero_poly_rejected():
 
 
 def test_nondegenerate_brieskorn():
-    report = is_newton_nondegenerate(P("x^2 + y^3 + z^7"), Budget())
+    f = P("x^2 + y^3 + z^7")
+    report = is_newton_nondegenerate(f, newton_diagram(f), Budget(), False, 0)
     assert report.overall is True
     assert set(report.statuses) == {"nondegenerate"}
     assert set(report.methods) == {"exact"}
@@ -124,7 +125,8 @@ def test_nondegenerate_brieskorn():
 
 def test_degenerate_square_of_linear():
     # (x+y)^2 + z^2: the edge restricted to x,y is (x+y)^2, singular on the torus
-    report = is_newton_nondegenerate(P("x^2 + 2*x*y + y^2 + z^2"), Budget())
+    f = P("x^2 + 2*x*y + y^2 + z^2")
+    report = is_newton_nondegenerate(f, newton_diagram(f), Budget(), False, 0)
     assert report.overall is False
     assert "degenerate" in report.statuses
 
@@ -153,15 +155,10 @@ def test_nondegeneracy_charges_one_budget_across_faces():
     # undetermined at its first charge without moving that count
     f = P("x^6 + y^6 + z^3 + w^3 + x*y*z*w + x^5*z", "x y z w")
     budget = Budget(150)
-    report = is_newton_nondegenerate(f, budget=budget)
+    report = is_newton_nondegenerate(f, newton_diagram(f), budget, False, 0)
     assert report.statuses == ["nondegenerate"] * 10 + ["undetermined"] * 5
     assert set(report.methods) == {"exact"}
     assert budget.used == 151
-
-
-def test_nondegeneracy_requires_convenient():
-    with pytest.raises(ValueError, match="non-degeneracy check requires a convenient diagram"):
-        is_newton_nondegenerate(P("x*y + z^2"), Budget())
 
 
 def test_analyze_newton_builds_one_diagram_per_call(monkeypatch):

@@ -10,28 +10,18 @@ feed its observers what the real calls return.
 from __future__ import annotations
 
 import importlib
-import importlib.util
 import inspect
-from pathlib import Path
 
 from germlab import foliation, groebner
+from germlab.cli import main
 from germlab.germ import germ_system, singular_locus_ideal
 from germlab.orders import grevlex
 
-from conftest import F, P
-
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-
-
-def _tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import ROOT, F, P, bench_tracing
 
 
 def test_every_traced_name_resolves_in_germlab():
-    tracing = _tracing()
+    tracing = bench_tracing()
     for short, names in tracing.SPANNED.items():
         module = importlib.import_module(f"germlab.{short}")
         for name in names:
@@ -53,7 +43,7 @@ def test_the_arguments_the_tracer_reads_are_where_it_reads_them():
 def test_the_observers_count_what_the_real_calls_return(tmp_path):
     # the observers read an arc's t_grid, iteration_residuals and converged
     # flags, and a basis's stats; a hand-made span list stands in for install
-    tracing = _tracing()
+    tracing = bench_tracing()
     tracer = tracing.Tracer()
     sphere = germ_system(["x", "y", "z"], [P("x^2 + y^2 + z^2")], [P("z^3")], [F(1, 2)] * 3)
     sample = foliation.sample_link(sphere, 1, seed=0, sigma_cloud=[])[0]
@@ -81,3 +71,17 @@ def test_the_observers_count_what_the_real_calls_return(tmp_path):
     }
     assert tracer.stats["run"]["s_pairs"] > 0
     assert len(tracer.basis_inputs["run"]) == 1
+
+
+def test_the_tracer_sees_the_newton_layer(tmp_path):
+    # the per-face check is the spanned name that analyze_newton calls, so an
+    # installed tracer records it; the pipeline must not bypass the name
+    tracer = bench_tracing().Tracer()
+    tracer.install()
+    try:
+        main(["newton", str(ROOT / "bench" / "germs" / "bs_6633.json"), "--out", str(tmp_path / "report.json")])
+    finally:
+        tracer.uninstall()
+    table = tracer.layer_table()
+    assert table.get("newton.is_newton_nondegenerate", {"calls": 0})["calls"] > 0
+    assert table["germ.analyze_newton"]["calls"] == 1
