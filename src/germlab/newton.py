@@ -17,11 +17,11 @@ that is re-checked against every support point.
 
 All of it is integer arithmetic: a candidate's normal is the vector of
 signed maximal minors of its matrix of exponent differences, computed by
-fraction-free elimination (``exact.integer_determinant``), and ranks come
-from the same elimination.  ``newton_diagram`` is the costly step, so a
-caller holding a diagram passes it on: ``germ.analyze_newton`` builds one
-per call, checks that it is convenient, and hands it to
-``is_newton_nondegenerate``."""
+fraction-free elimination (``exact.integer_determinant``); ranks and the
+torus slice of ``_torus_search`` come from the same elimination.
+``newton_diagram`` is the costly step, so a caller holding a diagram passes
+it on: ``germ.analyze_newton`` builds one per call, checks that it is
+convenient, and hands it to ``is_newton_nondegenerate``."""
 
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from germlab.exact import integer_determinant, nullspace, rank, rref
+from germlab.exact import integer_determinant, nullspace, pivot_columns, rank
 from germlab.groebner import Budget, BudgetExhausted, saturation
 from germlab.poly import Monomial, NumericEvaluator, Poly, jacobian, jacobian_evaluator
 from germlab.qi import QI
@@ -238,7 +238,7 @@ def _torus_search(f_sigma: Poly, seed: int) -> bool:
     nvars = f_sigma.nvars
     m0 = next(iter(f_sigma.terms))
     weights = nullspace([[a - b for a, b in zip(m, m0)] for m in f_sigma.terms], nvars)
-    _, fixed = rref([w[::-1] for w in weights])  # last coordinates first
+    fixed = pivot_columns([w[::-1] for w in weights])  # last coordinates first
     free = [j for j in range(nvars) if nvars - 1 - j not in fixed]
     partials = jacobian([f_sigma])[0]
     gradient, hessian = NumericEvaluator(partials), jacobian_evaluator(partials)

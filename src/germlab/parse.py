@@ -53,9 +53,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             k += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = k
-            while k < n and text[k].isdigit():
+            while k < n and text[k].isdecimal():
                 k += 1
             tokens.append(("number", text[start:k], start))
             continue
@@ -72,6 +72,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         raise ParseError(f"unexpected character {ch!r}", k)
     tokens.append(("end", "", n))
     return tokens
+
+
+def _number(value: str, at: int) -> int:
+    """A number token's value; ``int`` refuses only those past its digit limit."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"number too long ({len(value)} digits)", at) from None
 
 
 class _Parser:
@@ -134,7 +142,7 @@ class _Parser:
         kind, value, at = self.peek()
         if kind == "number":
             self.advance()
-            num = int(value)
+            num = _number(value, at)
             k2, v2, _ = self.peek()
             if k2 == "sym" and v2 == "/":
                 self.advance()
@@ -142,7 +150,7 @@ class _Parser:
                 if k3 != "number":
                     raise ParseError("expected a denominator", at3)
                 self.advance()
-                den = int(v3)
+                den = _number(v3, at3)
                 if den == 0:
                     raise ParseError("zero denominator", at3)
                 return Poly.constant(self.nvars, QI(Fraction(num, den)))
@@ -164,7 +172,7 @@ class _Parser:
                 if k3 != "number":
                     raise ParseError("expected an integer exponent", at3)
                 self.advance()
-                e = int(v3)
+                e = _number(v3, at3)
                 if e < 1:
                     raise ParseError("exponent must be a positive integer", at3)
                 return base ** e

@@ -17,12 +17,13 @@ it, when first called.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import add, ge, sub
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from germlab.exact import nullspace, rref
+from germlab.exact import nullspace, pivot_columns
 from germlab.qi import QI
 
 if TYPE_CHECKING:
@@ -370,27 +371,24 @@ def jacobian_evaluator(polys: Sequence[Poly]) -> NumericEvaluator:
     return NumericEvaluator([d for row in jacobian(polys) for d in row])
 
 
+@dataclass(frozen=True)
 class WeightInference:
-    """Outcome of weight inference on a claimed weighted-homogeneous system."""
+    """Outcome of weight inference on a claimed weighted-homogeneous system:
+    ``status`` is "unique" (with ``weights``), "underdetermined" (with the
+    ``free_variables`` the caller must weigh) or "not_weighted_homogeneous"."""
 
-    __slots__ = ("status", "weights", "degrees", "free_variables")
-
-    def __init__(self, status: str, weights=None, degrees=None, free_variables=None):
-        self.status = status  # "unique" | "underdetermined" | "not_weighted_homogeneous"
-        self.weights = weights
-        self.degrees = degrees
-        self.free_variables = free_variables or []
-
-    def __repr__(self) -> str:
-        return f"WeightInference({self.status}, weights={self.weights})"
+    status: str
+    weights: list[Fraction] | None = None
+    free_variables: list[str] = field(default_factory=list)
 
 
 def infer_weights(polys: Sequence[Poly], variable_names: Sequence[str]) -> WeightInference:
     """Solve ⟨ω, a⟩ = p_i over all supports for positive rational weights.
 
     Per equation the unknown degree p_i is eliminated by differencing all
-    exponents against a base monomial, leaving a homogeneous linear system in
-    ω alone.  Outcomes:
+    exponents against a base monomial, leaving a homogeneous integer linear
+    system in ω alone, solved by the fraction-free elimination of
+    :mod:`germlab.exact`.  Outcomes:
 
     * a 1-dimensional solution space whose spanning vector can be scaled
       positive → "unique", weights normalized so that min_i p_i = 1;
@@ -400,7 +398,7 @@ def infer_weights(polys: Sequence[Poly], variable_names: Sequence[str]) -> Weigh
       strictly positive → "not_weighted_homogeneous".
     """
     nvars = polys[0].nvars
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     bases: list[Monomial] = []
     for f in polys:
         if f.is_zero():
@@ -409,7 +407,7 @@ def infer_weights(polys: Sequence[Poly], variable_names: Sequence[str]) -> Weigh
         base = monos[0]
         bases.append(base)
         for m in monos[1:]:
-            rows.append([Fraction(m[j] - base[j]) for j in range(nvars)])
+            rows.append([m[j] - base[j] for j in range(nvars)])
     basis = nullspace(rows, nvars)
     if not basis:
         return WeightInference("not_weighted_homogeneous")
@@ -417,22 +415,14 @@ def infer_weights(polys: Sequence[Poly], variable_names: Sequence[str]) -> Weigh
         # Report the truly undetermined weights: fix the overall scale by
         # pinning the first base monomial to degree 1, then the non-pivot
         # columns are exactly the weights the caller must supply.
-        norm_row = [Fraction(bases[0][j]) for j in range(nvars)]
-        aug = rows + ([norm_row] if any(norm_row) else [])
-        _, pivots = rref(aug)
+        pivots = pivot_columns(rows + [list(bases[0])])
         free = [variable_names[j] for j in range(nvars) if j not in pivots]
         return WeightInference("underdetermined", free_variables=free)
-    vec = basis[0]
-    if any(x == 0 for x in vec):
-        return WeightInference("not_weighted_homogeneous")
-    if all(x < 0 for x in vec):
-        vec = [-x for x in vec]
-    if any(x < 0 for x in vec):
+    vec = basis[0]  # positive on its free column
+    if any(x <= 0 for x in vec):
         return WeightInference("not_weighted_homogeneous")
     degrees = [mono_weighted_degree(b, vec) for b in bases]
     if any(d <= 0 for d in degrees):
         return WeightInference("not_weighted_homogeneous")
     scale = min(degrees)
-    weights = [x / scale for x in vec]
-    degrees = [d / scale for d in degrees]
-    return WeightInference("unique", weights=weights, degrees=degrees)
+    return WeightInference("unique", weights=[x / scale for x in vec])

@@ -124,6 +124,15 @@ def test_bad_equation_reports_its_label():
         load_system({"variables": ["x"], "split": {"principal": ["x +"]}})
 
 
+def test_cli_bad_number_names_its_equation_and_position(capsys, tmp_path):
+    for text, message in (("x^²+y^3", "unexpected character '²' (at position 2)"),
+                          ("1" * 5000 + "*x", "number too long (5000 digits) (at position 0)")):
+        path = write_germ(tmp_path, {"variables": ["x", "y"], "equations": [text]})
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"germlab: equations[0]: {message} in {text!r}\n"
+
+
 def test_weight_inference_failures_are_germ_file_errors():
     # not weighted-homogeneous and no weights given
     with pytest.raises(GermFileError, match="not weighted-homogeneous"):

@@ -2,15 +2,15 @@
 non-degeneracy, and per-face weight summaries."""
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, permutations
+from math import gcd, prod
 from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from germlab import germ, newton
-from germlab.exact import nullspace, rank, rref
+from germlab.exact import integer_determinant, nullspace, pivot_columns, rank
 from germlab.germ import analyze_newton
 from germlab.groebner import Budget
 from germlab.newton import (
@@ -34,9 +34,10 @@ def test_exact_rank_known_values():
     assert rank([(1, 2, 3), (2, 4, 6)]) == 1
     assert rank([(1, 0, -1), (0, 1, -1), (1, 1, -2)]) == 2
     assert rank([(2, 0, 0), (0, 3, 0), (0, 0, 7), (1, 1, 1)]) == 3
-    # rational entries, and a dependency that only holds exactly
-    assert rank([(F(1, 3), F(1, 2)), (F(2, 3), 1)]) == 1
-    assert rank([(F(1, 3), F(1, 2)), (F(2, 3), F(1000001, 1000000))]) == 2
+    # rows of rational matrices scaled to integers (by 6, and by 6 and
+    # 3000000), and a dependency that only holds exactly
+    assert rank([(2, 3), (4, 6)]) == 1
+    assert rank([(2, 3), (2000000, 3000003)]) == 2
 
 
 def by_dim(diagram, dim):
@@ -232,15 +233,115 @@ def test_single_top_face_normal_matches_weight_inference(monos):
     inf = infer_weights([g], ["x", "y", "z"])
     if inf.status == "unique":
         # normalized weights agree with the face weights up to the p=1 scale
-        scale = inf.degrees[0]
+        scale = g.weighted_order(inf.weights)
         assert [w / scale for w in inf.weights] == list(face.weights)
 
 
-# -- the integer-minor facet search against the Fraction-nullspace search ----
+# -- the integer elimination against the Fraction elimination ----------------
+
+
+def _oracle_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return mat, []
+    ncols = len(mat[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for k in range(r, len(mat)):
+            if mat[k][c]:
+                pivot_row = k
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for k in range(len(mat)):
+            if k != r and mat[k][c]:
+                factor = mat[k][c]
+                mat[k] = [a - factor * b for a, b in zip(mat[k], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def _oracle_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right null space {v : M v = 0}, one vector per free column."""
+    red, pivots = _oracle_rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
 
 
 def _oracle_rank(rows):
-    return len(rref([[Fraction(x) for x in r] for r in rows])[1])
+    return len(_oracle_rref([[Fraction(x) for x in r] for r in rows])[1])
+
+
+def _leibniz_determinant(rows):
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
+        total += (-1) ** inversions * prod(rows[k][perm[k]] for k in range(n))
+    return total
+
+
+@st.composite
+def integer_matrices(draw):
+    """(rows, ncols): 0-6 integer rows of 1-6 columns, often square, with
+    entries up to ±10^6, among them zero rows and exact integer
+    combinations of earlier rows."""
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    nrows = ncols if draw(st.booleans()) else draw(st.integers(min_value=0, max_value=6))
+    rows: list[list[int]] = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["entries", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)])
+        else:
+            entry = st.integers(min_value=-10**6, max_value=10**6)
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+@example(([], 0))
+@example(([], 3))
+@example(([[0, 0]], 2))
+@example(([[2, 3], [4, 6]], 2))
+@example(([[0, 3, 1], [0, 6, 2], [5, 0, 0]], 3))
+def test_integer_elimination_matches_the_fraction_oracle(case):
+    rows, ncols = case
+    fraction_rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = _oracle_rref(fraction_rows)[1]
+    assert rank(rows) == len(pivots)
+    assert pivot_columns(rows) == pivots
+    kernel = nullspace(rows, ncols)
+    want = _oracle_nullspace(fraction_rows, ncols)
+    assert len(kernel) == len(want) == ncols - len(pivots)
+    for v, w in zip(kernel, want):
+        assert all(type(x) is int for x in v)
+        (free,) = [c for c in range(ncols) if c not in pivots and w[c]]
+        scale = v[free]
+        assert scale > 0 and v == [scale * x for x in w]
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+    if len(rows) == ncols:
+        assert integer_determinant(rows) == _leibniz_determinant(rows)
 
 
 def _oracle_primitive(vec):
@@ -269,7 +370,7 @@ def _oracle_facet_data(support, nvars):
             for E in combinations(range(nvars), esize):
                 rows = [[Fraction(x) for x in d] for d in diffs]
                 rows += [[Fraction(x) for x in unit[j]] for j in E]
-                kernel = nullspace(rows, nvars)
+                kernel = _oracle_nullspace(rows, nvars)
                 if len(kernel) != 1:
                     continue
                 nu = tuple(_oracle_primitive(kernel[0]))

@@ -60,6 +60,26 @@ def test_errors_carry_positions():
         parse_poly("", VARS)
 
 
+def test_numbers_are_decimal_digits():
+    # a superscript digit is a digit to str.isdigit but no number to int()
+    with pytest.raises(ParseError, match="unexpected character '²'") as err:
+        parse_poly("x^²+y^3", VARS)
+    assert err.value.position == 2
+    with pytest.raises(ParseError, match="unexpected character '²'"):
+        parse_poly("x^1²", VARS)
+    # every decimal digit int() reads still parses, to the same value
+    assert parse_poly("\u0663*x^\u0662", VARS) == P("3*x^2")
+
+
+def test_numbers_past_the_digit_limit_are_parse_errors():
+    long = "1" * 5000
+    for text, position in ((f"{long}*x", 0), (f"x^{long}", 2), (f"1/{long}*x", 2)):
+        with pytest.raises(ParseError, match="number too long [(]5000 digits[)]") as err:
+            parse_poly(text, VARS)
+        assert err.value.position == position
+    assert parse_poly("1" * 4000 + "*x", VARS) == Poly.from_terms(3, [((1, 0, 0), QI(int("1" * 4000)))])
+
+
 def test_nesting_stops_at_the_first_parenthesis_past_the_bound():
     deepest = "(" * MAX_NESTING + "2" + ")" * MAX_NESTING
     assert parse_poly(f"{deepest}*x", VARS) == P("2*x")
