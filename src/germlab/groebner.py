@@ -12,9 +12,11 @@ Design points, fixed by the package contract:
   output bases are interreduced, monic, and sorted by descending leading
   monomial, so identical inputs give identical bases, always;
 * both classical Buchberger criteria (coprime leading monomials; chain
-  criterion) are applied before any reduction;
+  criterion, over the k already paired with both i and j) precede reduction;
 * each basis element's leading data is found once, when it joins the basis
-  (or is interreduced), and ``division`` reads it from there;
+  (or is interreduced), and ``division`` reads it from there, reducing by
+  the first head that divides, in list order; order keys are memoized on
+  the :class:`MonomialOrder` itself;
 * every long-running loop draws from the step budget its caller passes
   (no function here makes one of its own) and raises
   :class:`BudgetExhausted` instead of spinning - callers convert that into an
@@ -33,9 +35,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import add, ge, sub
 
 from germlab.orders import (
     MonomialOrder,
@@ -124,10 +126,10 @@ def make_monic(f: Poly, order: MonomialOrder) -> Poly:
     return f.scale(c.inverse())
 
 
-def _head(d: Poly, order: MonomialOrder) -> tuple[Monomial, QI, dict[Monomial, QI]]:
-    """Leading monomial, negated inverse leading coefficient and terms of d."""
+def _head(d: Poly, order: MonomialOrder) -> tuple[Monomial, QI, list[tuple[Monomial, QI]]]:
+    """Leading monomial, negated inverse leading coefficient and tail of d."""
     dm, dc = leading_term(d, order)
-    return dm, -dc.inverse(), d.terms
+    return dm, -dc.inverse(), [t for t in d.terms.items() if t[0] != dm]
 
 
 def division(
@@ -139,36 +141,35 @@ def division(
     heads: list[tuple],
 ) -> Poly:
     """Multivariate division: the remainder r of f = sum q_k * divisors[k] + r,
-    no term of r divisible by any divisor's leading monomial.  Divisors are
-    tried in list order, so the outcome is deterministic.  Requires a global
-    order.
+    no term of r divisible by any divisor's leading monomial.  Each step
+    reduces by the first divisor, in list order, whose leading monomial
+    divides, so the outcome is deterministic.  Requires a global order.
 
-    Reduces in place on a copy of f's term dict (subtracting c*x^q*divisor
-    term by term, deleting cancelled terms) and builds one Poly at the end.
+    Reduces in place on a copy of f's term dict (subtracting c*x^q times the
+    divisor's tail, deleting cancelled terms) and builds one Poly at the end.
     ``heads`` holds ``_head`` of each divisor: ``buchberger`` and
     ``_interreduce`` keep them from the moment an element joins the basis,
-    and ``normal_form`` finds them once per call.  Order keys are memoized
-    per call, and each reduction or remainder step charges one budget step."""
+    and ``normal_form`` finds them once per call.  Keys come from the order's
+    memo, and each reduction or remainder step charges one budget step."""
     if not order.is_global:
         raise ValueError("division requires a global monomial order")
-    cached_key = lru_cache(maxsize=None)(order.key)
+    key = order.key
     remainder_terms: dict[Monomial, QI] = {}
     work = dict(f.terms)
     while work:
         budget.charge()
-        wm = max(work, key=cached_key)
+        wm = max(work, key=key)
         wc = work.pop(wm)
-        for dm, neg_inv, dterms in heads:
-            q = mono_div(wm, dm)
-            if q is not None:
+        for dm, neg_inv, tail in heads:
+            if all(map(ge, wm, dm)):
+                q = tuple(map(sub, wm, dm))
                 t = wc * neg_inv
-                for m, c in dterms.items():
-                    if m == dm:
-                        continue  # the leading term cancels wc exactly
-                    m = mono_mul(m, q)
+                for m, c in tail:
+                    m = tuple(map(add, m, q))
                     prev = work.get(m)
-                    v = t * c if prev is None else prev + t * c
-                    if v:
+                    if prev is None:
+                        work[m] = t * c  # nonzero: a product of nonzeros
+                    elif v := prev + t * c:
                         work[m] = v
                     else:
                         del work[m]
@@ -183,17 +184,25 @@ def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder, budget: Budget
 
 
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    fm, fc = leading_term(f, order)
-    gm, gc = leading_term(g, order)
+    """x^(l-a)/lc(f) * f - x^(l-b)/lc(g) * g, l = lcm(a, b) of the leading
+    monomials, as one term dict of the two tails (the heads cancel unformed)."""
+    (fm, fc), (gm, gc) = leading_term(f, order), leading_term(g, order)
     lcm = mono_lcm(fm, gm)
-    return f.mul_monomial(mono_div(lcm, fm), fc.inverse()) - g.mul_monomial(
-        mono_div(lcm, gm), gc.inverse()
-    )
+    qf, qg, f_inv, g_neg_inv = mono_div(lcm, fm), mono_div(lcm, gm), fc.inverse(), -gc.inverse()
+    terms = {mono_mul(m, qf): f_inv * c for m, c in f.terms.items() if m != fm}
+    for m, c in g.terms.items():
+        if m != gm:
+            m = mono_mul(m, qg)
+            prev = terms.get(m)
+            terms[m] = g_neg_inv * c if prev is None else prev + g_neg_inv * c
+    return Poly(f.nvars, terms)
 
 
 def buchberger(gens: list[Poly], order: MonomialOrder, budget: Budget) -> GroebnerBasis:
     """Buchberger with both classical criteria, popping pairs by
     ``(deg lcm, i, j)``: a degree tie goes to the pair index, not the order.
+    ``partners[i]`` holds the k whose pair with i has been popped, so the
+    chain criterion for (i, j) tests only ``partners[i] & partners[j]``.
 
     Returns the reduced basis: interreduced, monic, generators sorted by
     descending leading monomial.  The unit ideal comes back as ``[1]``."""
@@ -218,30 +227,25 @@ def buchberger(gens: list[Poly], order: MonomialOrder, budget: Budget) -> Groebn
 
     heads = [_head(g, order) for g in basis]
     lt = [h[0] for h in heads]
-    pairs = [(sum(mono_lcm(lt[i], lt[j])), i, j) for j in range(len(basis)) for i in range(j)]
+    pairs = [(sum(map(max, lt[i], lt[j])), i, j) for j in range(len(basis)) for i in range(j)]
     heapify(pairs)
-    done: set[tuple[int, int]] = set()
+    partners: list[set[int]] = [set() for _ in basis]
 
     with budget.stage("buchberger"):
         while pairs:
             _, i, j = heappop(pairs)
-            done.add((i, j))
+            partners[i].add(j)
+            partners[j].add(i)
             if mono_coprime(lt[i], lt[j]):
                 stats["skip_coprime"] += 1
                 continue
             lcm_ij = mono_lcm(lt[i], lt[j])
-            chain = False
-            for k in range(len(basis)):
-                if k == i or k == j:
-                    continue
-                if mono_div(lcm_ij, lt[k]) is None:
-                    continue
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    chain = True
+            for k in partners[i] & partners[j]:  # the chain criterion
+                if all(map(ge, lcm_ij, lt[k])):
                     break
-            if chain:
+            else:
+                k = None
+            if k is not None:
                 stats["skip_chain"] += 1
                 continue
             budget.charge()
@@ -257,9 +261,10 @@ def buchberger(gens: list[Poly], order: MonomialOrder, budget: Budget) -> Groebn
             basis.append(r)
             heads.append(_head(r, order))
             lt.append(heads[-1][0])
+            partners.append(set())
             new = len(basis) - 1
             for k in range(new):
-                heappush(pairs, (sum(mono_lcm(lt[k], lt[new])), k, new))
+                heappush(pairs, (sum(map(max, lt[k], lt[new])), k, new))
 
         reduced = _interreduce(_minimalize(basis, lt, order), order, budget)
     reduced.sort(key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
@@ -273,7 +278,7 @@ def _minimalize(basis: list[Poly], lt: list[Monomial], order: MonomialOrder) -> 
     lts_sorted = sorted(zip(lt, basis), key=lambda t: order.key(t[0]), reverse=not order.is_global)
     survivors: list[tuple[Monomial, Poly]] = []
     for m, g in lts_sorted:
-        if not any(mono_div(m, sm) is not None for sm, _ in survivors):
+        if not any(all(map(ge, m, sm)) for sm, _ in survivors):
             survivors.append((m, g))
     return [g for _, g in survivors]
 
@@ -376,7 +381,7 @@ def quotient_dimension(gb: GroebnerBasis, budget: Budget) -> int | None:
             if mono in seen:
                 continue
             seen.add(mono)
-            if any(mono_div(mono, lm) is not None for lm in lts):
+            if any(all(map(ge, mono, lm)) for lm in lts):
                 continue
             budget.charge()
             count += 1

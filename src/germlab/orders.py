@@ -3,9 +3,11 @@
 Every order o satisfies: o.key is injective on monomials of the fixed arity,
 compatible with multiplication (key comparisons are preserved by adding a
 monomial), and ``is_global`` tells whether 1 is the minimum (needed for
-termination of Buchberger division).  The local order (anti-graded revlex) is
-*not* global and is only ever used to pick leading terms and staircases of
-standard bases obtained through homogenization.
+termination of Buchberger division).  Each order memoizes its own ``key``,
+so the repeated leading-term searches of division read a dict.  The local
+order (anti-graded revlex) is *not* global and is only ever used to pick
+leading terms and staircases of standard bases obtained through
+homogenization.
 """
 
 from __future__ import annotations
@@ -15,13 +17,26 @@ from typing import Callable
 from germlab.poly import Monomial
 
 
+class _KeyMemo(dict):
+    """Monomial -> order key, computed on first lookup."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable[[Monomial], tuple]):
+        self.compute = compute
+
+    def __missing__(self, mono: Monomial) -> tuple:
+        key = self[mono] = self.compute(mono)
+        return key
+
+
 class MonomialOrder:
     __slots__ = ("name", "nvars", "key", "is_global")
 
     def __init__(self, name: str, nvars: int, key: Callable[[Monomial], tuple], is_global: bool):
         self.name = name
         self.nvars = nvars
-        self.key = key
+        self.key = _KeyMemo(key).__getitem__
         self.is_global = is_global
 
     def __repr__(self) -> str:

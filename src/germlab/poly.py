@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import add, ge, sub
+from operator import add, ge, mul, sub
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from germlab.exact import nullspace, pivot_columns
@@ -45,15 +45,11 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
+    return not any(map(mul, a, b))  # exponents are never negative
 
 
 def mono_weighted_degree(a: Monomial, weights: Weights) -> Fraction:
@@ -195,7 +191,7 @@ class Poly:
         """Maximal total degree (-1 for the zero polynomial)."""
         if not self.terms:
             return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(map(sum, self.terms))
 
     def weighted_order(self, weights: Weights) -> Fraction | None:
         """min ⟨ω, a⟩ over the support; None (+infinity) for the zero poly."""
