@@ -12,11 +12,13 @@ Design points, fixed by the package contract:
   output bases are interreduced, monic, and sorted by descending leading
   monomial, so identical inputs give identical bases, always;
 * both classical Buchberger criteria (coprime leading monomials; chain
-  criterion, over the k already paired with both i and j) precede reduction;
-* each basis element's leading data is found once, when it joins the basis
-  (or is interreduced), and ``division`` reads it from there, reducing by
-  the first head that divides, in list order; order keys are memoized on
-  the :class:`MonomialOrder` itself;
+  criterion, over the k already paired with both i and j) precede reduction,
+  and ``division`` reduces by the first head that divides, in list order;
+* packed monomials: from entry to exit, Buchberger, division and the
+  staircase count hold a monomial as one int (:class:`_Packing`), so that
+  products, leading terms and divisibility are int operations.  Fields fit
+  the input's largest exponent (at least 8 bits); a term that outgrows them
+  reruns the call on wider fields from the steps used on entry;
 * every long-running loop draws from the step budget its caller passes
   (no function here makes one of its own) and raises
   :class:`BudgetExhausted` instead of spinning - callers convert that into an
@@ -35,9 +37,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import combinations
-from operator import add, ge, sub
+from operator import itemgetter, mul
 
 from germlab.orders import (
     MonomialOrder,
@@ -46,10 +48,11 @@ from germlab.orders import (
     homogenized_local,
     local_antigraded,
 )
-from germlab.poly import Monomial, Poly, mono_coprime, mono_div, mono_lcm, mono_mul
+from germlab.poly import Monomial, Poly
 from germlab.qi import QI
 
 DEFAULT_BUDGET = 10 ** 6
+_ONE = QI.one()
 
 
 class BudgetExhausted(RuntimeError):
@@ -126,48 +129,104 @@ def make_monic(f: Poly, order: MonomialOrder) -> Poly:
     return f.scale(c.inverse())
 
 
-def _head(d: Poly, order: MonomialOrder) -> tuple[Monomial, QI, list[tuple[Monomial, QI]]]:
-    """Leading monomial, negated inverse leading coefficient and tail of d."""
-    dm, dc = leading_term(d, order)
-    return dm, -dc.inverse(), [t for t in d.terms.items() if t[0] != dm]
+class _Overflow(Exception):
+    """A packed exponent reached its field's guard bit."""
 
 
-def division(
-    f: Poly,
-    divisors: list[Poly],
-    order: MonomialOrder,
-    budget: Budget,
-    *,
-    heads: list[tuple],
-) -> Poly:
-    """Multivariate division: the remainder r of f = sum q_k * divisors[k] + r,
-    no term of r divisible by any divisor's leading monomial.  Each step
-    reduces by the first divisor, in list order, whose leading monomial
-    divides, so the outcome is deterministic.  Requires a global order.
+class _Packing:
+    """Monomial a as the int K(a) << EB | E(a): E holds each a_j in ``width``
+    bits under a guard bit kept clear, K the order's row values r·a, first
+    row highest, in fields that fit them while the guards are clear.  So
+    ints compare as the order does, a product is a sum, b divides a iff
+    ((a | G) - b) & G == G for G the guards, and a set guard is an overflow.
+    With no rows, a monomial is E(a)."""
 
-    Reduces in place on a copy of f's term dict (subtracting c*x^q times the
-    divisor's tail, deleting cancelled terms) and builds one Poly at the end.
-    ``heads`` holds ``_head`` of each divisor: ``buchberger`` and
-    ``_interreduce`` keep them from the moment an element joins the basis,
-    and ``normal_form`` finds them once per call.  Keys come from the order's
-    memo, and each reduction or remainder step charges one budget step."""
-    if not order.is_global:
-        raise ValueError("division requires a global monomial order")
-    key = order.key
-    remainder_terms: dict[Monomial, QI] = {}
-    work = dict(f.terms)
+    __slots__ = ("nvars", "cols", "shifts", "mask", "guard")
+
+    def __init__(self, nvars: int, width: int, rows: tuple[tuple[int, ...], ...]):
+        self.nvars, self.shifts = nvars, range(0, nvars * (width + 1), width + 1)
+        self.mask, self.guard = (1 << width) - 1, sum(1 << (s + width) for s in self.shifts)
+        cols, shift = [1 << s for s in self.shifts], nvars * (width + 1)
+        for row in reversed(rows):
+            cols = [c + (r << shift) for c, r in zip(cols, row)]
+            shift += (sum(row) << width).bit_length()
+        self.cols = cols  # the packed variables: pack is linear
+
+    def pack(self, mono) -> int:
+        return sum(map(mul, mono, self.cols))
+
+    def unpack(self, z: int) -> Monomial:
+        return tuple([(z >> s) & self.mask for s in self.shifts])
+
+    def terms(self, f: Poly) -> dict[int, QI]:
+        return {self.pack(m): c for m, c in f.terms.items()}
+
+    def poly(self, terms: dict[int, QI]) -> Poly:
+        return Poly(self.nvars, {self.unpack(z): c for z, c in terms.items()})
+
+
+def _packed(order: MonomialOrder, budget: Budget, polys: list[Poly], run):
+    """run(packing) on fields fitting every exponent in polys (at least 8
+    bits), rerun on fields twice as wide, from the steps used on entry, if a
+    term overflows."""
+    used = budget.used
+    width = max(8, max((e for f in polys for m in f.terms for e in m), default=0).bit_length())
+    while True:
+        try:
+            return run(_Packing(order.nvars, width, order.rows))
+        except _Overflow:
+            budget.used = used
+            width *= 2
+
+
+def _monic(terms: dict[int, QI]) -> tuple[int, list[tuple[int, QI]]]:
+    """(leading monomial, tail) of the terms scaled to lc 1."""
+    z = max(terms)
+    c = terms.pop(z)
+    if c == _ONE:
+        return z, list(terms.items())
+    inv = c.inverse()
+    return z, [(m, inv * v) for m, v in terms.items()]
+
+
+def _s_polynomial(hf: tuple, hg: tuple, lcm: int, guard: int) -> dict[int, QI]:
+    """x^(l-a) f - x^(l-b) g for monic f, g of heads a, b, l = lcm(a, b)."""
+    qf, qg = lcm - hf[0], lcm - hg[0]
+    terms = {m + qf: c for m, c in hf[1]}
+    if any(m & guard for m in terms):
+        raise _Overflow
+    for m, c in hg[1]:
+        m += qg
+        if m & guard:
+            raise _Overflow
+        if (prev := terms.get(m)) is None:
+            terms[m] = -c
+        elif v := prev + -c:
+            terms[m] = v
+        else:
+            del terms[m]
+    return terms
+
+
+def division(work: dict[int, QI], heads: list[tuple], budget: Budget, guard: int) -> dict[int, QI]:
+    """The remainder of f, whose terms ``work`` holds and loses, by the monic
+    divisors with these heads (leading monomial, tail).  Each step charges
+    one budget step and reduces by the first head, in list order, that
+    divides, so the outcome is deterministic."""
+    remainder = {}
     while work:
         budget.charge()
-        wm = max(work, key=key)
+        wm = max(work)
         wc = work.pop(wm)
-        for dm, neg_inv, tail in heads:
-            if all(map(ge, wm, dm)):
-                q = tuple(map(sub, wm, dm))
-                t = wc * neg_inv
+        wg = wm | guard
+        for dm, tail in heads:
+            if (wg - dm) & guard == guard:
+                q, t = wm - dm, -wc
                 for m, c in tail:
-                    m = tuple(map(add, m, q))
-                    prev = work.get(m)
-                    if prev is None:
+                    m += q
+                    if m & guard:
+                        raise _Overflow
+                    if (prev := work.get(m)) is None:
                         work[m] = t * c  # nonzero: a product of nonzeros
                     elif v := prev + t * c:
                         work[m] = v
@@ -175,27 +234,15 @@ def division(
                         del work[m]
                 break
         else:
-            remainder_terms[wm] = wc
-    return Poly(f.nvars, remainder_terms)
+            remainder[wm] = wc
+    return remainder
 
 
 def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder, budget: Budget) -> Poly:
-    return division(f, basis, order, budget, heads=[_head(g, order) for g in basis])
-
-
-def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    """x^(l-a)/lc(f) * f - x^(l-b)/lc(g) * g, l = lcm(a, b) of the leading
-    monomials, as one term dict of the two tails (the heads cancel unformed)."""
-    (fm, fc), (gm, gc) = leading_term(f, order), leading_term(g, order)
-    lcm = mono_lcm(fm, gm)
-    qf, qg, f_inv, g_neg_inv = mono_div(lcm, fm), mono_div(lcm, gm), fc.inverse(), -gc.inverse()
-    terms = {mono_mul(m, qf): f_inv * c for m, c in f.terms.items() if m != fm}
-    for m, c in g.terms.items():
-        if m != gm:
-            m = mono_mul(m, qg)
-            prev = terms.get(m)
-            terms[m] = g_neg_inv * c if prev is None else prev + g_neg_inv * c
-    return Poly(f.nvars, terms)
+    if not order.is_global:
+        raise ValueError("division requires a global monomial order")
+    return _packed(order, budget, [f, *basis], lambda packing: packing.poly(
+        division(packing.terms(f), [_monic(packing.terms(g)) for g in basis], budget, packing.guard)))
 
 
 def buchberger(gens: list[Poly], order: MonomialOrder, budget: Budget) -> GroebnerBasis:
@@ -208,109 +255,96 @@ def buchberger(gens: list[Poly], order: MonomialOrder, budget: Budget) -> Groebn
     descending leading monomial.  The unit ideal comes back as ``[1]``."""
     if not gens:
         raise ValueError("empty generator list (the zero ideal has no basis here)")
-    nvars = gens[0].nvars
     if not order.is_global:
         raise ValueError("buchberger requires a global order; use local_standard_basis")
-
-    basis: list[Poly] = []
-    for f in gens:
-        if f.is_zero():
-            continue
-        basis.append(make_monic(f, order))
-    if not basis:
+    gens = [f for f in gens if not f.is_zero()]
+    if not gens:
         raise ValueError("all generators are zero")
+    return _packed(order, budget, gens, lambda packing: _buchberger(gens, order, budget, packing))
+
+
+def _buchberger(gens: list[Poly], order: MonomialOrder, budget: Budget, packing: _Packing) -> GroebnerBasis:
     stats = {"s_pairs": 0, "reductions_to_zero": 0, "skip_coprime": 0, "skip_chain": 0}
+    unit = GroebnerBasis([Poly.constant(packing.nvars, 1)], order, stats)
+    if any(f.is_constant() for f in gens):
+        return unit
+    guard, ones = packing.guard, packing.guard >> packing.mask.bit_length()  # ones: each field's low bit
+    # per head: its exponents, a guard bit per variable it has, the partners
+    heads, lt, support, partners, pairs = [], [], [], [], []
 
-    one = Poly.constant(nvars, 1)
-    if any(g.is_constant() for g in basis):
-        return GroebnerBasis([one], order, stats)
+    def join(head: tuple) -> None:
+        new = len(heads)
+        heads.append(head)
+        lt.append(packing.unpack(head[0]))
+        support.append(((head[0] | guard) - ones) & guard)
+        partners.append(set())
+        for k in range(new):
+            heappush(pairs, (sum(map(max, lt[k], lt[new])), k, new))
 
-    heads = [_head(g, order) for g in basis]
-    lt = [h[0] for h in heads]
-    pairs = [(sum(map(max, lt[i], lt[j])), i, j) for j in range(len(basis)) for i in range(j)]
-    heapify(pairs)
-    partners: list[set[int]] = [set() for _ in basis]
-
+    for f in gens:
+        join(_monic(packing.terms(f)))
     with budget.stage("buchberger"):
         while pairs:
             _, i, j = heappop(pairs)
             partners[i].add(j)
             partners[j].add(i)
-            if mono_coprime(lt[i], lt[j]):
+            if not support[i] & support[j]:
                 stats["skip_coprime"] += 1
                 continue
-            lcm_ij = mono_lcm(lt[i], lt[j])
+            lcm = packing.pack(map(max, lt[i], lt[j]))
+            lg = lcm | guard
             for k in partners[i] & partners[j]:  # the chain criterion
-                if all(map(ge, lcm_ij, lt[k])):
+                if (lg - heads[k][0]) & guard == guard:
+                    stats["skip_chain"] += 1
                     break
             else:
-                k = None
-            if k is not None:
-                stats["skip_chain"] += 1
-                continue
-            budget.charge()
-            stats["s_pairs"] += 1
-            s = s_polynomial(basis[i], basis[j], order)
-            r = division(s, basis, order, budget, heads=heads)
-            if r.is_zero():
-                stats["reductions_to_zero"] += 1
-                continue
-            if r.is_constant():
-                return GroebnerBasis([one], order, stats)
-            r = make_monic(r, order)
-            basis.append(r)
-            heads.append(_head(r, order))
-            lt.append(heads[-1][0])
-            partners.append(set())
-            new = len(basis) - 1
-            for k in range(new):
-                heappush(pairs, (sum(map(max, lt[k], lt[new])), k, new))
+                budget.charge()
+                stats["s_pairs"] += 1
+                r = division(_s_polynomial(heads[i], heads[j], lcm, guard), heads, budget, guard)
+                if not r:
+                    stats["reductions_to_zero"] += 1
+                elif max(r):
+                    join(_monic(r))
+                else:
+                    return unit
 
-        reduced = _interreduce(_minimalize(basis, lt, order), order, budget)
-    reduced.sort(key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
-    return GroebnerBasis(reduced, order, stats)
+        # keep the minimal leading monomials, then reduce each by the others
+        out = _minimal(sorted(heads, key=itemgetter(0)), guard)
+        for k in range(len(out) if len(out) > 1 else 0):
+            r = division({out[k][0]: _ONE, **dict(out[k][1])}, out[:k] + out[k + 1:], budget, guard)
+            if r:  # never zero on a minimal basis, but keep the guard honest
+                out[k] = _monic(r)
+    out.sort(key=itemgetter(0), reverse=True)
+    return GroebnerBasis([packing.poly({z: _ONE, **dict(tail)}) for z, tail in out], order, stats)
 
 
-def _minimalize(basis: list[Poly], lt: list[Monomial], order: MonomialOrder) -> list[Poly]:
-    # A leading monomial survives iff no surviving leading monomial divides
-    # it; processing divisors before their multiples (increasing under a
-    # global order, decreasing under a local one) keeps the minimal ones.
-    lts_sorted = sorted(zip(lt, basis), key=lambda t: order.key(t[0]), reverse=not order.is_global)
-    survivors: list[tuple[Monomial, Poly]] = []
-    for m, g in lts_sorted:
-        if not any(all(map(ge, m, sm)) for sm, _ in survivors):
-            survivors.append((m, g))
-    return [g for _, g in survivors]
-
-
-def _interreduce(basis: list[Poly], order: MonomialOrder, budget: Budget) -> list[Poly]:
-    # Elements arrive monic; each is reduced by all the others, and its head
-    # entry is replaced so later divisions by it read the reduced tail.
-    out = list(basis)
-    heads = [_head(g, order) for g in out]
-    for k in range(len(out) if len(out) > 1 else 0):
-        r = division(out[k], out[:k] + out[k + 1:], order, budget, heads=heads[:k] + heads[k + 1:])
-        if r:  # never zero on a minimal basis, but keep the guard honest
-            out[k] = make_monic(r, order)
-            heads[k] = _head(out[k], order)
-    return out
+def _minimal(items: list[tuple], guard: int) -> list[tuple]:
+    """The items (leading monomial, ...), divisors first, no earlier kept one divides."""
+    kept: list[tuple] = []
+    for item in items:
+        g = item[0] | guard
+        if not any((g - k[0]) & guard == guard for k in kept):
+            kept.append(item)
+    return kept
 
 
 def is_groebner_basis(basis: list[Poly], order: MonomialOrder, budget: Budget) -> bool:
     """Audit: every S-polynomial of basis pairs reduces to zero."""
-    for i, j in combinations(range(len(basis)), 2):
-        s = s_polynomial(basis[i], basis[j], order)
-        if not normal_form(s, basis, order, budget).is_zero():
-            return False
-    return True
+
+    def run(packing: _Packing) -> bool:
+        heads, guard = [_monic(packing.terms(g)) for g in basis], packing.guard
+        lt = [packing.unpack(h[0]) for h in heads]
+        spolys = (_s_polynomial(heads[i], heads[j], packing.pack(map(max, lt[i], lt[j])), guard)
+                  for i, j in combinations(range(len(heads)), 2))
+        return not any(division(s, heads, budget, guard) for s in spolys)
+
+    return _packed(order, budget, basis, run)
 
 
 def ideal_membership(f: Poly, gb: GroebnerBasis, budget: Budget) -> bool:
     """f in the ideal iff its normal form vanishes (global bases only)."""
     if not gb.order.is_global:
         raise ValueError("membership is implemented for global bases only")
-    if f.is_zero():
-        return True
     return normal_form(f, gb.generators, gb.order, budget).is_zero()
 
 
@@ -340,8 +374,6 @@ def krull_dimension(gb: GroebnerBasis) -> int:
     for s in supports:
         if not any(t <= s for t in minimal):
             minimal.append(s)
-    if not minimal:
-        return nvars
 
     best = nvars + 1
 
@@ -369,24 +401,22 @@ def quotient_dimension(gb: GroebnerBasis, budget: Budget) -> int | None:
         return 0
     nvars = gb.order.nvars
     lts = gb.leading_monomials()
-    for j in range(nvars):
-        if not any(all(e == 0 for k, e in enumerate(m) if k != j) and m[j] > 0 for m in lts):
-            return None
-    count = 0
-    seen: set[Monomial] = set()
-    stack: list[Monomial] = [(0,) * nvars]
+    if not all(any(m[j] == sum(m) > 0 for m in lts) for j in range(nvars)):
+        return None  # a variable with no pure power
+    # standard monomials stay below the pure powers, so no field overflows
+    packing = _Packing(nvars, max(map(max, lts)).bit_length(), ())
+    walls, guard = [packing.pack(m) for m in lts], packing.guard
+    # each monomial is reached once, from itself less its last variable
+    count, stack = 0, [(0, 0)]
     with budget.stage("staircase count"):
         while stack:
-            mono = stack.pop()
-            if mono in seen:
-                continue
-            seen.add(mono)
-            if any(all(map(ge, mono, lm)) for lm in lts):
+            mono, last = stack.pop()
+            g = mono | guard
+            if any((g - w) & guard == guard for w in walls):
                 continue
             budget.charge()
             count += 1
-            for j in range(nvars):
-                stack.append(mono[:j] + (mono[j] + 1,) + mono[j + 1:])
+            stack.extend([(mono + packing.cols[j], j) for j in range(last, nvars)])
     return count
 
 
@@ -405,10 +435,7 @@ def saturation(gens: list[Poly], g: Poly, budget: Budget) -> GroebnerBasis:
     t = Poly.variable(nvars + 1, nvars)
     ext.append(Poly.constant(nvars + 1, 1) - t * g_ext)
     gb = buchberger(ext, eliminate_last(nvars + 1), budget)
-    kept = []
-    for f in gb.generators:
-        if all(m[nvars] == 0 for m in f.terms):
-            kept.append(f.substitute_constant(nvars, QI.one()).drop_variable(nvars))
+    kept = [f.drop_variable(nvars) for f in gb.generators if all(m[nvars] == 0 for m in f.terms)]
     if not kept:
         raise ValueError("saturation produced no generators; inconsistent input")
     out = grevlex(nvars)
@@ -492,11 +519,11 @@ def local_standard_basis(gens: list[Poly], budget: Budget) -> GroebnerBasis:
         return GroebnerBasis([Poly.constant(nvars, 1)], local, {"unit": True})
     with budget.stage("local standard basis"):
         gb = buchberger([homogenize(f) for f in gens], homogenized_local(nvars + 1), budget)
-    deh = [dehomogenize(f) for f in gb.generators]
-    lts = [leading_monomial(f, local) for f in deh]
-    result = [make_monic(g, local) for g in _minimalize(deh, lts, local)]
-    result.sort(key=lambda f: local.key(leading_monomial(f, local)), reverse=True)
-    return GroebnerBasis(result, local, dict(gb.stats))
+    deh = [(leading_monomial(d, local), d) for d in map(dehomogenize, gb.generators)]
+    deh.sort(key=lambda t: local.key(t[0]), reverse=True)  # divisors first, ties kept in place
+    packing = _Packing(nvars, max(max(m) for m, _ in deh).bit_length(), ())
+    kept = _minimal([(packing.pack(m), d) for m, d in deh], packing.guard)
+    return GroebnerBasis([make_monic(d, local) for _, d in kept], local, dict(gb.stats))
 
 
 def milnor_number(f: Poly, budget: Budget) -> int | None:

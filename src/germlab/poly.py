@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import add, ge, mul, sub
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from germlab.exact import nullspace, pivot_columns
@@ -35,21 +35,6 @@ Weights = Sequence[Fraction]
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
-    """a / b, or None when b does not divide a."""
-    if all(map(ge, a, b)):
-        return tuple(map(sub, a, b))
-    return None
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
-def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return not any(map(mul, a, b))  # exponents are never negative
 
 
 def mono_weighted_degree(a: Monomial, weights: Weights) -> Fraction:

@@ -7,15 +7,19 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import prod
+from operator import ge, mul, sub
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from germlab import groebner
 from germlab.groebner import (
     Budget,
     BudgetExhausted,
     GroebnerBasis,
-    _head,
+    _monic,
+    _Packing,
+    _s_polynomial,
     buchberger,
     determinant,
     division,
@@ -30,15 +34,33 @@ from germlab.groebner import (
     minors,
     normal_form,
     quotient_dimension,
-    s_polynomial,
     saturation,
 )
 from germlab.orders import MonomialOrder, eliminate_last, grevlex, homogenized_local, local_antigraded
 from germlab.parse import poly_to_string
-from germlab.poly import Poly, mono_coprime, mono_div, mono_lcm, mono_mul
+from germlab.poly import Monomial, Poly, mono_mul
 from germlab.qi import QI
 
 from conftest import P
+
+
+# The tuple helpers of germlab.poly that the oracles below call, copied
+# verbatim: the packed kernel no longer uses them.
+
+
+def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
+    """a / b, or None when b does not divide a."""
+    if all(map(ge, a, b)):
+        return tuple(map(sub, a, b))
+    return None
+
+
+def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(map(max, a, b))
+
+
+def mono_coprime(a: Monomial, b: Monomial) -> bool:
+    return not any(map(mul, a, b))  # exponents are never negative
 
 
 def strs(basis, variables="x y z"):
@@ -112,10 +134,11 @@ def _random_qi_poly(rng, nvars, max_terms=4, max_deg=3):
 def test_division_matches_the_poly_level_reference():
     nvars = 3
     weights = (Fraction(1, 2), 1, Fraction(1, 3))
-    # graded by the weights first, then by total degree, then grevlex
+    # graded by the weights first (times 6, for integer rows), then by total
+    # degree, then grevlex
     weighted = MonomialOrder(
         "weighted-grevlex", nvars,
-        lambda m: (sum(w * e for w, e in zip(weights, m)), sum(m), tuple(-e for e in reversed(m))),
+        [[int(6 * w) for w in weights], (1, 1, 1), (1, 1, 0), (1, 0, 0)],
         is_global=True,
     )
     orders = [grevlex(nvars), weighted, eliminate_last(nvars), homogenized_local(nvars)]
@@ -138,8 +161,10 @@ def test_division_matches_the_poly_level_reference():
             expected_budget = Budget()
             expected = _reference_division(f, divisors, order, expected_budget)
             # heads found by normal_form, and heads kept by the caller
-            heads = [_head(d, order) for d in divisors]
-            for divide in (normal_form, lambda *args: division(*args, heads=heads)):
+            packing = _Packing(nvars, 8, order.rows)
+            heads = [_monic(packing.terms(d)) for d in divisors]
+            kept = lambda f, _, __, budget: packing.poly(division(packing.terms(f), heads, budget, packing.guard))
+            for divide in (normal_form, kept):
                 got_budget = Budget()
                 got = divide(f, divisors, order, got_budget)
                 assert got == expected
@@ -153,7 +178,9 @@ def test_s_polynomial_definition():
     o = grevlex(2)
     f, g = P("x^2", "x y"), P("x*y - 1", "x y")
     # lcm = x^2 y: S = y*f - x*g = x
-    assert s_polynomial(f, g, o) == P("x", "x y")
+    packing = _Packing(2, 8, o.rows)
+    heads = _monic(packing.terms(f)), _monic(packing.terms(g))
+    assert packing.poly(_s_polynomial(*heads, packing.pack((2, 1)), packing.guard)) == P("x", "x y")
 
 
 # -- dimensions --------------------------------------------------------------
@@ -617,6 +644,43 @@ def test_buchberger_matches_the_previous_kernel(case):
     gens, order, small = case
     for limit in (400, small):
         assert _outcome(buchberger, gens, order, limit) == _outcome(_oracle_buchberger, gens, order, limit)
+
+
+# -- the packing boundary ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "gens, order",
+    [
+        # the S-polynomial y*f - x^254*g of these two holds y^256
+        ([P("x^255 + y^255", "x y"), P("x*y - 1", "x y")], grevlex(2)),
+        # their S-polynomial is t*x^10*y - t*x^250, and reducing t*x^250 by
+        # t - x^250 makes x^500
+        ([P("t - x^250", "x y t"), P("t^2 - t*x^10*y", "x y t")], eliminate_last(3)),
+    ],
+    ids=["grevlex-s-polynomial", "eliminate-last-reduction"],
+)
+def test_an_exponent_past_its_field_restarts_wider_and_charges_once(gens, order, monkeypatch):
+    # The exponents sit just below 2^8, the narrowest field: the run meets an
+    # overflow, starts again on 16-bit fields from the steps it had on entry,
+    # and ends as the tuple kernel does, at every budget.
+    widths = []
+
+    class Recording(groebner._Packing):
+        def __init__(self, nvars, width, rows):
+            widths.append(width)
+            super().__init__(nvars, width, rows)
+
+    monkeypatch.setattr(groebner, "_Packing", Recording)
+    expected = _outcome(_oracle_buchberger, gens, order, 10 ** 6)
+    assert _outcome(buchberger, gens, order, 10 ** 6) == expected
+    assert widths == [8, 16]
+    for limit in range(1, expected[2] + 1):
+        assert _outcome(buchberger, gens, order, limit) == _outcome(_oracle_buchberger, gens, order, limit)
+    budget = Budget()
+    budget.charge(5)
+    assert buchberger(gens, order, budget).stats == expected[1]
+    assert budget.used == 5 + expected[2]
 
 
 # -- budget ------------------------------------------------------------------

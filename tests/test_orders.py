@@ -1,8 +1,12 @@
 """Monomial orders: global and local, elimination and homogenized."""
 
+from operator import add
+
 from hypothesis import given, strategies as st
 
+from germlab.groebner import _Packing
 from germlab.orders import (
+    MonomialOrder,
     eliminate_last,
     grevlex,
     homogenized_local,
@@ -71,3 +75,22 @@ def test_global_orders_have_one_as_minimum(m):
     # the local order inverts that
     if m != one:
         assert local_antigraded(3).key(one) > local_antigraded(3).key(m)
+
+
+# the weighted order of test_groebner's division test, as its rows: weights
+# (1/2, 1, 1/3) times 6, then total degree, then grevlex
+WEIGHTED = MonomialOrder("weighted-grevlex", 3, [(3, 6, 2), (1, 1, 1), (1, 1, 0), (1, 0, 0)], is_global=True)
+huge3 = st.tuples(*[st.integers(min_value=0, max_value=2 ** 40)] * 3)
+
+
+@given(huge3, huge3, st.permutations(range(3)))
+def test_packed_keys_compare_as_the_order_and_add(a, b, perm):
+    shuffled = tuple(a[p] for p in perm)  # a's degree, so the later rows decide
+    for order in (grevlex(3), eliminate_last(3), homogenized_local(3), WEIGHTED):
+        packing = _Packing(3, 42, order.rows)  # every sum below stays under 2^42
+        for x, y in ((a, b), (a, shuffled)):
+            px, py, pxy = packing.pack(x), packing.pack(y), packing.pack(tuple(map(add, x, y)))
+            assert (px > py) == (order.key(x) > order.key(y))
+            assert (px == py) == (x == y)
+            assert px + py == pxy and not pxy & packing.guard
+            assert packing.unpack(pxy) == tuple(map(add, x, y))

@@ -14,8 +14,6 @@ from germlab.poly import (
     infer_weights,
     jacobian,
     jacobian_evaluator,
-    mono_div,
-    mono_lcm,
     mono_weighted_degree,
 )
 from germlab.qi import QI
@@ -27,9 +25,6 @@ from conftest import F, P
 
 
 def test_monomial_helpers():
-    assert mono_div((3, 1), (1, 1)) == (2, 0)
-    assert mono_div((1, 0), (0, 1)) is None
-    assert mono_lcm((3, 0), (1, 2)) == (3, 2)
     assert mono_weighted_degree((2, 1), [F("1/2"), F("1/3")]) == F("4/3")
 
 

@@ -14,7 +14,8 @@ import inspect
 
 from germlab import foliation, groebner
 from germlab.cli import main
-from germlab.germ import germ_system, singular_locus_ideal
+from germlab.germ import germ_system, sigma, singular_locus_ideal
+from germlab.germfile import load_system, read_germ_file
 from germlab.orders import grevlex
 
 from conftest import ROOT, F, P, bench_tracing
@@ -85,3 +86,26 @@ def test_the_tracer_sees_the_newton_layer(tmp_path):
     table = tracer.layer_table()
     assert table.get("newton.is_newton_nondegenerate", {"calls": 0})["calls"] > 0
     assert table["germ.analyze_newton"]["calls"] == 1
+
+
+def test_the_tracer_sees_the_packed_division(tmp_path):
+    # the kernel's division is the spanned module-level name that buchberger
+    # calls, so groebner.division.* and pair_s keep their meaning, and the
+    # stats the tracer sums are those of the bases sigma returns
+    tracing = bench_tracing()
+    tracer = tracing.Tracer()
+    germ = ROOT / "bench" / "germs" / "bs_6633.json"
+    tracer.install()
+    try:
+        main(["sigma", str(germ), "--out", str(tmp_path / "report.json")])
+    finally:
+        tracer.uninstall()
+    metrics = tracer.summary(0.0)["metrics"]
+    assert metrics["groebner.division.calls"] > 0
+    assert 0 < metrics["groebner.buchberger.pair_s"] < metrics["groebner.buchberger.s"]
+    locus = sigma(load_system(read_germ_file(germ)).system, groebner.Budget())
+    bases = [comp.basis for comp in locus.components]
+    assert metrics["groebner.buchberger.calls"] == len(bases) > 0
+    assert dict(tracer.stats[""]) == {
+        metric: sum(basis.stats[key] for basis in bases) for key, metric in tracing.STATS_KEYS.items()
+    }
