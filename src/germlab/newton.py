@@ -29,11 +29,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import TYPE_CHECKING
 
 from germlab.exact import integer_determinant, nullspace, pivot_columns, rank
 from germlab.groebner import Budget, BudgetExhausted, saturation
 from germlab.poly import Monomial, NumericEvaluator, Poly, jacobian, jacobian_evaluator
 from germlab.qi import QI
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Face",
@@ -85,7 +89,6 @@ class NewtonDiagram:
 
     def top_faces(self) -> list[Face]:
         return [f for f in self.faces if f.is_top]
-
 
 
 def _facet_data(support: list[Monomial], nvars: int) -> list[tuple[tuple[int, ...], frozenset]]:
@@ -223,16 +226,20 @@ class NondegeneracyReport:
         return True
 
 
-def _torus_search(f_sigma: Poly, seed: int) -> bool:
+def _torus_search(f_sigma: Poly, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo fallback: hunt for a torus critical point of a face
     polynomial by damped Gauss-Newton on its gradient from 40 random torus
-    starts; True when a convincing critical point with all coordinates away
-    from zero is found (certifying degeneracy up to float error).  The face is
-    quasi-homogeneous for every weight in the null space of its exponent
-    differences, so its torus critical locus is a union of orbits of that
-    weighted torus: the search runs on a slice that sets one coordinate per
-    orbit dimension to 1, away from the origin, where the gradient vanishes
-    to high order."""
+    starts, run in lockstep: per iteration, one :meth:`NumericEvaluator.rows`
+    call evaluates the gradient of the live starts and one the Hessian of
+    those still moving, and each start keeps its own stopping rules and
+    least-squares step, so its iterates are bit for bit its own run's.
+    Returns the (40, nvars) final iterates and per start whether it reached
+    a convincing critical point with all coordinates away from zero
+    (certifying degeneracy up to float error).  The face is quasi-homogeneous
+    for every weight in the null space of its exponent differences, so its
+    torus critical locus is a union of orbits of that weighted torus: the
+    search runs on a slice that sets one coordinate per orbit dimension to 1,
+    away from the origin, where the gradient vanishes to high order."""
     import numpy as np
 
     nvars = f_sigma.nvars
@@ -243,27 +250,34 @@ def _torus_search(f_sigma: Poly, seed: int) -> bool:
     partials = jacobian([f_sigma])[0]
     gradient, hessian = NumericEvaluator(partials), jacobian_evaluator(partials)
     rng = np.random.default_rng(seed)
-    for _ in range(40):
+    x = np.ones((40, nvars), dtype=complex)
+    for start in x:
         radius = rng.uniform(0.4, 1.8, size=len(free))
         phase = rng.uniform(0.0, 2.0 * np.pi, size=len(free))
-        x = np.ones(nvars, dtype=complex)
-        x[free] = radius * np.exp(1j * phase)
-        for _ in range(60 if free else 0):
-            val = np.array(gradient(x))
-            if np.max(np.abs(val)) < 1e-12:
-                break
-            jac = np.array(hessian(x)).reshape(nvars, nvars)[:, free]
-            if not (np.all(np.isfinite(val)) and np.all(np.isfinite(jac))):
-                break  # overflowed: LAPACK would print to stdout and fail, or hang
-            step, *_ = np.linalg.lstsq(jac, -val, rcond=None)
-            if not np.all(np.isfinite(step)) or np.max(np.abs(step)) < 1e-14:
-                break
+        start[free] = radius * np.exp(1j * phase)
+    live = np.arange(len(x) if free else 0)
+    for _ in range(60):
+        if not len(live):
+            break
+        val = gradient.rows(x[live])
+        moving = ~(np.max(np.abs(val), axis=1) < 1e-12)  # nan rows too: their Hessian is evaluated
+        live, val = live[moving], val[moving]
+        jac = hessian.rows(x[live]).reshape(len(live), nvars, nvars)[:, :, free]
+        # an overflowed start stops: LAPACK would print to stdout and fail, or hang
+        finite = np.isfinite(val).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
+        stepped = []
+        for i, val_i, jac_i in zip(live[finite], val[finite], jac[finite]):
+            step, *_ = np.linalg.lstsq(jac_i, -val_i, rcond=None)
+            size = np.abs(step).max()
+            if not np.isfinite(step).all() or size < 1e-14:
+                continue
             # damped update, keeps the iteration from shooting off to 0/inf
-            x[free] += step / max(1.0, np.max(np.abs(step)))
-        val = np.array(gradient(x))
-        if np.max(np.abs(val)) < 1e-10 and np.min(np.abs(x)) > 5e-2 and np.max(np.abs(x)) < 1e3:
-            return True
-    return False
+            x[i, free] += step / max(1.0, size)
+            stepped.append(i)
+        live = np.array(stepped, dtype=np.intp)
+    modulus = np.abs(x)
+    found = np.max(np.abs(gradient.rows(x)), axis=1) < 1e-10
+    return x, found & (modulus.min(axis=1) > 5e-2) & (modulus.max(axis=1) < 1e3)
 
 
 def is_newton_nondegenerate(
@@ -295,8 +309,8 @@ def is_newton_nondegenerate(
             methods.append("exact")
         except BudgetExhausted:
             if probabilistic:
-                found = _torus_search(f_sigma, seed=seed + k)
-                statuses.append("degenerate" if found else "nondegenerate")
+                _, found = _torus_search(f_sigma, seed=seed + k)
+                statuses.append("degenerate" if found.any() else "nondegenerate")
                 methods.append("probabilistic")
             else:
                 statuses.append("undetermined")

@@ -11,8 +11,8 @@ order of f is min over monomials of ⟨ω, a⟩ (None for f = 0, read as +∞), 
 the weighted part at degree d collects the monomials with ⟨ω, a⟩ = d.
 
 The module is exact and does not import numpy; only
-:meth:`NumericEvaluator.rows`, the numeric layer's batched entry point, loads
-it, when first called.
+:meth:`NumericEvaluator.rows`, the one way the package evaluates a polynomial
+numerically, loads it, when first called.
 """
 
 from __future__ import annotations
@@ -136,9 +136,6 @@ class Poly:
             return Poly.zero(self.nvars)
         return Poly(self.nvars, {m: c * v for m, v in self.terms.items()})
 
-    def mul_monomial(self, mono: Monomial, coeff: QI) -> "Poly":
-        return Poly(self.nvars, {mono_mul(m, mono): coeff * c for m, c in self.terms.items()})
-
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
@@ -249,7 +246,8 @@ class Poly:
 
         Deliberately simple and independent of :class:`NumericEvaluator`, the
         compiled path of the numeric foliation layer and the Newton torus
-        search; the property tests check that the two agree bit for bit."""
+        search; the tests check :meth:`NumericEvaluator.rows` against it, row
+        by row, bit for bit."""
         total = 0j
         for mono, c in self.terms.items():
             v = c.to_complex()
@@ -296,11 +294,10 @@ class NumericEvaluator:
     """A list of polynomials compiled once for repeated numeric evaluation.
 
     Each coefficient is converted to ``complex`` once and each term keeps its
-    nonzero (variable, exponent) pairs only.  A call performs exactly the
-    operations of :meth:`Poly.evaluate_numeric`, in the same order and on the
-    point's own scalars (numpy's, for an array; never ``tolist()``, whose
-    Python complex powers overflow differently), so results match bit for bit.
-    A coefficient past the float range raises ValueError naming it."""
+    nonzero (variable, exponent) pairs only.  :meth:`rows` is the one entry
+    point: it evaluates at a block of points and matches
+    :meth:`Poly.evaluate_numeric` on each row bit for bit.  A coefficient past
+    the float range raises ValueError naming it."""
 
     __slots__ = ("polys", "powers")
 
@@ -312,25 +309,13 @@ class NumericEvaluator:
         # the distinct (variable, exponent) pairs, in order of first use
         self.powers = list(dict.fromkeys(key for terms in self.polys for _, pairs in terms for key in pairs))
 
-    def __call__(self, point: Sequence[complex]) -> list[complex]:
-        x = list(point)
-        values = []
-        for terms in self.polys:
-            total = 0j
-            for c, pairs in terms:
-                v = c
-                for j, e in pairs:
-                    v *= x[j] ** e
-                total += v
-            values.append(total)
-        return values
-
     def rows(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at every row of an (m, nvars) complex array, bit for bit as
-        calling on each row: products are taken on split real and imaginary
-        arrays, ``(ar*br - ai*bi, ar*bi + ai*br)`` as the scalar does (numpy's
-        complex array multiply may fuse them), and powers use numpy's complex
-        ``np.power`` loop, which runs the scalar power's algorithm (npy_cpow)."""
+        :meth:`Poly.evaluate_numeric` on that row's numpy scalars (Python's,
+        from ``tolist()``, take powers that overflow differently): products on
+        split real and imaginary arrays, ``(ar*br - ai*bi, ar*bi + ai*br)`` as
+        the scalar does (numpy's complex array multiply may fuse them), and
+        powers by numpy's complex ``np.power``, the scalar's npy_cpow."""
         import numpy as np
 
         points = np.asarray(points, dtype=complex)

@@ -435,17 +435,22 @@ def test_write_arc_csv_layout(tmp_path, sphere):
 # bit: projections as bytes, arcs by repr.
 
 
+def _at(evaluator, x):
+    """The evaluator at one point, as a one-row block."""
+    return evaluator.rows(np.asarray(x, dtype=complex)[np.newaxis])[0]
+
+
 def _oracle_project(equations, partials, start, tolerance, max_iterations=60):
     x = np.asarray(start, dtype=complex)
     nvars = x.shape[0]
     for _ in range(max_iterations):
-        vals = np.asarray(equations(x), dtype=complex)
+        vals = _at(equations, x)
         sphere = float(np.vdot(x, x).real) - 1.0
         residual = float(np.max(np.abs(vals))) if len(vals) else 0.0
         if residual <= tolerance and abs(sphere) <= 1e-12:
             return x, residual, True
         res_real = np.concatenate([vals.real, vals.imag, [sphere]])
-        jac = np.asarray(partials(x), dtype=complex).reshape(len(vals), nvars)
+        jac = _at(partials, x).reshape(len(vals), nvars)
         jac_real = np.zeros((2 * len(vals) + 1, 2 * nvars))
         jac_real[: len(vals), :nvars] = jac.real
         jac_real[: len(vals), nvars:] = -jac.imag
@@ -460,7 +465,7 @@ def _oracle_project(equations, partials, start, tolerance, max_iterations=60):
         accepted = False
         while lam >= 2.0**-20:
             x_try = x + lam * delta
-            vals_try = np.asarray(equations(x_try), dtype=complex)
+            vals_try = _at(equations, x_try)
             sphere_try = float(np.vdot(x_try, x_try).real) - 1.0
             norm_try = float(
                 np.linalg.norm(np.concatenate([vals_try.real, vals_try.imag, [sphere_try]]))
@@ -472,7 +477,7 @@ def _oracle_project(equations, partials, start, tolerance, max_iterations=60):
             lam /= 2.0
         if not accepted:
             break
-    vals = np.asarray(equations(x), dtype=complex)
+    vals = _at(equations, x)
     sphere = float(np.vdot(x, x).real) - 1.0
     residual = float(np.max(np.abs(vals))) if len(vals) else 0.0
     return x, residual, residual <= tolerance and abs(sphere) <= 1e-12
@@ -503,7 +508,7 @@ def _oracle_rescaled_gradient(system, s):
         else:
             scales[j] = math.sqrt(float(cumulative[boundary - 1]))
     _, _, df_p, _ = system.evaluators
-    grad = np.asarray(df_p(s), dtype=complex).reshape(system.c, system.nvars)
+    grad = _at(df_p, s).reshape(system.c, system.nvars)
     return grad * scales[np.newaxis, :]
 
 
@@ -525,7 +530,7 @@ def _oracle_arc(system, epsilon, sample, *, tolerance=1e-11, max_iterations=40, 
         h = conj_t @ z
         h[zero_rows] = 0.0
         x = t_pow * (s_arr + epsilon * h)
-        values = np.asarray(f_p(x), dtype=complex) + epsilon * np.asarray(f_q(x), dtype=complex)
+        values = _at(f_p, x) + epsilon * _at(f_q, x)
         f_scaled = t_neg * values
         return x, f_scaled, float(np.max(np.abs(f_scaled)))
 
@@ -551,7 +556,7 @@ def _oracle_arc(system, epsilon, sample, *, tolerance=1e-11, max_iterations=40, 
         for _ in range(max_iterations):
             if ok or not within_cap:
                 break
-            jac = np.asarray(df_p(x), dtype=complex) + epsilon * np.asarray(df_q(x), dtype=complex)
+            jac = _at(df_p, x) + epsilon * _at(df_q, x)
             jac = jac.reshape(r, nvars)
             j_z = (t_neg[:, np.newaxis] * (jac * t_pow[np.newaxis, :])) @ (epsilon * conj_t)
             try:

@@ -45,7 +45,8 @@ from conftest import P
 
 
 # The tuple helpers of germlab.poly that the oracles below call, copied
-# verbatim: the packed kernel no longer uses them.
+# verbatim (``Poly.mul_monomial`` as a function): the packed kernel no longer
+# uses them.
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
@@ -61,6 +62,10 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_coprime(a: Monomial, b: Monomial) -> bool:
     return not any(map(mul, a, b))  # exponents are never negative
+
+
+def mul_monomial(f: Poly, mono: Monomial, coeff: QI) -> Poly:
+    return Poly(f.nvars, {mono_mul(m, mono): coeff * c for m, c in f.terms.items()})
 
 
 def strs(basis, variables="x y z"):
@@ -112,7 +117,7 @@ def _reference_division(f, divisors, order, budget=None):
         for k, (dm, dc) in enumerate(lts):
             q = mono_div(wm, dm)
             if q is not None:
-                work = work - divisors[k].mul_monomial(q, wc * dc.inverse())
+                work = work - mul_monomial(divisors[k], q, wc * dc.inverse())
                 break
         else:
             remainder_terms[wm] = wc
@@ -515,9 +520,7 @@ def _oracle_s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     fm, fc = leading_term(f, order)
     gm, gc = leading_term(g, order)
     lcm = mono_lcm(fm, gm)
-    return f.mul_monomial(mono_div(lcm, fm), fc.inverse()) - g.mul_monomial(
-        mono_div(lcm, gm), gc.inverse()
-    )
+    return mul_monomial(f, mono_div(lcm, fm), fc.inverse()) - mul_monomial(g, mono_div(lcm, gm), gc.inverse())
 
 
 def _oracle_buchberger(gens: list[Poly], order: MonomialOrder, budget: Budget) -> GroebnerBasis:

