@@ -24,9 +24,10 @@ point with its own convergence and line-search state; every result is bit
 for bit the one solving that point alone gives.  The samplers size each
 block of attempts from the success rate so far and keep their first
 successes in attempt order, so surplus attempts are projected and discarded
-without changing any result.  A block's Gauss-Newton least-squares steps are
-one stacked call of the gufunc behind ``np.linalg.lstsq``, and so are a
-family's tangency fits of one length, each bit for bit ``np.polyfit``'s.
+without changing any result.  Least squares is the package's one kernel,
+:func:`germlab.poly._stacked_lstsq`: a block's Gauss-Newton steps are one
+stacked call, as are a family's tangency fits of one length (each bit for
+bit ``np.polyfit``'s), and an arc step with a singular matrix one row.
 
 The entry points take what the ``foliate`` pipeline produces: a
 :class:`GermSystem`, the :class:`LinkSample` points :func:`sample_link`
@@ -53,10 +54,9 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from germlab.germ import Budget, GermSystem, sigma
-from germlab.poly import NumericEvaluator, jacobian_evaluator
+from germlab.poly import NumericEvaluator, _stacked_lstsq, jacobian_evaluator
 
 __all__ = [
     "LINK_TOLERANCE",
@@ -215,30 +215,6 @@ def _row_dots(a: np.ndarray) -> np.ndarray:
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(row)`` for every row of ``a``, bit for bit."""
     return np.sqrt(_row_dots(a.real) + _row_dots(a.imag))
-
-
-def _raise_lstsq_error(*_) -> None:
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _stacked_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.lstsq(a[i], b[i], rcond=None)`` for every i, bit for bit,
-    in one call of the gufunc that function wraps (the wrapper refuses a
-    stack); returns the solutions and the ranks.  The rcond and the error
-    state are the wrapper's: a row whose SVD does not converge raises its
-    LinAlgError.
-
-    A stack with a non-finite entry in ``a`` raises that LinAlgError without
-    calling LAPACK, which would fail on it too, but only after printing
-    DLASCL's complaint on file descriptor 1, and on some such matrices never
-    returns.  A non-finite ``b`` goes to LAPACK: its solution is nan."""
-    if not np.isfinite(a).all():
-        _raise_lstsq_error()
-    rcond = np.finfo(float).eps * max(a.shape[-2:])
-    with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        x, _, rank, _ = _umath_linalg.lstsq(a, b[..., np.newaxis], rcond, signature="ddd->ddid")
-    return x[..., 0], rank
 
 
 def _gauss_newton_project(
@@ -626,7 +602,7 @@ def _solve_or_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a, b, rcond=None)[0]
+        return _stacked_lstsq(a[np.newaxis], b[np.newaxis])[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from germlab.exact import integer_determinant, nullspace, pivot_columns, rank
 from germlab.groebner import Budget, BudgetExhausted, saturation
-from germlab.poly import Monomial, NumericEvaluator, Poly, jacobian, jacobian_evaluator
+from germlab.poly import Monomial, NumericEvaluator, Poly, _stacked_lstsq, jacobian, jacobian_evaluator
 from germlab.qi import QI
 
 if TYPE_CHECKING:
@@ -230,9 +230,10 @@ def _torus_search(f_sigma: Poly, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo fallback: hunt for a torus critical point of a face
     polynomial by damped Gauss-Newton on its gradient from 40 random torus
     starts, run in lockstep: per iteration, one :meth:`NumericEvaluator.rows`
-    call evaluates the gradient of the live starts and one the Hessian of
-    those still moving, and each start keeps its own stopping rules and
-    least-squares step, so its iterates are bit for bit its own run's.
+    call evaluates the gradient of the live starts, one the Hessian of those
+    still moving, and one :func:`_stacked_lstsq` call takes the steps of
+    those whose values are finite; each start keeps its own stopping rules,
+    so its iterates are bit for bit its own run's.
     Returns the (40, nvars) final iterates and per start whether it reached
     a convincing critical point with all coordinates away from zero
     (certifying degeneracy up to float error).  The face is quasi-homogeneous
@@ -263,18 +264,14 @@ def _torus_search(f_sigma: Poly, seed: int) -> tuple[np.ndarray, np.ndarray]:
         moving = ~(np.max(np.abs(val), axis=1) < 1e-12)  # nan rows too: their Hessian is evaluated
         live, val = live[moving], val[moving]
         jac = hessian.rows(x[live]).reshape(len(live), nvars, nvars)[:, :, free]
-        # an overflowed start stops: LAPACK would print to stdout and fail, or hang
+        # an overflowed start stops: its matrix would fail the whole stacked call
         finite = np.isfinite(val).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
-        stepped = []
-        for i, val_i, jac_i in zip(live[finite], val[finite], jac[finite]):
-            step, *_ = np.linalg.lstsq(jac_i, -val_i, rcond=None)
-            size = np.abs(step).max()
-            if not np.isfinite(step).all() or size < 1e-14:
-                continue
-            # damped update, keeps the iteration from shooting off to 0/inf
-            x[i, free] += step / max(1.0, size)
-            stepped.append(i)
-        live = np.array(stepped, dtype=np.intp)
+        step = _stacked_lstsq(jac[finite], -val[finite])[0]
+        size = np.abs(step).max(axis=1)
+        stepping = np.isfinite(step).all(axis=1) & (size >= 1e-14)
+        live, step, size = live[finite][stepping], step[stepping], size[stepping]
+        # damped update, keeps the iteration from shooting off to 0/inf
+        x[np.ix_(live, free)] += step / np.maximum(1.0, size)[:, np.newaxis]
     modulus = np.abs(x)
     found = np.max(np.abs(gradient.rows(x)), axis=1) < 1e-10
     return x, found & (modulus.min(axis=1) > 5e-2) & (modulus.max(axis=1) < 1e3)

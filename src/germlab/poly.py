@@ -10,9 +10,9 @@ Weighted structure: for a positive rational weight vector ω, the weighted
 order of f is min over monomials of ⟨ω, a⟩ (None for f = 0, read as +∞), and
 the weighted part at degree d collects the monomials with ⟨ω, a⟩ = d.
 
-The module is exact and does not import numpy; only
-:meth:`NumericEvaluator.rows`, the one way the package evaluates a polynomial
-numerically, loads it, when first called.
+The module is exact and loads numpy only when a numeric entry point is first
+called: :meth:`NumericEvaluator.rows`, the package's one numeric evaluation,
+or :func:`_stacked_lstsq`, its one least-squares call.
 """
 
 from __future__ import annotations
@@ -335,6 +335,33 @@ class NumericEvaluator:
 def jacobian_evaluator(polys: Sequence[Poly]) -> NumericEvaluator:
     """The compiled :func:`jacobian` of ``polys``, flattened row by row."""
     return NumericEvaluator([d for row in jacobian(polys) for d in row])
+
+
+def _stacked_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.lstsq(a[i], b[i], rcond=None)`` for every i, bit for bit,
+    in one call of the gufunc that function wraps (the wrapper refuses a
+    stack), real or complex as the wrapper picks it; returns the solutions
+    and the ranks.  The rcond and the error state are the wrapper's: a row
+    whose SVD does not converge raises its LinAlgError.
+
+    A stack with a non-finite entry in ``a`` raises that LinAlgError without
+    calling LAPACK, which would fail on it too, but only after printing
+    DLASCL's complaint on file descriptor 1, and on some such matrices never
+    returns.  A non-finite ``b`` goes to LAPACK: its solution is nan."""
+    import numpy as np
+    from numpy.linalg import _umath_linalg
+
+    def fail(*_):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    if not np.isfinite(a).all():
+        fail()
+    rcond = np.finfo(float).eps * max(a.shape[-2:])
+    signature = "DDd->Ddid" if np.iscomplexobj(a) or np.iscomplexobj(b) else "ddd->ddid"
+    with np.errstate(call=fail, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x, _, rank, _ = _umath_linalg.lstsq(a, b[..., np.newaxis], rcond, signature=signature)
+    return x[..., 0], rank
 
 
 @dataclass(frozen=True)

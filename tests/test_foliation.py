@@ -32,7 +32,6 @@ from germlab.foliation import (
     _distance_to_cloud,
     _gauss_newton_project,
     _project_attempts,
-    _stacked_lstsq,
     deform_arc,
     rescaled_gradient,
     sample_link,
@@ -44,7 +43,7 @@ from germlab.foliation import (
 from germlab.germ import germ_system, sigma
 from germlab.germfile import load_system
 from germlab.groebner import Budget
-from germlab.poly import NumericEvaluator, jacobian_evaluator
+from germlab.poly import NumericEvaluator, _stacked_lstsq, jacobian_evaluator
 
 from conftest import P, F, load_fixture
 
@@ -1098,61 +1097,8 @@ def test_verify_foliation_fits_match_the_pair_loop(sphere, briancon_speder):
 
 
 # ---------------------------------------------------------------------------
-# one stacked least-squares call against numpy's per-matrix lstsq
-#
-# _stacked_lstsq calls the private gufunc behind np.linalg.lstsq; these
-# tests also catch a numpy release that changes it.
-
-
-@st.composite
-def _lstsq_stacks(draw):
-    count, m, n = draw(st.integers(1, 4)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    k = min(m, n)
-    rank = draw(st.integers(0, k))
-    if rank == k:
-        a = rng.standard_normal((count, m, n))
-    elif draw(st.booleans()):
-        a = rng.standard_normal((count, m, rank)) @ rng.standard_normal((count, rank, n))
-    else:
-        # trailing singular values near lstsq's cutoff eps * max(m, n) * s_max
-        sigma = np.ones(k)
-        sigma[rank:] = np.finfo(float).eps * draw(st.floats(0.5, 20.0))
-        u = np.linalg.qr(rng.standard_normal((count, m, k)))[0]
-        v = np.linalg.qr(rng.standard_normal((count, n, k)))[0]
-        a = (u * sigma) @ v.transpose(0, 2, 1)
-    a[rng.random((count, m)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
-    # rows of wildly different magnitudes, or one magnitude per matrix
-    a *= 10.0 ** rng.integers(-150, 151, size=(count, m if draw(st.booleans()) else 1, 1))
-    b = rng.standard_normal((count, m)) * 10.0 ** rng.integers(-150, 151, size=(count, m))
-    return a, b
-
-
-@settings(max_examples=200, deadline=None)
-@given(_lstsq_stacks())
-def test_stacked_lstsq_matches_per_matrix_lstsq(stack):
-    a, b = stack
-    try:
-        expected = np.array([np.linalg.lstsq(ai, bi, rcond=None)[0] for ai, bi in zip(a, b)])
-    except np.linalg.LinAlgError as exc:
-        with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
-            _stacked_lstsq(a, b)
-        return
-    assert _stacked_lstsq(a, b)[0].tobytes() == expected.tobytes()
-
-
-def test_stacked_lstsq_raises_like_lstsq_on_nan():
-    a = np.ones((3, 7, 8))
-    a[1, 2, 3] = math.nan
-    b = np.ones((3, 7))
-    with pytest.raises(np.linalg.LinAlgError) as expected:
-        np.linalg.lstsq(a[1], b[1], rcond=None)
-    with pytest.raises(np.linalg.LinAlgError) as stacked:
-        _stacked_lstsq(a, b)
-    assert (type(stacked.value), str(stacked.value)) == (
-        type(expected.value), str(expected.value)
-    )
-    assert str(stacked.value) == "SVD did not converge in Linear Least Squares"
+# the least-squares kernel, poly._stacked_lstsq, on non-finite input; its
+# bitwise tests against np.linalg.lstsq are in test_poly.py
 
 
 LSTSQ_FAILED = "SVD did not converge in Linear Least Squares"

@@ -1,6 +1,8 @@
 """Sparse exact multivariate polynomials: arithmetic, weighted structure,
-weight inference, and variable surgery."""
+weight inference, and variable surgery; and the numeric kernels beside
+them, the compiled evaluator and the stacked least-squares call."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from germlab.poly import (
     NumericEvaluator,
     Poly,
+    _stacked_lstsq,
     infer_weights,
     jacobian,
     jacobian_evaluator,
@@ -310,3 +313,70 @@ def test_split_reassembles(pairs):
     if not rest.is_zero():
         assert rest.weighted_order(w) > principal.weighted_order(w)
     assert principal.is_weighted_homogeneous(w)
+
+
+# ---------------------------------------------------------------------------
+# one stacked least-squares call against numpy's per-matrix lstsq
+#
+# _stacked_lstsq calls the private gufunc behind np.linalg.lstsq; these
+# tests also catch a numpy release that changes it.
+
+
+@st.composite
+def _lstsq_stacks(draw):
+    """Real or complex stacks, a and b each: lstsq solves in complex if
+    either is complex."""
+    count, m, n = draw(st.integers(1, 4)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a_complex, b_complex = draw(st.booleans()), draw(st.booleans())
+
+    def normal(shape, complex_):
+        real = rng.standard_normal(shape)
+        return real + 1j * rng.standard_normal(shape) if complex_ else real
+
+    k = min(m, n)
+    rank = draw(st.integers(0, k))
+    if rank == k:
+        a = normal((count, m, n), a_complex)
+    elif draw(st.booleans()):
+        a = normal((count, m, rank), a_complex) @ normal((count, rank, n), a_complex)
+    else:
+        # trailing singular values near lstsq's cutoff eps * max(m, n) * s_max
+        sigma = np.ones(k)
+        sigma[rank:] = np.finfo(float).eps * draw(st.floats(0.5, 20.0))
+        u = np.linalg.qr(normal((count, m, k), a_complex))[0]
+        v = np.linalg.qr(normal((count, n, k), a_complex))[0]
+        a = (u * sigma) @ v.conj().transpose(0, 2, 1)
+    a[rng.random((count, m)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    # rows of wildly different magnitudes, or one magnitude per matrix
+    a *= 10.0 ** rng.integers(-150, 151, size=(count, m if draw(st.booleans()) else 1, 1))
+    b = normal((count, m), b_complex) * 10.0 ** rng.integers(-150, 151, size=(count, m))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lstsq_stacks())
+def test_stacked_lstsq_matches_per_matrix_lstsq(stack):
+    a, b = stack
+    try:
+        expected = np.array([np.linalg.lstsq(ai, bi, rcond=None)[0] for ai, bi in zip(a, b)])
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+            _stacked_lstsq(a, b)
+        return
+    assert _stacked_lstsq(a, b)[0].tobytes() == expected.tobytes()
+
+
+def test_stacked_lstsq_raises_like_lstsq_on_nan():
+    for dtype in (float, complex):
+        a = np.ones((3, 7, 8), dtype=dtype)
+        a[1, 2, 3] = math.nan
+        b = np.ones((3, 7), dtype=dtype)
+        with pytest.raises(np.linalg.LinAlgError) as expected:
+            np.linalg.lstsq(a[1], b[1], rcond=None)
+        with pytest.raises(np.linalg.LinAlgError) as stacked:
+            _stacked_lstsq(a, b)
+        assert (type(stacked.value), str(stacked.value)) == (
+            type(expected.value), str(expected.value)
+        )
+        assert str(stacked.value) == "SVD did not converge in Linear Least Squares"

@@ -5,6 +5,10 @@ Tests and examples are not callers: a public module-level function of
 definition under ``src/germlab``, or be one that ``bench/tracing.py`` wraps
 (its ``SPANNED``, ``COUNTED`` or ``TIMED`` tables), or be ``cli.main``, the
 console entry point.  Docstrings and ``__all__`` strings do not count.
+
+The package has one least-squares call: ``poly._stacked_lstsq``, defined
+once, is the only place under ``src/germlab`` that calls a function named
+``lstsq``.
 """
 
 from __future__ import annotations
@@ -70,3 +74,29 @@ def test_every_public_function_has_a_caller_in_src_or_the_tracer():
     assert {("report", "render"), ("germ", "analyze_newton")} <= public & referenced  # the scan sees calls
     unreached = public - referenced - _tracer_names() - {("cli", "main")}
     assert not unreached, sorted(f"{module}.{name}" for module, name in unreached)
+
+
+def _lstsq_calls(tree: ast.AST) -> list[ast.Call]:
+    """The calls of a function named ``lstsq``, plain or as an attribute."""
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "lstsq":
+                calls.append(node)
+    return calls
+
+
+def test_stacked_lstsq_is_the_only_least_squares_call():
+    kernels, outside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside: set[ast.Call] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_stacked_lstsq":
+                kernels.append(node)
+                inside.update(_lstsq_calls(node))
+        outside += [f"{path.name}:{call.lineno}" for call in _lstsq_calls(tree) if call not in inside]
+    assert not outside, outside
+    assert len(kernels) == 1
+    assert len(_lstsq_calls(kernels[0])) == 1  # the scan sees the kernel's own call
