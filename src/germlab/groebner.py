@@ -49,7 +49,7 @@ from germlab.orders import (
     local_antigraded,
 )
 from germlab.poly import Monomial, Poly
-from germlab.qi import QI
+from germlab.qi import QI, _add_product
 
 DEFAULT_BUDGET = 10 ** 6
 _ONE = QI.one()
@@ -226,9 +226,7 @@ def division(work: dict[int, QI], heads: list[tuple], budget: Budget, guard: int
                     m += q
                     if m & guard:
                         raise _Overflow
-                    if (prev := work.get(m)) is None:
-                        work[m] = t * c  # nonzero: a product of nonzeros
-                    elif v := prev + t * c:
+                    if v := _add_product(work.get(m), t, c):  # zero only if m was there
                         work[m] = v
                     else:
                         del work[m]

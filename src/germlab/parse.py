@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from germlab.orders import grevlex
 from germlab.poly import Monomial, Poly
-from germlab.qi import QI, format_qi
+from germlab.qi import QI, _ratio, format_qi
 
 
 class ParseError(ValueError):
@@ -226,20 +226,17 @@ def poly_to_string(f: Poly, names: list[str]) -> str:
         # Sign handling: absorb the sign for real and pure-imaginary
         # coefficients; mixed complex coefficients stay parenthesized with a
         # leading "+".
-        if c.im and c.re:
+        a, b, d = c._a, c._b, c._d
+        if a and b:
             coeff_str, negative = format_qi(c), False
         else:
-            value = c.re if not c.im else c.im
-            negative = value < 0
-            abs_c = QI(-c.re, -c.im) if negative else c
-            if not mono_str and abs_c == QI.one():
-                coeff_str = "1"
-            elif abs_c == QI.one():
-                coeff_str = ""
-            elif not abs_c.re and abs_c.im == 1:
-                coeff_str = "i"
+            n = a or b
+            negative = n < 0
+            size = _ratio(-n if negative else n, d)
+            if b:
+                coeff_str = "i" if size == "1" else f"{size}*i"
             else:
-                coeff_str = format_qi(abs_c)
+                coeff_str = "" if size == "1" and mono_str else size
         if coeff_str and mono_str:
             body = f"{coeff_str}*{mono_str}"
         else:

@@ -24,7 +24,7 @@ from operator import add
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from germlab.exact import nullspace, pivot_columns
-from germlab.qi import QI
+from germlab.qi import QI, _add_product
 
 if TYPE_CHECKING:
     import numpy as np
@@ -125,9 +125,7 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = mono_mul(m1, m2)
-                prod = c1 * c2
-                prev = acc.get(mono)
-                acc[mono] = prod if prev is None else prev + prod
+                acc[mono] = _add_product(acc.get(mono), c1, c2)
         return Poly(self.nvars, acc)
 
     def scale(self, c: QI | int | Fraction) -> "Poly":

@@ -4,8 +4,9 @@ All symbolic computation in the package runs over the field Q(i): complex
 numbers a + b*i with rational a, b.  A value is three Python ints
 ``(a, b, d)`` meaning ``(a + b*i)/d``, kept canonical: ``d > 0`` and
 ``gcd(d, a, b) == 1``, so zero is ``(0, 0, 1)`` and ``==`` compares ints.
-Values are immutable and hashable; ``.re`` and ``.im`` read the parts as
-:class:`fractions.Fraction`.
+Values are immutable and hashable, a real one as the int or Fraction it
+equals; ``.re`` and ``.im`` read the parts as :class:`fractions.Fraction`,
+but ``format_qi`` prints from the triple, one gcd per part.
 
 Arithmetic cancels before it multiplies, as ``Fraction`` does (Henrici;
 Knuth, TAOCP vol. 2, 4.5.1), with the content gcd(a, b) in place of a
@@ -14,8 +15,10 @@ other factor's d.  Only a product of two non-real values can then still
 share a factor with its denominator, through primes that split in Z[i]
 ((1+i)(1-i) = 2), so it takes one more gcd.  A sum over coprime denominators
 takes no gcd; otherwise it takes one, with the common denominator or with
-g = gcd(d1, d2), which every common factor of the result divides.  Only
-``to_complex`` leaves exact arithmetic.
+g = gcd(d1, d2), which every common factor of the result divides.  Exact
+accumulations (division's tail update, ``Poly.__mul__``) build ``p + x*y`` as
+one value through ``_add_product``, whose ``p=None`` case is ``__mul__``.
+Only ``to_complex`` leaves exact arithmetic.
 """
 
 from __future__ import annotations
@@ -92,26 +95,7 @@ class QI:
     def __mul__(self, other) -> "QI":
         if other.__class__ is not QI:
             other = QI.coerce(other)
-        a1, b1, d1 = self._a, self._b, self._d
-        a2, b2, d2 = other._a, other._b, other._d
-        if d2 != 1:
-            g = gcd(d2, a1, b1)
-            if g != 1:
-                a1, b1, d2 = a1 // g, b1 // g, d2 // g
-        if d1 != 1:
-            g = gcd(d1, a2, b2)
-            if g != 1:
-                a2, b2, d1 = a2 // g, b2 // g, d1 // g
-        if not b1:
-            return _make(a1 * a2, a1 * b2, d1 * d2)
-        if not b2:
-            return _make(a1 * a2, b1 * a2, d1 * d2)
-        a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
-        if d != 1:
-            g = gcd(d, a, b)
-            if g != 1:
-                return _make(a // g, b // g, d // g)
-        return _make(a, b, d)
+        return _add_product(None, self, other)
 
     __rmul__ = __mul__
 
@@ -141,8 +125,10 @@ class QI:
             other = QI(other)
         return self._a == other._a and self._b == other._b and self._d == other._d
 
-    def __hash__(self) -> int:
-        return hash((self._a, self._b, self._d))
+    def __hash__(self) -> int:  # a real value hashes as the int or Fraction it equals
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        return hash(self._a if self._d == 1 else self.re)
 
     def __repr__(self) -> str:
         return f"QI({self.re!r}, {self.im!r})"
@@ -158,20 +144,19 @@ def format_qi(c: QI) -> str:
     ``i``/``-i``/``2*i``/``-2/3*i``, mixed values are parenthesized in the
     ``(a+b*i)`` shape required by the coefficient grammar.
     """
-    re, im = c.re, c.im  # Fractions print "a" or "a/b"
-    if not im:
-        return str(re)
-    if not re:
-        if im == 1:
-            return "i"
-        if im == -1:
-            return "-i"
-        return f"{im}*i"
-    if im > 0:
-        im_part = "i" if im == 1 else f"{im}*i"
-        return f"({re}+{im_part})"
-    im_part = "i" if im == -1 else f"{-im}*i"
-    return f"({re}-{im_part})"
+    a, b, d = c._a, c._b, c._d
+    if not b:
+        return _ratio(a, d)
+    im = "i" if b == d or b == -d else f"{_ratio(abs(b), d)}*i"
+    if not a:
+        return im if b > 0 else f"-{im}"
+    return f"({_ratio(a, d)}{'+' if b > 0 else '-'}{im})"
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, as a Fraction prints it: ``n`` or ``n/d``."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 _new = object.__new__
@@ -187,6 +172,35 @@ def _make(a: int, b: int, d: int) -> QI:
     _set_b(c, b)
     _set_d(c, d)
     return c
+
+
+def _add_product(p: QI | None, x: QI, y: QI) -> QI:
+    """p + x*y, or x*y when p is None, canonical: one QI for the whole
+    update.  The product cancels before it multiplies (module docstring)."""
+    a1, b1, d1 = x._a, x._b, x._d
+    a2, b2, d2 = y._a, y._b, y._d
+    if d2 != 1:
+        g = gcd(d2, a1, b1)
+        if g != 1:
+            a1, b1, d2 = a1 // g, b1 // g, d2 // g
+    if d1 != 1:
+        g = gcd(d1, a2, b2)
+        if g != 1:
+            a2, b2, d1 = a2 // g, b2 // g, d1 // g
+    d = d1 * d2
+    if not b1:
+        a, b = a1 * a2, a1 * b2
+    elif not b2:
+        a, b = a1 * a2, b1 * a2
+    else:
+        a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        if d != 1:
+            g = gcd(d, a, b)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+    if p is None:
+        return _make(a, b, d)
+    return _sum(p._a, p._b, p._d, a, b, d)
 
 
 def _sum(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> QI:

@@ -1,6 +1,7 @@
 """Groebner bases, local standard bases, dimension, saturation, and Milnor
 numbers — frozen worked examples plus randomized soundness audits."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -36,6 +37,7 @@ from germlab.groebner import (
     quotient_dimension,
     saturation,
 )
+from germlab.germ import singular_locus_ideal
 from germlab.orders import MonomialOrder, eliminate_last, grevlex, homogenized_local, local_antigraded
 from germlab.parse import poly_to_string
 from germlab.poly import Monomial, Poly, mono_mul
@@ -464,6 +466,21 @@ def test_global_basis_and_saturation_are_pinned():
         "y^2 + y - 2*z + 1", "z^2 + y - 2*z + 1", "x + i*y - i*z + i",
     ]
 
+
+
+def test_the_slowest_global_basis_is_pinned():
+    # c3_c's Sing[X0], the grevlex basis behind `sigma c3_c`: a faster
+    # coefficient kernel must pop the same pairs, charge the same steps and
+    # print the same reduced generators
+    names = "x y z w v"
+    principal = [P("x^2 + y^2 + z^2 + w^2 + v^2", names), P("x*y + z*w + v^2", names), P("x^2 - y*z + w*v", names)]
+    budget = Budget()
+    gb = buchberger(singular_locus_ideal(principal), grevlex(5), budget)
+    assert len(gb.generators) == 25
+    assert gb.stats == {"s_pairs": 86, "reductions_to_zero": 66, "skip_coprime": 151, "skip_chain": 291}
+    assert budget.used == 1740
+    text = "\n".join(poly_to_string(g, names.split()) for g in gb.generators)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "ae9af935f9f48a38"
 
 # -- differential test against the previous kernel ---------------------------
 #

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from germlab.parse import MAX_NESTING, ParseError, parse_poly, poly_to_string
+from germlab.orders import grevlex
+from germlab.parse import MAX_NESTING, ParseError, _mono_string, parse_poly, poly_to_string
 from germlab.poly import Poly
 from germlab.qi import QI
 
@@ -114,3 +115,97 @@ def test_print_parse_round_trip(terms):
     f = Poly.from_terms(3, terms.items())
     text = poly_to_string(f, VARS)
     assert parse_poly(text, VARS) == f
+
+
+# -- the printer before it read the integer triples: poly_to_string and
+# format_qi through Fraction parts, kept verbatim under new names as the
+# oracle for the test below ------------------------------------------------
+
+
+def _fraction_format_qi(c: QI) -> str:
+    """Canonical text form, re-parseable by the polynomial grammar.
+
+    Pure rationals print bare (``3``, ``-1/2``), pure imaginaries print as
+    ``i``/``-i``/``2*i``/``-2/3*i``, mixed values are parenthesized in the
+    ``(a+b*i)`` shape required by the coefficient grammar.
+    """
+    re, im = c.re, c.im  # Fractions print "a" or "a/b"
+    if not im:
+        return str(re)
+    if not re:
+        if im == 1:
+            return "i"
+        if im == -1:
+            return "-i"
+        return f"{im}*i"
+    if im > 0:
+        im_part = "i" if im == 1 else f"{im}*i"
+        return f"({re}+{im_part})"
+    im_part = "i" if im == -1 else f"{-im}*i"
+    return f"({re}-{im_part})"
+
+
+def _fraction_poly_to_string(f: Poly, names: list[str]) -> str:
+    """Canonical text form; ``parse_poly(poly_to_string(f), names) == f``."""
+    if f.is_zero():
+        return "0"
+    pieces: list[str] = []
+    for mono in sorted(f.terms, key=grevlex(f.nvars).key, reverse=True):
+        c = f.terms[mono]
+        mono_str = _mono_string(mono, names)
+        # Sign handling: absorb the sign for real and pure-imaginary
+        # coefficients; mixed complex coefficients stay parenthesized with a
+        # leading "+".
+        if c.im and c.re:
+            coeff_str, negative = _fraction_format_qi(c), False
+        else:
+            value = c.re if not c.im else c.im
+            negative = value < 0
+            abs_c = QI(-c.re, -c.im) if negative else c
+            if not mono_str and abs_c == QI.one():
+                coeff_str = "1"
+            elif abs_c == QI.one():
+                coeff_str = ""
+            elif not abs_c.re and abs_c.im == 1:
+                coeff_str = "i"
+            else:
+                coeff_str = _fraction_format_qi(abs_c)
+        if coeff_str and mono_str:
+            body = f"{coeff_str}*{mono_str}"
+        else:
+            body = coeff_str or mono_str
+        if not pieces:
+            pieces.append(f"-{body}" if negative else body)
+        else:
+            pieces.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(pieces)
+
+
+units = st.sampled_from([1, -1])
+small = st.integers(-40, 40)
+big = st.integers(-(2**80), 2**80)
+denominators = st.integers(1, 12) | st.integers(2**64, 2**80)
+rationals = st.builds(Fraction, small | big, denominators)
+printer_coeffs = st.one_of(
+    st.builds(QI, small | big),  # integers
+    st.builds(QI, rationals),
+    units.map(QI),  # +-1
+    units.map(lambda u: QI(0, u)),  # +-i
+    st.builds(lambda y: QI(0, y), rationals),  # pure imaginary
+    st.builds(QI, rationals, rationals),  # mixed
+    # mixed, with a real part that reduces on its own: (2+3i)/4
+    st.builds(lambda a, b, d: QI(Fraction(a, d), Fraction(b, d)), small, small, st.integers(1, 12)),
+)
+constant_or_monomials = st.just((0, 0, 0)) | monomials
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.dictionaries(constant_or_monomials, printer_coeffs, max_size=6))
+@example({(0, 0, 0): QI(Fraction(2, 4), Fraction(3, 4)), (1, 0, 0): QI(0, -1), (0, 1, 0): QI(-1)})
+@example({(0, 0, 0): QI(1), (0, 0, 1): QI(1), (2, 0, 0): QI(0, Fraction(-2, 3))})
+@example({(0, 0, 0): QI(0, 1), (1, 1, 0): QI(Fraction(-1, 2), -1)})
+def test_printer_matches_the_fraction_printer(terms):
+    f = Poly.from_terms(3, terms.items())
+    assert poly_to_string(f, VARS) == _fraction_poly_to_string(f, VARS)
+    for c in terms.values():
+        assert str(c) == _fraction_format_qi(c)

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from germlab.qi import QI, RationalLike, format_qi
+from germlab.qi import QI, RationalLike, _add_product, format_qi
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -58,6 +58,17 @@ def test_immutability_and_hash():
         a.re = Fraction(9)
     assert hash(QI(1, 2)) == hash(QI(1, 2))
     assert len({QI(1, 2), QI(1, 2), QI(2, 1)}) == 2
+
+
+def test_real_values_hash_as_the_numbers_they_equal():
+    # equal values must hash alike, across types as well: QI(1) == 1, so
+    # 1 in {QI(1)}; non-real values equal no int or Fraction
+    for value in (0, 1, -7, 2**70, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 2**70)):
+        assert QI(value) == value and hash(QI(value)) == hash(value)
+        assert value in {QI(value)} and QI(value) in {value}
+        assert {QI(value): "qi"}[value] == "qi"
+    assert hash(QI(1, 2)) == hash(QI(Fraction(2, 2), Fraction(4, 2)))
+    assert QI(0, 1) not in {0, 1, Fraction(1, 2)}
 
 
 def test_format():
@@ -384,3 +395,87 @@ def test_to_complex_gives_the_oracle_words(p):
             x.to_complex()
         return
     assert _words(x.to_complex()) == _words(want)
+
+
+# -- QI.__mul__ and _sum before the fused multiply-add, kept verbatim (the
+# method as a function, the triple returned as a tuple) as the oracle for
+# _add_product ----------------------------------------------------------------
+
+
+def _make_triple(a: int, b: int, d: int) -> tuple:
+    return a, b, d
+
+
+def _oracle_mul(self, other) -> tuple:
+    if other.__class__ is not QI:
+        other = QI.coerce(other)
+    a1, b1, d1 = self._a, self._b, self._d
+    a2, b2, d2 = other._a, other._b, other._d
+    if d2 != 1:
+        g = gcd(d2, a1, b1)
+        if g != 1:
+            a1, b1, d2 = a1 // g, b1 // g, d2 // g
+    if d1 != 1:
+        g = gcd(d1, a2, b2)
+        if g != 1:
+            a2, b2, d1 = a2 // g, b2 // g, d1 // g
+    if not b1:
+        return _make_triple(a1 * a2, a1 * b2, d1 * d2)
+    if not b2:
+        return _make_triple(a1 * a2, b1 * a2, d1 * d2)
+    a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+    if d != 1:
+        g = gcd(d, a, b)
+        if g != 1:
+            return _make_triple(a // g, b // g, d // g)
+    return _make_triple(a, b, d)
+
+
+def _oracle_sum(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> tuple:
+    """(a1 + b1*i)/d1 + (a2 + b2*i)/d2 of two canonical triples, canonical."""
+    if d1 == d2:
+        a, b = a1 + a2, b1 + b2
+        if d1 != 1:
+            g = gcd(d1, a, b)
+            if g != 1:
+                return _make_triple(a // g, b // g, d1 // g)
+        return _make_triple(a, b, d1)
+    g = gcd(d1, d2)
+    if g == 1:
+        return _make_triple(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+    s, t = d1 // g, d2 // g
+    a, b = a1 * t + a2 * s, b1 * t + b2 * s
+    g2 = gcd(g, a, b)
+    if g2 == 1:
+        return _make_triple(a, b, s * d2)
+    return _make_triple(a // g2, b // g2, s * (d2 // g2))
+
+
+past_64_bits = st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(2**64, 2**200))
+# (1+i)/2 * (1-i)/3 = 1/3: Gaussian primes over split primes, over 1, 2, 3, 5
+# or their norm, so a product loses a factor neither factor's parts show
+split_scalars = st.builds(
+    lambda ab, over, sign: QI(Fraction(sign * ab[0], over), Fraction(ab[1], over)),
+    st.sampled_from(SPLIT), st.sampled_from([1, 2, 3, 5, 25]), st.sampled_from([1, -1]),
+)
+fma_scalars = st.one_of(
+    st.builds(QI, parts, parts), st.builds(QI, past_64_bits, past_64_bits), st.builds(QI, past_64_bits),
+    st.builds(lambda y: QI(0, y), past_64_bits), split_scalars,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(fma_scalars, fma_scalars, st.one_of(st.none(), fma_scalars, st.just("cancel")))
+@example(QI(Fraction(1, 2), Fraction(1, 2)), QI(Fraction(1, 3), Fraction(-1, 3)), None)
+@example(QI(Fraction(1, 2), Fraction(1, 2)), QI(Fraction(1, 3), Fraction(-1, 3)), "cancel")
+@example(QI(Fraction(2**65 + 1, 3**41)), QI(0, Fraction(3**41, 2**65 + 1)), QI(0, -1))
+def test_add_product_matches_the_product_then_the_sum(x, y, p):
+    if p == "cancel":  # p = -x*y: the sum cancels to zero
+        a, b, d = _oracle_mul(x, y)
+        p = QI(Fraction(-a, d), Fraction(-b, d))
+    got = _add_product(p, x, y)
+    product = _oracle_mul(x, y)
+    want = product if p is None else _oracle_sum(p._a, p._b, p._d, *product)
+    a, b, d = got._a, got._b, got._d
+    assert (a, b, d) == want
+    assert d > 0 and gcd(d, a, b) == 1
