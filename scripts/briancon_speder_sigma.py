@@ -99,11 +99,7 @@ def main() -> int:
     for _ in range(60):
         z_val = -((eta**15 + eta * y_val**7) ** (1 / 5))
         y_val = float(np.sqrt(1.0 - eta * eta - z_val * z_val))
-    near = LinkSample(
-        s=(eta + 0j, y_val + 0j, z_val + 0j),
-        residual=abs(system.principal[0].evaluate_numeric((eta, y_val, z_val))),
-        distance_to_sigma=float(np.hypot(eta, z_val)),
-    )
+    near = LinkSample(s=(eta + 0j, y_val + 0j, z_val + 0j), distance_to_sigma=float(np.hypot(eta, z_val)))
     arc = deform_arc(system, epsilon, near)
     print(
         f"  hand-built sample: distance to Sigma {near.distance_to_sigma:.3f}, "

@@ -120,13 +120,12 @@ _FIT_ORDER = np.argsort(DEFAULT_T_GRID)
 @dataclass(frozen=True)
 class LinkSample:
     """A point of the link of the principal variety: ``s`` on the unit
-    sphere with ``f_p(s) = 0`` at tolerance.
+    sphere with ``max_i |f_p_i(s)|`` at most ``LINK_TOLERANCE``.
 
     ``distance_to_sigma`` is the distance to a numerically sampled link of
     the obstruction locus, ``inf`` when that locus is the origin alone."""
 
     s: tuple[complex, ...]
-    residual: float
     distance_to_sigma: float
 
 
@@ -134,18 +133,18 @@ class LinkSample:
 class ArcSample:
     """One deformed arc, tabulated on the decreasing ``DEFAULT_T_GRID``.
 
-    ``z_values[k]`` is the ansatz unknown at ``t_grid[k]``, ``points[k]``
-    the arc point ``t^w * (s + eps*h(z))``, ``residuals[k]`` the scaled
-    residual ``max_i |F_i|`` and ``converged[k]`` whether the solver met
-    tolerance there.  After the first failure the solver stops: smaller-t
-    entries reuse the last iterate (their residual is reported honestly,
-    converged stays False).  ``gram_determinant`` is the invertibility
+    ``points[k]`` is the arc point ``t^w * (s + eps*h(z))`` at
+    ``t_grid[k]``, for the ansatz unknown z the solver reached there (z
+    itself is not kept), ``residuals[k]`` the scaled residual
+    ``max_i |F_i|`` and ``converged[k]`` whether the solver met tolerance
+    there.  After the first failure the solver stops: smaller-t entries
+    reuse the last iterate (their residual is reported honestly, converged
+    stays False).  ``gram_determinant`` is the invertibility
     certificate det(G conj(G)^T); ``iteration_residuals[k]`` logs the
     per-iteration residuals of the Newton run at ``t_grid[k]``."""
 
     s: LinkSample
     epsilon: complex
-    z_values: tuple[tuple[complex, ...], ...]
     points: tuple[tuple[complex, ...], ...]
     residuals: tuple[float, ...]
     converged: tuple[bool, ...]
@@ -286,7 +285,7 @@ def _gauss_newton_project(
 def _project_attempts(
     equations: NumericEvaluator, partials: NumericEvaluator, nvars: int, want: int, limit: int,
     seed: tuple[int, ...], tolerance: float, max_iterations: int,
-) -> tuple[list[np.ndarray], list[float], int]:
+) -> tuple[list[np.ndarray], int]:
     """The first ``want`` successful projections, in attempt order, of random
     complex unit vectors; attempt ``a`` draws from its own generator seeded
     by ``(*seed, a)``, and at most ``limit`` attempts are made.
@@ -299,20 +298,20 @@ def _project_attempts(
     changing any result.  A block with surplus whose least squares raises
     LinAlgError is projected again without the surplus, so the error comes
     only from an attempt that a one-at-a-time loop makes too.  Returns
-    (points, residuals, attempts), where attempts is one past the last
-    point kept, or ``limit`` when fewer than ``want`` points were found."""
+    (points, attempts), where attempts is one past the last point kept, or
+    ``limit`` when fewer than ``want`` points were found."""
 
-    def project(block: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def project(block: range) -> tuple[np.ndarray, np.ndarray]:
         # one draw of 2N normals is the words of two draws of N
         draws = np.array([
             np.random.default_rng([*seed, attempt]).standard_normal(2 * nvars) for attempt in block
         ])
         starts = draws[:, :nvars] + 1j * draws[:, nvars:]
         starts /= _row_norms(starts)[:, np.newaxis]
-        return _gauss_newton_project(equations, partials, starts, tolerance, max_iterations)
+        x, _, ok = _gauss_newton_project(equations, partials, starts, tolerance, max_iterations)
+        return x, ok
 
     points: list[np.ndarray] = []
-    residuals: list[float] = []
     attempts = 0
     while len(points) < want and attempts < limit:
         missing = want - len(points)
@@ -324,17 +323,16 @@ def _project_attempts(
             size = min(4 * missing, max(missing, -(-missing * attempts // len(points))))
         block = range(attempts, min(limit, attempts + size))
         try:
-            x, residual, ok = project(block)
+            x, ok = project(block)
         except np.linalg.LinAlgError:
             if len(block) <= missing:
                 raise
             block = range(attempts, attempts + missing)
-            x, residual, ok = project(block)
+            x, ok = project(block)
         kept = np.nonzero(ok)[0][:missing]
         points.extend(x[kept])
-        residuals.extend(residual[kept].tolist())
         attempts = block.start + int(kept[-1]) + 1 if len(kept) == missing else block.stop
-    return points, residuals, attempts
+    return points, attempts
 
 
 def _distance_to_cloud(point: np.ndarray, cloud: np.ndarray) -> float:
@@ -357,14 +355,16 @@ def sample_link(
 
     Random complex unit vectors are projected by damped Gauss-Newton on the
     augmented system (f_p = 0, |s|^2 = 1) to residual ``LINK_TOLERANCE``;
-    failed projections are discarded and resampled.  Each attempt draws
-    from its own generator seeded by (seed, attempt), and the first
-    ``count`` successes are kept in attempt order, so results are
-    deterministic under a fixed seed.  Attempts are projected in lockstep
-    blocks sized from the success rate so far; each result equals
-    projecting that attempt alone.  If fewer than ``count`` projections
-    succeed after ``LINK_ATTEMPT_FACTOR * count`` attempts (e.g. an empty
-    link at this tolerance), the partial list is returned with a warning.
+    failed projections are discarded and resampled.  A sample keeps its
+    point and its distance to Sigma, not the residual it reached, which
+    ``LINK_TOLERANCE`` bounds.  Each attempt draws from its own generator
+    seeded by (seed, attempt), and the first ``count`` successes are kept
+    in attempt order, so results are deterministic under a fixed seed.
+    Attempts are projected in lockstep blocks sized from the success rate
+    so far; each result equals projecting that attempt alone.  If fewer
+    than ``count`` projections succeed after ``LINK_ATTEMPT_FACTOR * count``
+    attempts (e.g. an empty link at this tolerance), the partial list is
+    returned with a warning.
 
     ``sigma_cloud`` (from :func:`sigma_link_cloud`) fills in
     ``distance_to_sigma``; it may be empty (Sigma = {o}), and then every
@@ -373,17 +373,10 @@ def sample_link(
         raise ValueError("count must be >= 0")
     equations, _, partials, _ = system.evaluators
     cloud = np.asarray(sigma_cloud, dtype=complex).reshape(-1, system.nvars)
-    points, residuals, attempts = _project_attempts(
+    points, attempts = _project_attempts(
         equations, partials, system.nvars, count, LINK_ATTEMPT_FACTOR * count, (seed,), LINK_TOLERANCE, 60
     )
-    samples = [
-        LinkSample(
-            s=tuple(point.tolist()),
-            residual=residual,
-            distance_to_sigma=_distance_to_cloud(point, cloud),
-        )
-        for point, residual in zip(points, residuals)
-    ]
+    samples = [LinkSample(tuple(point.tolist()), _distance_to_cloud(point, cloud)) for point in points]
     if len(samples) < count:
         warnings.warn(
             f"link sampling produced {len(samples)}/{count} points after "
@@ -425,7 +418,7 @@ def sigma_link_cloud(
     cloud: list[tuple[complex, ...]] = []
     for comp_index, comp in enumerate(positive):
         gens = comp.basis.generators
-        points, _, _ = _project_attempts(
+        points, _ = _project_attempts(
             NumericEvaluator(gens), jacobian_evaluator(gens), system.nvars,
             per_component, 20 * per_component, (seed, comp_index), LINK_TOLERANCE, 80,
         )
@@ -472,16 +465,17 @@ def deform_arc(system: GermSystem, epsilon: complex, s: LinkSample) -> ArcSample
     iterations per grid point.
 
     ``epsilon = 0`` returns the weighted-homogeneous arc t^w * s exactly
-    (z = 0, converged by construction; the reported residual equals the
-    link sample's own).  Newton divergence at some t marks that t and all
-    smaller ones non-converged and stops solving — expected behaviour near
-    the obstruction locus, where the logged ``gram_determinant``
-    degenerates.  Divergence covers iterates escaping past |z| = 1e3: the
-    implicit-function branch through z = 0 is bounded on compact regions
-    away from the obstruction locus, so an exploding iterate means the
-    continuation left the perturbative regime (the numerical signature of
-    the convergence radius shrinking to zero), even when a distant root of
-    the scaled condition would still be reachable.
+    (z = 0, converged by construction; the reported residual is, up to
+    rounding, the link sample's own max_i |f_p_i(s)|).  Newton divergence
+    at some t marks that t and all smaller ones non-converged and stops
+    solving — expected behaviour near the obstruction locus, where the
+    logged ``gram_determinant`` degenerates.  Divergence covers iterates
+    escaping past |z| = 1e3: the implicit-function branch through z = 0 is
+    bounded on compact regions away from the obstruction locus, so an
+    exploding iterate means the continuation left the perturbative regime
+    (the numerical signature of the convergence radius shrinking to zero),
+    even when a distant root of the scaled condition would still be
+    reachable.
 
     This is the lockstep solver of :func:`verify_foliation` run on a batch
     of one sample."""
@@ -578,16 +572,15 @@ def _deform_arcs(
                 within_cap[live], ok[live] = settled(z[live], resid[live])
                 live = live[~ok[live] & within_cap[live]]
             converged = np.where(newton, ok, ~failed)
-            columns.append((z.copy(), x, resid, converged))
+            columns.append((x, resid, converged))
             for i in everyone:
                 histories[i].append(tuple(history[i]) if newton[i] else ())
             failed |= ~converged
 
-        z_rows, x_rows, res_rows, ok_rows = (np.stack(c, axis=1) for c in zip(*columns))
+        x_rows, res_rows, ok_rows = (np.stack(c, axis=1) for c in zip(*columns))
         arcs = tuple(
             ArcSample(
                 s=samples[i], epsilon=epsilon,
-                z_values=tuple(map(tuple, z_rows[i].tolist())),
                 points=tuple(map(tuple, x_rows[i].tolist())),
                 residuals=tuple(res_rows[i].tolist()), converged=tuple(ok_rows[i].tolist()),
                 gram_determinant=gram_determinants[i], iteration_residuals=tuple(histories[i]),

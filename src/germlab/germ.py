@@ -272,12 +272,7 @@ def sigma(system: GermSystem, budget: Budget) -> ObstructionLocus:
 # reducedness / isolatedness
 
 
-def is_reduced_ci(
-    gens: list[Poly],
-    expected_codim: int,
-    budget: Budget,
-    local: bool = False,
-) -> tuple[bool, str]:
+def is_reduced_ci(gens: list[Poly], expected_codim: int, budget: Budget, local: bool) -> tuple[bool, str]:
     """Reduced complete intersection test: the zero set has the expected
     dimension and the singular locus has strictly smaller dimension.  (For
     complete intersections this is equivalent to reducedness - they are
@@ -295,7 +290,7 @@ def is_reduced_ci(
     return False, f"singular locus has dimension {ds} >= germ dimension {expected_dim}"
 
 
-def is_icis(gens: list[Poly], budget: Budget, local: bool = False) -> tuple[bool, str]:
+def is_icis(gens: list[Poly], budget: Budget, local: bool) -> tuple[bool, str]:
     """Isolated-singularity test: the singular locus is at most the origin."""
     ds = variety_dimension(singular_locus_ideal(gens), budget, local=local)
     if ds <= 0:
@@ -528,7 +523,7 @@ def analyze(
             mu: int | None = None
             homotopy = f"Milnor fibre of the slice germ X n V({x1})"
             if r == 1:
-                slice_poly = full[0].substitute_constant(0, QI.zero()).drop_variable(0)
+                slice_poly = Poly(nvars - 1, {m[1:]: c for m, c in full[0].terms.items() if not m[0]})
                 try:
                     mu = milnor_number(slice_poly, budget)
                 except BudgetExhausted:

@@ -117,18 +117,6 @@ def leading_monomial(f: Poly, order: MonomialOrder) -> Monomial:
     return max(f.terms, key=order.key)
 
 
-def leading_term(f: Poly, order: MonomialOrder) -> tuple[Monomial, QI]:
-    m = leading_monomial(f, order)
-    return m, f.terms[m]
-
-
-def make_monic(f: Poly, order: MonomialOrder) -> Poly:
-    _, c = leading_term(f, order)
-    if c == QI.one():
-        return f
-    return f.scale(c.inverse())
-
-
 class _Overflow(Exception):
     """A packed exponent reached its field's guard bit."""
 
@@ -496,7 +484,8 @@ def homogenize(f: Poly) -> Poly:
 
 
 def dehomogenize(f: Poly) -> Poly:
-    return f.substitute_constant(f.nvars - 1, QI.one()).drop_variable(f.nvars - 1)
+    """Set the last variable to 1 and drop its slot."""
+    return Poly.from_terms(f.nvars - 1, ((m[:-1], c) for m, c in f.terms.items()))
 
 
 def local_standard_basis(gens: list[Poly], budget: Budget) -> GroebnerBasis:
@@ -506,7 +495,9 @@ def local_standard_basis(gens: list[Poly], budget: Budget) -> GroebnerBasis:
     Route: homogenize the generators with a fresh variable, run Buchberger in
     the global homogenized order (whose leading terms dehomogenize to the
     local ones), set the new variable to 1, and minimalize.  Units
-    short-circuit to the unit ideal.  The returned basis is minimal and monic;
+    short-circuit to the unit ideal.  The returned basis is minimal and monic
+    (Buchberger's generators are monic and homogeneous, so setting the new
+    variable to 1 merges no terms and keeps the leading coefficient);
     tails are NOT normal-formed (reduced normal forms under a local order
     would need Mora division, and nothing downstream reads tails)."""
     if not gens:
@@ -521,7 +512,7 @@ def local_standard_basis(gens: list[Poly], budget: Budget) -> GroebnerBasis:
     deh.sort(key=lambda t: local.key(t[0]), reverse=True)  # divisors first, ties kept in place
     packing = _Packing(nvars, max(max(m) for m, _ in deh).bit_length(), ())
     kept = _minimal([(packing.pack(m), d) for m, d in deh], packing.guard)
-    return GroebnerBasis([make_monic(d, local) for _, d in kept], local, dict(gb.stats))
+    return GroebnerBasis([d for _, d in kept], local, dict(gb.stats))
 
 
 def milnor_number(f: Poly, budget: Budget) -> int | None:

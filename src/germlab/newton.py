@@ -82,7 +82,6 @@ class NewtonDiagram:
     """``faces`` descend in dimension, so the top faces lead it in
     ``top_faces()`` order: a face's position there is its index."""
 
-    ambient_dim: int
     support: tuple[Monomial, ...]
     faces: tuple[Face, ...]
     convenient: bool
@@ -190,7 +189,7 @@ def newton_diagram(f: Poly) -> NewtonDiagram:
         any(m[j] > 0 and all(e == 0 for k, e in enumerate(m) if k != j) for m in support)
         for j in range(nvars)
     )
-    return NewtonDiagram(nvars, tuple(support), tuple(faces), convenient)
+    return NewtonDiagram(tuple(support), tuple(faces), convenient)
 
 
 def face_restriction(f: Poly, face: Face) -> Poly:

@@ -128,12 +128,6 @@ class Poly:
                 acc[mono] = _add_product(acc.get(mono), c1, c2)
         return Poly(self.nvars, acc)
 
-    def scale(self, c: QI | int | Fraction) -> "Poly":
-        c = QI.coerce(c)
-        if c.is_zero():
-            return Poly.zero(self.nvars)
-        return Poly(self.nvars, {m: c * v for m, v in self.terms.items()})
-
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
@@ -198,30 +192,14 @@ class Poly:
         degs = {mono_weighted_degree(m, weights) for m in self.terms}
         return len(degs) == 1
 
-    # -- substitutions and variable plumbing ---------------------------
-
-    def substitute_constant(self, index: int, value: QI) -> "Poly":
-        """Set variable ``index`` to an exact constant; the variable slot stays
-        in the ring (exponent becomes 0)."""
-        acc: dict[Monomial, QI] = {}
-        for mono, c in self.terms.items():
-            e = mono[index]
-            coeff = c
-            if e:
-                if value.is_zero():
-                    continue
-                coeff = c * (_qi_pow(value, e))
-            new = mono[:index] + (0,) + mono[index + 1:]
-            prev = acc.get(new)
-            acc[new] = coeff if prev is None else prev + coeff
-        return Poly(self.nvars, acc)
+    # -- variable plumbing ---------------------------------------------
 
     def drop_variable(self, index: int) -> "Poly":
         """Remove a variable slot that no term uses."""
         acc: dict[Monomial, QI] = {}
         for mono, c in self.terms.items():
             if mono[index] != 0:
-                raise ValueError("variable still occurs; substitute first")
+                raise ValueError("variable still occurs")
             acc[mono[:index] + mono[index + 1:]] = c
         return Poly(self.nvars - 1, acc)
 
@@ -260,13 +238,6 @@ class Poly:
 
         names = [f"x{j+1}" for j in range(self.nvars)]
         return f"Poly({poly_to_string(self, names)})"
-
-
-def _qi_pow(base: QI, e: int) -> QI:
-    out = QI.one()
-    for _ in range(e):
-        out = out * base
-    return out
 
 
 def jacobian(polys: Sequence[Poly]) -> list[list[Poly]]:

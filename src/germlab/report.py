@@ -3,8 +3,10 @@
 One envelope for every command (schema version, tool version, the input
 echo, the normalized variable data, seeds, timing) plus a command-specific
 body.  The result dataclasses are the report schema: the bodies pass them
-through one converter, ``_plain``, which turns
+through one converter, ``_plain``, which, given the variable names, turns
 
+* a polynomial into its string over those names, and a Groebner basis into
+  the list of its generators,
 * a dataclass into ``{field name: converted field}``, so a field added to a
   reported dataclass adds a report key,
 * a list or tuple into a list,
@@ -13,10 +15,10 @@ through one converter, ``_plain``, which turns
 * a non-finite float into ``"inf"``/``"-inf"``/``"nan"`` (JSON has no
   spelling for them),
 
-and leaves everything else as it is.  ``sigma``'s components (their
-generators need the variable names), ``foliate``'s per-arc summaries
-(derived counts) and ``newton``'s per-face non-degeneracy table (face
-indices) are written out by hand.  Serialization is deterministic
+and leaves everything else as it is; it is the one place a report prints
+a polynomial.  ``foliate``'s per-arc summaries (derived counts) and
+``newton``'s per-face non-degeneracy table (face indices) are written out
+by hand.  Serialization is deterministic
 for a fixed input and seed: keys are sorted and floats pass through
 ``repr`` via the JSON encoder.  ``timing_seconds`` stays null unless timing
 was explicitly requested — wall-clock values are the one thing that would
@@ -33,7 +35,9 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from germlab import __version__
 from germlab.germ import AnalysisReport, NewtonAnalysis, ObstructionLocus
 from germlab.germfile import LoadedGerm, RawGerm
+from germlab.groebner import GroebnerBasis
 from germlab.parse import poly_to_string
+from germlab.poly import Poly
 
 if TYPE_CHECKING:
     from germlab.foliation import FoliationReport
@@ -52,11 +56,15 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def _plain(value):
+def _plain(value, names: Sequence[str]):
+    if isinstance(value, Poly):
+        return poly_to_string(value, names)
+    if isinstance(value, GroebnerBasis):
+        return _plain(value.generators, names)
     if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+        return {f.name: _plain(getattr(value, f.name), names) for f in fields(value)}
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [_plain(v, names) for v in value]
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, float) and not math.isfinite(value):
@@ -94,11 +102,11 @@ def _system_fragment(loaded: LoadedGerm) -> dict:
         "variables": names,
         "original_variables": list(loaded.original_variables),
         "permutation": list(loaded.permutation),
-        "weights": _plain(system.weights),
-        "degrees": _plain(system.degrees),
+        "weights": _plain(system.weights, names),
+        "degrees": _plain(system.degrees, names),
         "breakpoints": list(system.breakpoints),
-        "principal": [poly_to_string(f, names) for f in system.principal],
-        "perturbation": [poly_to_string(q, names) for q in system.perturbation],
+        "principal": _plain(system.principal, names),
+        "perturbation": _plain(system.perturbation, names),
         "same_order": system.is_same_order(),
     }
 
@@ -111,33 +119,12 @@ def analysis_body(loaded: LoadedGerm, report: AnalysisReport, assumptions: Itera
     return {
         **_system_fragment(loaded),
         "assumptions": sorted(assumptions),
-        "analysis": _plain(report),
+        "analysis": _plain(report, loaded.system.variables),
     }
 
 
 def sigma_body(loaded: LoadedGerm, locus: ObstructionLocus) -> dict:
-    names = list(loaded.system.variables)
-    return {
-        **_system_fragment(loaded),
-        "sigma": {
-            "components": [
-                {
-                    "label": comp.label,
-                    "dimension": comp.dimension,
-                    "status": comp.status,
-                    "generators": [poly_to_string(g, names) for g in comp.generators],
-                    "basis": (
-                        [poly_to_string(g, names) for g in comp.basis.generators]
-                        if comp.basis is not None
-                        else None
-                    ),
-                }
-                for comp in locus.components
-            ],
-            "total_dim": locus.total_dim,
-            "is_origin_only": locus.is_origin_only,
-        },
-    }
+    return {**_system_fragment(loaded), "sigma": _plain(locus, loaded.system.variables)}
 
 
 def newton_body(raw: RawGerm, analysis: NewtonAnalysis) -> dict:
@@ -146,12 +133,12 @@ def newton_body(raw: RawGerm, analysis: NewtonAnalysis) -> dict:
     nd = analysis.nondegeneracy
     return {
         "variables": names,
-        "equation": poly_to_string(raw.equations[0], names),
+        "equation": _plain(raw.equations[0], names),
         "newton": {
             "convenient": diagram.convenient,
-            "support": _plain(diagram.support),
+            "support": _plain(diagram.support, names),
             "faces": [
-                {**_plain(face), "weights": _plain(face.weights), "is_top": face.is_top}
+                {**_plain(face, names), "weights": _plain(face.weights, names), "is_top": face.is_top}
                 for face in diagram.faces
             ],
             "nondegeneracy": {
@@ -162,7 +149,7 @@ def newton_body(raw: RawGerm, analysis: NewtonAnalysis) -> dict:
                 ],
             },
             "criterion_applicable": analysis.criterion_applicable,
-            "face_verdicts": _plain(analysis.face_verdicts),
+            "face_verdicts": _plain(analysis.face_verdicts, names),
             "any_certificate": analysis.any_certificate,
             "notes": list(analysis.notes),
         },
@@ -177,27 +164,28 @@ def foliate_body(
     csv_path: str | None,
     notes: Sequence[str],
 ) -> dict:
+    names = loaded.system.variables
     return {
         **_system_fragment(loaded),
         "foliate": {
-            "epsilon": _plain(epsilon),
+            "epsilon": _plain(epsilon, names),
             "samples": {
                 "requested": samples_requested,
                 "obtained": len(report.arcs),
             },
             "passed": report.passed,
             "failures": list(report.failures),
-            "converged_fraction": _plain(report.converged_fraction),
+            "converged_fraction": _plain(report.converged_fraction, names),
             "checks": {
-                "dichotomy": _plain(report.dichotomy),
-                "min_separation": _plain(report.min_separation),
+                "dichotomy": _plain(report.dichotomy, names),
+                "min_separation": _plain(report.min_separation, names),
                 "separation_ok": report.separation_ok,
                 "coordinate_planes_ok": report.coordinate_planes_ok,
             },
             "arcs": [
                 {
-                    "distance_to_sigma": _plain(arc.s.distance_to_sigma),
-                    "gram_determinant": _plain(arc.gram_determinant),
+                    "distance_to_sigma": _plain(arc.s.distance_to_sigma, names),
+                    "gram_determinant": _plain(arc.gram_determinant, names),
                     "converged_count": int(sum(arc.converged)),
                     "grid_size": len(arc.t_grid),
                 }
@@ -213,7 +201,7 @@ def milnor_body(raw: RawGerm, mu: int | None) -> dict:
     names = list(raw.variables)
     return {
         "variables": names,
-        "equation": poly_to_string(raw.equations[0], names),
+        "equation": _plain(raw.equations[0], names),
         "milnor": {
             "milnor_number": mu,
             "isolated": mu is not None,

@@ -224,21 +224,15 @@ def test_criterion_08_divergence_near_sigma_statistics(monkeypatch):
             direction = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
             start = anchor + rng.uniform(0.01, 0.045) * direction
-            points, residuals, oks = _gauss_newton_project(
+            points, _, oks = _gauss_newton_project(
                 equations, partials, start[np.newaxis], LINK_TOLERANCE, 60
             )
-            point, residual, ok = points[0], float(residuals[0]), bool(oks[0])
+            point, ok = points[0], bool(oks[0])
             if not ok:
                 continue
             distance = float(np.min(np.linalg.norm(cloud_arr - point, axis=1)))
             if 1e-6 < distance <= 0.05:
-                near.append(
-                    LinkSample(
-                        s=tuple(map(complex, point)),
-                        residual=residual,
-                        distance_to_sigma=distance,
-                    )
-                )
+                near.append(LinkSample(s=tuple(map(complex, point)), distance_to_sigma=distance))
         assert len(near) >= 6, f"seed {seed}: too few near-locus samples"
         non_convergent = sum(
             1 for s in near if not all(deform_arc(system, epsilon, s).converged)

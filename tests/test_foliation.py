@@ -76,7 +76,6 @@ def test_link_samples_lie_on_link(sphere):
     samples = sample_link(sphere, 10, seed=0, sigma_cloud=[])
     assert len(samples) == 10
     for s in samples:
-        assert s.residual < 1e-12
         norm = math.sqrt(sum(abs(c) ** 2 for c in s.s))
         assert abs(norm - 1.0) < 1e-10
         value = sphere.principal[0].evaluate_numeric(s.s)
@@ -161,7 +160,6 @@ def test_zero_epsilon_arc_is_the_exact_power_law(sphere):
         arc = deform_arc(sphere, 0.0, s)
         assert arc.t_grid == DEFAULT_T_GRID
         assert all(arc.converged)
-        assert all(z == (0j,) for z in arc.z_values)
         assert arc.iteration_residuals == ((),) * len(DEFAULT_T_GRID)
         for t, point in zip(arc.t_grid, arc.points):
             expected = (t**w) * np.asarray(s.s, dtype=complex)
@@ -231,7 +229,7 @@ def test_same_order_epsilon_cap(briancon_speder):
 def test_coordinate_plane_membership_is_bitwise(briancon_speder):
     # (0, 1, 0) lies on the link (the equation and the perturbation both
     # vanish on the y-axis); the deformed arc must stay in V(x, z) exactly.
-    plane = LinkSample(s=(0j, 1 + 0j, 0j), residual=0.0, distance_to_sigma=math.inf)
+    plane = LinkSample(s=(0j, 1 + 0j, 0j), distance_to_sigma=math.inf)
     arc = deform_arc(briancon_speder, 0.1, plane)
     points = np.array(arc.points)
     assert np.all(points[:, 0] == 0.0)
@@ -250,9 +248,8 @@ def _bs_link_point_near_axis(system, eta):
         z = -((eta**15 + eta * y**7) ** (1 / 5))
         y = math.sqrt(1.0 - eta * eta - z * z)
     s = (eta + 0j, y + 0j, z + 0j)
-    residual = abs(system.principal[0].evaluate_numeric(s))
-    assert residual < 1e-12
-    return LinkSample(s=s, residual=residual, distance_to_sigma=math.hypot(eta, z))
+    assert abs(system.principal[0].evaluate_numeric(s)) < 1e-12
+    return LinkSample(s=s, distance_to_sigma=math.hypot(eta, z))
 
 
 def test_divergence_near_the_obstruction_locus(briancon_speder):
@@ -263,7 +260,11 @@ def test_divergence_near_the_obstruction_locus(briancon_speder):
     # across the grid is the numerical signature of the shrinking
     # convergence radius near the obstruction locus
     assert not any(arc.converged)
-    assert max(max(abs(c) for c in z) for z in arc.z_values) > 1e3
+    # the cap is what stops it: without it the same continuation reaches a
+    # distant root of the scaled condition at every t
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(foliation, "_Z_CAP", math.inf)
+        assert all(deform_arc(briancon_speder, 0.1, near).converged)
 
     cloud = sigma_link_cloud(briancon_speder, seed=0, budget=Budget())
     far = [
@@ -533,7 +534,7 @@ def _oracle_arc(system, epsilon, sample, *, tolerance=1e-11, max_iterations=40, 
         f_scaled = t_neg * values
         return x, f_scaled, float(np.max(np.abs(f_scaled)))
 
-    z_rows, point_rows, residual_rows, converged_rows, history_rows = [], [], [], [], []
+    point_rows, residual_rows, converged_rows, history_rows = [], [], [], []
     z = np.zeros(r, dtype=complex)
     failed = False
     for t in DEFAULT_T_GRID:
@@ -541,7 +542,6 @@ def _oracle_arc(system, epsilon, sample, *, tolerance=1e-11, max_iterations=40, 
         t_neg = t ** (-p_float)
         if failed or epsilon == 0:
             x, _, resid = scaled_residual(t_neg, t_pow, z)
-            z_rows.append(tuple(complex(v) for v in z))
             point_rows.append(tuple(complex(v) for v in x))
             residual_rows.append(resid)
             converged_rows.append(not failed)
@@ -580,7 +580,6 @@ def _oracle_arc(system, epsilon, sample, *, tolerance=1e-11, max_iterations=40, 
                 break
             within_cap = bool(np.all(np.isfinite(z)) and np.max(np.abs(z), initial=0.0) <= z_cap)
             ok = resid <= tolerance and within_cap
-        z_rows.append(tuple(complex(v) for v in z))
         point_rows.append(tuple(complex(v) for v in x))
         residual_rows.append(resid)
         converged_rows.append(ok)
@@ -588,8 +587,7 @@ def _oracle_arc(system, epsilon, sample, *, tolerance=1e-11, max_iterations=40, 
         if not ok:
             failed = True
     return ArcSample(
-        s=sample, epsilon=epsilon, z_values=tuple(z_rows),
-        points=tuple(point_rows), residuals=tuple(residual_rows),
+        s=sample, epsilon=epsilon, points=tuple(point_rows), residuals=tuple(residual_rows),
         converged=tuple(converged_rows), gram_determinant=gram_determinant,
         iteration_residuals=tuple(history_rows),
     )
@@ -659,9 +657,7 @@ def test_link_sampling_over_several_blocks_matches_the_oracle(sphere, monkeypatc
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             samples = sample_link(sphere, count, 4, sigma_cloud=[])
-        assert [(s.s, s.residual) for s in samples] == [
-            (tuple(point.tolist()), residual) for point, residual in found
-        ]
+        assert [s.s for s in samples] == [tuple(point.tolist()) for point, _ in found]
         assert [str(w.message) for w in caught] == (
             [] if len(found) == count else [
                 f"link sampling produced {len(found)}/{count} points after {attempts} "
@@ -687,7 +683,7 @@ def test_sigma_cloud_over_several_blocks_matches_the_oracle(monkeypatch):
     found, attempts = _oracle_attempts(*args)
     assert attempts > 30
     assert cloud == [tuple(point.tolist()) for point, _ in found]
-    assert _project_attempts(*args)[2] == attempts
+    assert _project_attempts(*args)[1] == attempts
 
 
 def test_nine_variable_attempts_over_several_blocks_match_the_oracle():
@@ -704,10 +700,8 @@ def test_nine_variable_attempts_over_several_blocks_match_the_oracle():
         args = (*evaluators, 10, limit, (3,), 3e-17, 60)
         found, attempts = _oracle_attempts(*args)
         assert attempts > 10 if limit > 15 else len(found) < 10
-        points, residuals, made = _project_attempts(*args)
-        assert [(point.tobytes(), repr(residual)) for point, residual in zip(points, residuals)] == [
-            (point.tobytes(), repr(residual)) for point, residual in found
-        ]
+        points, made = _project_attempts(*args)
+        assert [point.tobytes() for point in points] == [point.tobytes() for point, _ in found]
         assert made == attempts
 
 
@@ -766,9 +760,8 @@ def test_block_sizing_keeps_the_one_at_a_time_results(pattern, want, poison):
             with pytest.raises(np.linalg.LinAlgError):
                 _project_attempts(None, None, 2, want, len(pattern), seed, 1e-10, 60)
             return
-        points, residuals, ours = _project_attempts(None, None, 2, want, len(pattern), seed, 1e-10, 60)
+        points, ours = _project_attempts(None, None, 2, want, len(pattern), seed, 1e-10, 60)
     assert [p.tobytes() for p in points] == [p.tobytes() for p, _ in found]
-    assert residuals == [r for _, r in found]
     assert ours == attempts
     # a block is never more than four times the points it still needs
     assert blocks[0] == list(range(min(want, len(pattern))))
@@ -826,8 +819,14 @@ def test_lockstep_arcs_match_the_per_arc_oracle(sphere, briancon_speder):
     samples = [near] + sample_link(briancon_speder, 5, seed=0, sigma_cloud=[])
     arcs = _assert_arcs_match(briancon_speder, 0.1, samples)
     assert not any(arcs[0].converged)
-    assert max(abs(c) for z in arcs[0].z_values for c in z) > 1e3
     assert any(all(arc.converged) for arc in arcs[1:])
+    # the escape is past z_cap: without the cap that arc converges, as the
+    # oracle without the cap says
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(foliation, "_Z_CAP", math.inf)
+        uncapped = verify_foliation(briancon_speder, 0.1, samples, seed=0).arcs[0]
+    assert all(uncapped.converged)
+    assert repr(uncapped) == repr(_oracle_arc(briancon_speder, 0.1, near, z_cap=math.inf))
 
 
 def test_singular_newton_matrix_falls_back_per_row(briancon_speder):
@@ -840,7 +839,7 @@ def test_singular_newton_matrix_falls_back_per_row(briancon_speder):
         [P("y^8")],
         [F(1, 15), F(2, 15), F(3, 15)],
     )
-    axis = LinkSample(s=(0j, 1 + 0j, 0j), residual=0.0, distance_to_sigma=math.inf)
+    axis = LinkSample(s=(0j, 1 + 0j, 0j), distance_to_sigma=math.inf)
     samples = [axis] + sample_link(system, 3, seed=1, sigma_cloud=[])
     arcs = _assert_arcs_match(system, 0.1, samples)
     assert arcs[0].gram_determinant == 0.0
@@ -941,9 +940,9 @@ def _oracle_tangency_exponent(a, b, *, min_points=6):
 def _family_arcs(points, converged):
     return [
         ArcSample(
-            s=LinkSample(s=tuple(pts[0].tolist()), residual=0.0, distance_to_sigma=math.inf),
+            s=LinkSample(s=tuple(pts[0].tolist()), distance_to_sigma=math.inf),
             epsilon=0j,
-            z_values=(), points=tuple(map(tuple, pts.tolist())),
+            points=tuple(map(tuple, pts.tolist())),
             residuals=(0.0,) * len(pts), converged=tuple(flags.tolist()),
             gram_determinant=0.0, iteration_residuals=(),
         )
@@ -1238,9 +1237,8 @@ def test_write_arc_csv_matches_the_csv_writer_bytes(tmp_path, sphere):
         (complex(0.1, 1 / 3), complex(-1e22, 123456789.0), complex(2.0**-1074, -1e308)),
     )
     odd = ArcSample(
-        s=LinkSample(s=(complex(nan, -0.0), complex(inf, -inf), complex(5e-324, 1e22)), residual=0.0, distance_to_sigma=math.inf),
+        s=LinkSample(s=(complex(nan, -0.0), complex(inf, -inf), complex(5e-324, 1e22)), distance_to_sigma=math.inf),
         epsilon=complex(-0.0, 0.25),
-        z_values=((0j,),) * size,
         points=(odd_points * size)[:size],
         residuals=((nan, inf, -0.0) * size)[:size],
         converged=((True, False, False) * size)[:size],

@@ -22,15 +22,15 @@ from germlab.groebner import (
     _Packing,
     _s_polynomial,
     buchberger,
+    dehomogenize,
     determinant,
     division,
+    homogenize,
     ideal_membership,
     is_groebner_basis,
     krull_dimension,
     leading_monomial,
-    leading_term,
     local_standard_basis,
-    make_monic,
     milnor_number,
     minors,
     normal_form,
@@ -46,9 +46,10 @@ from germlab.qi import QI
 from conftest import P
 
 
-# The tuple helpers of germlab.poly that the oracles below call, copied
-# verbatim (``Poly.mul_monomial`` as a function): the packed kernel no longer
-# uses them.
+# The tuple helpers of germlab.poly and the leading-term helpers of
+# germlab.groebner that the oracles below call, copied verbatim
+# (``Poly.mul_monomial`` as a function, ``Poly.scale`` folded into
+# ``make_monic``): the packed kernel no longer uses them.
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
@@ -68,6 +69,19 @@ def mono_coprime(a: Monomial, b: Monomial) -> bool:
 
 def mul_monomial(f: Poly, mono: Monomial, coeff: QI) -> Poly:
     return Poly(f.nvars, {mono_mul(m, mono): coeff * c for m, c in f.terms.items()})
+
+
+def leading_term(f: Poly, order: MonomialOrder) -> tuple[Monomial, QI]:
+    m = leading_monomial(f, order)
+    return m, f.terms[m]
+
+
+def make_monic(f: Poly, order: MonomialOrder) -> Poly:
+    _, c = leading_term(f, order)
+    if c == QI.one():
+        return f
+    inverse = c.inverse()
+    return Poly(f.nvars, {m: inverse * v for m, v in f.terms.items()})
 
 
 def strs(basis, variables="x y z"):
@@ -228,6 +242,60 @@ def test_local_vs_global_distinction():
     assert quotient_dimension(local_standard_basis([f], Budget()), Budget()) == 1
 
 
+def substitute_constant(f: Poly, index: int, value: QI) -> Poly:
+    """Set variable ``index`` to an exact constant, keeping its slot: the
+    term-by-term substitution ``Poly.substitute_constant`` made, with its
+    power loop, kept as the oracle of ``dehomogenize``."""
+    acc = {}
+    for mono, c in f.terms.items():
+        e = mono[index]
+        coeff = c
+        if e:
+            if value.is_zero():
+                continue
+            power = QI.one()
+            for _ in range(e):
+                power = power * value
+            coeff = c * power
+        new = mono[:index] + (0,) + mono[index + 1:]
+        prev = acc.get(new)
+        acc[new] = coeff if prev is None else prev + coeff
+    return Poly(f.nvars, acc)
+
+
+@st.composite
+def _germ_generators(draw):
+    """1-3 generators vanishing at the origin in 2-4 variables, with Q or
+    Q(i) coefficients."""
+    nvars = draw(st.integers(2, 4))
+    monomials = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda m: 0 < sum(m) <= 4)
+    field = _GAUSSIAN if draw(st.booleans()) else [c for c in _GAUSSIAN if not c.im]
+    terms = st.dictionaries(monomials, st.sampled_from(field), min_size=1, max_size=4)
+    return draw(st.lists(terms.map(lambda t: Poly(nvars, t)), min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gens=_germ_generators())
+def test_local_basis_generators_are_monic_dehomogenized_heads(gens):
+    # local_standard_basis makes no generator monic: Buchberger's homogeneous
+    # generators are, and setting h = 1 keeps their leading terms
+    nvars = gens[0].nvars
+    try:
+        basis = local_standard_basis(gens, Budget(2000))
+    except BudgetExhausted:
+        assume(False)
+    homogeneous = buchberger([homogenize(f) for f in gens], homogenized_local(nvars + 1), Budget(2000))
+    heads = {}
+    for g in homogeneous.generators:
+        local = dehomogenize(g)
+        assert local == substitute_constant(g, nvars, QI.one()).drop_variable(nvars)
+        heads[local] = leading_monomial(g, homogeneous.order)[:-1]
+    for g in basis.generators:
+        monomial, coefficient = leading_term(g, basis.order)
+        assert coefficient == QI.one()
+        assert monomial == heads[g]
+
+
 # -- saturation --------------------------------------------------------------
 
 
@@ -331,7 +399,7 @@ def test_milnor_number_matches_milnor_orlik_on_brieskorn_pham(exponents, mix):
     for j, a in enumerate(exponents):
         base = Poly.variable(n, j)
         if j + 1 < n and exponents[j + 1] == a:
-            base = base + Poly.variable(n, j + 1).scale(mix)
+            base = base + Poly.constant(n, mix) * Poly.variable(n, j + 1)
         f = f + base ** a
     assert milnor_number(f, Budget()) == _milnor_orlik(Fraction(1, a) for a in exponents)
 

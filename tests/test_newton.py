@@ -1,18 +1,20 @@
 """Newton diagrams: complete compact-face enumeration, face restrictions,
-non-degeneracy, and per-face weight summaries."""
+non-degeneracy, and per-face weight summaries; and Kouchnirenko's Newton
+number as an oracle of the Milnor number."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd, prod
+from math import factorial, gcd, prod
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from germlab import germ, newton
 from germlab.exact import integer_determinant, nullspace, pivot_columns, rank
-from germlab.germ import analyze_newton
-from germlab.groebner import Budget
+from germlab.germ import analyze, analyze_newton
+from germlab.germfile import load_raw, load_system, read_germ_file
+from germlab.groebner import Budget, BudgetExhausted, local_standard_basis, milnor_number, quotient_dimension
 from germlab.newton import (
     _dot,
     _facet_data,
@@ -25,7 +27,7 @@ from germlab.newton import (
 from germlab.poly import Poly, infer_weights, jacobian
 from germlab.qi import QI
 
-from conftest import F, P
+from conftest import ROOT, F, P
 
 
 def test_exact_rank_known_values():
@@ -514,3 +516,178 @@ def test_plane_faces_match_the_monotone_chain_lower_hull(case):
     _, support = case
     d = newton_diagram(Poly(2, {m: QI.one() for m in support}))
     assert {(fc.dim, frozenset(fc.vertices)) for fc in d.faces} == _lower_hull_faces(support)
+
+
+# -- Kouchnirenko's Newton number --------------------------------------------
+# For a convenient germ f in n variables that is non-degenerate on every
+# compact face, mu(f) = sum_k (-1)^(n-k) k! V_k + (-1)^n (Kouchnirenko 1976),
+# where V_k sums the volumes under the Newton boundary over the k-dimensional
+# coordinate planes.  The volumes below are exact Fractions computed from the
+# support alone, independently of newton_diagram and of every basis.
+
+
+def _fraction_determinant(rows):
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            factor = m[r][col] / m[col][col]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def _hyperplane(points):
+    """(normal, offset) of the hyperplane through d points of R^d: the normal
+    is the vector of signed maximal minors of their differences, zero when
+    the points are affinely dependent."""
+    base = points[0]
+    diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
+    normal = tuple(
+        (-1) ** j * _fraction_determinant([row[:j] + row[j + 1:] for row in diffs]) for j in range(len(base))
+    )
+    return normal, _dot(normal, base)
+
+
+def _convex_volume(points):
+    """Volume of the convex hull of points of R^d (0 when it is flat): the
+    pyramids from the centroid over the facets, a facet's volume read off its
+    projection along a coordinate its normal moves."""
+    points = sorted(set(points))
+    d = len(points[0])
+    if d == 0:
+        return Fraction(1)
+    center = [Fraction(sum(col), len(points)) for col in zip(*points)]
+    facets = {}
+    for subset in combinations(points, d):
+        normal, offset = _hyperplane(subset)
+        sides = {(_dot(normal, p) > offset) - (_dot(normal, p) < offset) for p in points}
+        if any(normal) and sides in ({0, 1}, {0, -1}):
+            facets[frozenset(p for p in points if _dot(normal, p) == offset)] = normal, offset
+    volume = Fraction(0)
+    for facet, (normal, offset) in facets.items():
+        j = next(j for j, c in enumerate(normal) if c)
+        base = _convex_volume([p[:j] + p[j + 1:] for p in facet])
+        volume += abs(_dot(normal, center) - offset) * base / (d * abs(normal[j]))
+    return volume
+
+
+def _volume_under_the_boundary(support):
+    """Volume under the Newton boundary of a convenient support in R^k: over
+    the compact facets F (normal nu > 0, level l), the cones from the origin,
+    l * vol(proj_1 F) / (k * nu_1)."""
+    k = len(support[0])
+    facets = {}
+    for subset in combinations(sorted(set(support)), k):
+        normal, level = _hyperplane(subset)
+        if all(c < 0 for c in normal):
+            normal, level = tuple(-c for c in normal), -level
+        if all(c > 0 for c in normal) and all(_dot(normal, p) >= level for p in support):
+            facets[frozenset(p for p in support if _dot(normal, p) == level)] = normal, level
+    cones = (level * _convex_volume([p[1:] for p in facet]) / (k * normal[0]) for facet, (normal, level) in facets.items())
+    return sum(cones, Fraction(0))
+
+
+def kouchnirenko_number(f):
+    n = f.nvars
+    nu = Fraction((-1) ** n)
+    for k in range(1, n + 1):
+        v_k = sum(
+            _volume_under_the_boundary(
+                [tuple(m[j] for j in plane) for m in f.terms if all(m[j] == 0 for j in set(range(n)) - set(plane))]
+            )
+            for plane in combinations(range(n), k)
+        )
+        nu += (-1) ** (n - k) * factorial(k) * v_k
+    return nu
+
+
+def test_kouchnirenko_number_of_closed_forms():
+    # Brieskorn-Pham: prod(a_j - 1); the plane A_k curve; the x*y*z family T_{p,q,r}
+    assert kouchnirenko_number(P("x^2 + y^3 + z^7")) == 12
+    assert kouchnirenko_number(P("x^4 + y^5", "x y")) == 12
+    assert kouchnirenko_number(P("x^2 + y^7", "x y")) == 6
+    assert kouchnirenko_number(P("x^3 + y^4 + z^5 + x*y*z")) == 3 + 4 + 5 - 1
+
+
+def _single_equation_ladder_germs():
+    germs = {}
+    for path in sorted((ROOT / "bench" / "germs").glob("*.json")):
+        raw = load_raw(read_germ_file(path))
+        if len(raw.equations) == 1 and newton_diagram(raw.equations[0]).convenient:
+            germs[path.stem] = raw.equations[0]
+    return germs
+
+
+LADDER = _single_equation_ladder_germs()
+
+
+def test_the_ladder_has_twelve_convenient_hypersurfaces():
+    # every single-equation germ of bench/germs but briancon_speder and
+    # quadric_cone_4d, whose diagrams miss an axis; cusp_plane is the one
+    # with two variables, which the Newton route turns down
+    assert sorted(LADDER) == [
+        "a1", "a2", "a3", "a4", "a5", "a6", "bs_6633", "bs_pert4", "cube", "cusp_plane", "sphere_cubic", "x2y3z7",
+    ]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [*LADDER.values(), P("x^2 + y^5 + z^5 + x*y*z"), P("x^3 + y^4 + z^5 + x*y*z")],
+    ids=[*LADDER, "T_2_5_5", "T_3_4_5"],
+)
+def test_milnor_number_is_kouchnirenkos_on_the_ladder(f):
+    assert is_newton_nondegenerate(f, newton_diagram(f), Budget(), False, 0).overall
+    nu = kouchnirenko_number(f)
+    assert milnor_number(f, Budget()) == nu
+    assert _local_route_mu(f, Budget()) == nu
+
+
+def _local_route_mu(f, budget):
+    """The local standard basis route of milnor_number, which the weighted
+    initial form's certificate usually spares."""
+    return quotient_dimension(local_standard_basis([f.partial(j) for j in range(f.nvars)], budget), budget)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "a5", "a6", "bs_6633", "bs_pert4", "x2y3z7"])
+def test_analyze_slice_milnor_number_is_kouchnirenkos(name):
+    # the fast-cycle certificate's mu is that of the slice germ f(0, x_2, ..., x_N)
+    system = load_system(read_germ_file(ROOT / "bench" / "germs" / f"{name}.json")).system
+    report = analyze(system, frozenset(), 0, Budget())
+    (f,) = system.full_equations()
+    slice_germ = Poly(f.nvars - 1, {m[1:]: c for m, c in f.terms.items() if m[0] == 0})
+    assert report.verdict == "FAST_CYCLE_FOUND"
+    assert is_newton_nondegenerate(slice_germ, newton_diagram(slice_germ), Budget(), False, 0).overall
+    assert report.certificates.mu == kouchnirenko_number(slice_germ)
+
+
+@st.composite
+def convenient_germs(draw):
+    """A pure power of each variable plus up to three mixed monomials, with
+    coefficients drawn from 1..3 up to sign (larger exponents and
+    coefficients let a rare local basis run for minutes within its budget)."""
+    n = draw(st.integers(2, 3))
+    exponents = draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))
+    pure = [tuple(a if k == j else 0 for k in range(n)) for j, a in enumerate(exponents)]
+    mixed = st.tuples(*[st.integers(0, 3)] * n).filter(lambda m: sum(1 for e in m if e) >= 2)
+    monomials = pure + draw(st.lists(mixed, max_size=3, unique=True))
+    coefficient = st.integers(1, 3).flatmap(lambda c: st.sampled_from([c, -c]))
+    return Poly(n, {m: QI(draw(coefficient)) for m in monomials})
+
+
+@settings(max_examples=60, deadline=None)
+@given(convenient_germs())
+def test_milnor_number_is_kouchnirenkos_on_nondegenerate_convenient_germs(f):
+    assume(is_newton_nondegenerate(f, newton_diagram(f), Budget(), False, 0).overall)
+    try:
+        mu = milnor_number(f, Budget(3000))
+        local_mu = _local_route_mu(f, Budget(3000))
+    except BudgetExhausted:
+        assume(False)
+    assert mu == local_mu == kouchnirenko_number(f)

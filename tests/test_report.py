@@ -43,11 +43,11 @@ def expected(text: str) -> str:
 
 
 def arc(distance: float, gram: float, converged_count: int) -> ArcSample:
-    sample = LinkSample(s=(1j, 0j), residual=0.0, distance_to_sigma=distance)
+    sample = LinkSample(s=(1j, 0j), distance_to_sigma=distance)
     n = len(DEFAULT_T_GRID)
     converged = (True,) * converged_count + (False,) * (n - converged_count)
     return ArcSample(
-        sample, 0.5 + 0j, ((0j,),) * n, ((1j, 0j),) * n, (0.0,) * n, converged, gram, ((0.0,),) * n,
+        sample, 0.5 + 0j, ((1j, 0j),) * n, (0.0,) * n, converged, gram, ((0.0,),) * n,
     )
 
 
@@ -96,7 +96,7 @@ def test_newton_renders_nested_tuples_and_face_weights():
     data = {"variables": ["x", "y"], "equations": ["x^3 + x*y + y^3"]}
     edge = Face(1, ((1, 1), (3, 0)), (1, 2), 3)
     corner = Face(0, ((1, 1),), (3, 3), 6)
-    diagram = NewtonDiagram(2, ((0, 3), (1, 1), (3, 0)), (edge, corner), True)
+    diagram = NewtonDiagram(((0, 3), (1, 1), (3, 0)), (edge, corner), True)
     nondegeneracy = NondegeneracyReport(["nondegenerate", "undetermined"], ["exact", "probabilistic"])
     verdicts = [
         FaceVerdict(0, (F(1, 3), F(2, 3)), None, None, False, False, "unchecked", "budget"),
