@@ -448,9 +448,12 @@ def analyze(
         icis_ok, icis_ev = is_icis(slice_gens, budget, local=perturbed)
         if not icis_ok:
             return "failed", f"slice is not ICIS ({icis_ev}); the Milnor-fibre property is not automatic here {hint}"
-        # every section is computed, so the budget charged does not depend on which one fails
-        sections = [full + [Poly.variable(nvars, 0) - Poly.constant(nvars, t0)] for t0 in _random_slice_values(seed)]
-        if all([variety_dimension(singular_locus_ideal(s), budget) == -1 for s in sections]):
+        # x_1 - t0 has the Jacobian row of x_1: a section's Sing ideal ends in the slice's minors.
+        # Every section is computed, so the budget charged does not depend on which one fails
+        slice_minors = minors(jacobian(slice_gens), r + 1)
+        sections = [full + [Poly.variable(nvars, 0) - Poly.constant(nvars, t0)] + slice_minors
+                    for t0 in _random_slice_values(seed)]
+        if all([variety_dimension(s, budget) == -1 for s in sections]):
             return "verified", f"slice is ICIS ({icis_ev}); three random sections are smooth (empty singular scheme)"
         return "failed", f"slice is ICIS but a random section has a singular point; sufficient condition not met {hint}"
 

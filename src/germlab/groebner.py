@@ -424,9 +424,8 @@ def saturation(gens: list[Poly], g: Poly, budget: Budget) -> GroebnerBasis:
     kept = [f.drop_variable(nvars) for f in gb.generators if all(m[nvars] == 0 for m in f.terms)]
     if not kept:
         raise ValueError("saturation produced no generators; inconsistent input")
-    out = grevlex(nvars)
-    kept.sort(key=lambda f: out.key(leading_monomial(f, out)), reverse=True)
-    return GroebnerBasis(kept, out, dict(gb.stats))
+    # eliminate_last compares t-free heads by grevlex, so kept is in descending order
+    return GroebnerBasis(kept, grevlex(nvars), dict(gb.stats))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ Grammar (whitespace ignored, no implicit multiplication):
     poly    := [sign] term { sign term }
     term    := factor { "*" factor }
     factor  := NUMBER [ "/" NUMBER ]          rational coefficient
-             | "i"                            the imaginary unit
-             | IDENT [ "^" NUMBER ]           declared variable power
+             | IDENT [ "^" NUMBER ]           power of a declared variable or of i
              | "(" poly ")"                   parenthesized constant, e.g. (1+2*i)
 
 Every identifier must be a declared variable or the literal ``i``; ``i`` is
@@ -14,7 +13,10 @@ reserved and cannot be declared as a variable.  Parenthesized sub-expressions
 must evaluate to constants (they exist for complex coefficients only).
 Exponents are positive integers.  Parentheses nest at most ``MAX_NESTING``
 deep, so the recursive descent stays well inside Python's recursion limit.
-Errors carry the offending position.
+Errors carry the offending position.  A term is a coefficient times a
+monomial: its factors multiply into one ``QI`` and add into one exponent
+vector.  Each polynomial read (the text, or a parenthesized group) is built
+once, as one ``Poly`` of its signed terms, so parsing is linear in the terms.
 
 The printer emits a canonical form (terms in descending graded reverse
 lexicographic order, monic-style coefficient formatting) that re-parses to the
@@ -42,6 +44,9 @@ _SYMBOLS = set("+-*/^()")
 
 #: deepest parenthesis nesting accepted; each level costs three stack frames.
 MAX_NESTING = 100
+
+_ONE = QI.one()
+_I_POWERS = (_ONE, QI.i(), QI(-1), QI(0, -1))  # i^e is _I_POWERS[e % 4]
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -89,7 +94,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.variables = variables
         self.var_index = {name: j for j, name in enumerate(variables)}
         self.nvars = len(variables)
 
@@ -109,36 +113,33 @@ class _Parser:
 
     # poly := [sign] term { sign term }
     def parse_poly(self) -> Poly:
-        total = Poly.zero(self.nvars)
-        sign = 1
+        terms: list[tuple[Monomial, QI]] = []
         kind, value, _ = self.peek()
-        if kind == "sym" and value in "+-":
-            self.advance()
-            sign = -1 if value == "-" else 1
         while True:
-            term = self.parse_term()
-            if sign < 0:
-                term = -term
-            total = total + term
-            kind, value, at = self.peek()
             if kind == "sym" and value in "+-":
                 self.advance()
-                sign = -1 if value == "-" else 1
-                continue
-            return total
-
-    # term := factor { "*" factor }
-    def parse_term(self) -> Poly:
-        out = self.parse_factor()
-        while True:
+            mono, c = self.parse_term()
+            terms.append((mono, -c if value == "-" else c))  # value: the sign read, if any
             kind, value, _ = self.peek()
-            if kind == "sym" and value == "*":
-                self.advance()
-                out = out * self.parse_factor()
-                continue
-            return out
+            if kind != "sym" or value not in "+-":
+                return Poly.from_terms(self.nvars, terms)
 
-    def parse_factor(self) -> Poly:
+    # term := factor { "*" factor }: the coefficients multiply, the exponents add
+    def parse_term(self) -> tuple[Monomial, QI]:
+        coeff, exponents = _ONE, [0] * self.nvars
+        while True:
+            factor = self.parse_factor()
+            if isinstance(factor, QI):
+                coeff = coeff * factor
+            else:
+                exponents[factor[0]] += factor[1]
+            kind, value, _ = self.peek()
+            if kind != "sym" or value != "*":
+                return tuple(exponents), coeff
+            self.advance()
+
+    # factor: a coefficient, or a variable power as (index, exponent)
+    def parse_factor(self) -> QI | tuple[int, int]:
         kind, value, at = self.peek()
         if kind == "number":
             self.advance()
@@ -153,16 +154,13 @@ class _Parser:
                 den = _number(v3, at3)
                 if den == 0:
                     raise ParseError("zero denominator", at3)
-                return Poly.constant(self.nvars, QI(Fraction(num, den)))
-            return Poly.constant(self.nvars, QI(num))
+                return QI(Fraction(num, den))
+            return QI(num)
         if kind == "ident":
             self.advance()
-            if value == "i":
-                base = Poly.constant(self.nvars, QI.i())
-            elif value in self.var_index:
-                base = Poly.variable(self.nvars, self.var_index[value])
-            else:
+            if value != "i" and value not in self.var_index:
                 raise ParseError(f"unknown identifier {value!r}", at)
+            e = 1
             k2, v2, _ = self.peek()
             if k2 == "sym" and v2 == "^":
                 self.advance()
@@ -175,8 +173,7 @@ class _Parser:
                 e = _number(v3, at3)
                 if e < 1:
                     raise ParseError("exponent must be a positive integer", at3)
-                return base ** e
-            return base
+            return _I_POWERS[e % 4] if value == "i" else (self.var_index[value], e)
         if kind == "sym" and value == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", at)
@@ -187,7 +184,7 @@ class _Parser:
             self.expect_sym(")")
             if not inner.is_constant():
                 raise ParseError("parenthesized coefficients must be constant", at)
-            return inner
+            return inner.constant_term()
         raise ParseError("expected a coefficient, variable, or '('", at)
 
 

@@ -128,18 +128,6 @@ class Poly:
                 acc[mono] = _add_product(acc.get(mono), c1, c2)
         return Poly(self.nvars, acc)
 
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def _check(self, other: "Poly") -> None:
         if self.nvars != other.nvars:
             raise ValueError("polynomials over different variable counts")

@@ -3,27 +3,32 @@ the obstruction locus, the hypothesis ledger, and the diagram-route
 analyzer."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from germlab import germ
 from germlab.germ import (
     GermSystem,
+    _random_slice_values,
     analyze,
     analyze_newton,
     delta,
     exponent_bound,
     germ_system,
     sigma,
+    singular_locus_ideal,
 )
+from germlab.germfile import load_system
 from germlab.groebner import Budget
 from germlab.parse import poly_to_string
 from germlab.poly import Poly
 from germlab.qi import QI
 
-from conftest import F, P
+from conftest import FIXTURES, ROOT, F, P
 
 
 def ledger_map(report):
@@ -271,6 +276,30 @@ def test_surface_assumption_ignored_off_dimension():
     rep = analyze(g, {"noncontractible-component"}, 0, Budget())
     assert "surface" not in ledger_map(rep)
     assert "noncontractible-component assumption ignored: germ dimension is not 2" in rep.notes
+
+
+@pytest.mark.parametrize("path", [
+    FIXTURES / "a3.json", FIXTURES / "x2y3z7.json", FIXTURES / "sphere_cubic.json",
+    FIXTURES / "briancon_speder.json", ROOT / "bench" / "germs" / "bs_6633.json", ROOT / "bench" / "germs" / "c2_a.json",
+])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_analyze_sections_are_the_singular_locus_ideals(path, seed, monkeypatch):
+    # entry (c) appends the slice's minors once built to each section: they
+    # must be the lists singular_locus_ideal builds for the section, in order
+    system = load_system(json.loads(path.read_text())).system
+    seen, dimension = [], germ.variety_dimension
+
+    def recording(gens, *args, **kwargs):
+        seen.append(gens)
+        return dimension(gens, *args, **kwargs)
+
+    monkeypatch.setattr(germ, "variety_dimension", recording)
+    rep = analyze(system, frozenset(), seed, Budget())
+    assert ledger_map(rep)["c"].status == "verified"
+    x1, full = Poly.variable(system.nvars, 0), system.full_equations()
+    expected = [singular_locus_ideal(full + [x1 - Poly.constant(system.nvars, t0)]) for t0 in _random_slice_values(seed)]
+    first = next(k for k, gens in enumerate(seen) if gens == expected[0])
+    assert seen[first:first + 3] == expected
 
 
 def test_analyze_determinism():

@@ -1,12 +1,14 @@
 """Polynomial expression parser and printer."""
 
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from germlab.orders import grevlex
-from germlab.parse import MAX_NESTING, ParseError, _mono_string, parse_poly, poly_to_string
+from germlab.parse import MAX_NESTING, ParseError, _mono_string, _number, _tokenize, parse_poly, poly_to_string
 from germlab.poly import Poly
 from germlab.qi import QI
 
@@ -209,3 +211,220 @@ def test_printer_matches_the_fraction_printer(terms):
     assert poly_to_string(f, VARS) == _fraction_poly_to_string(f, VARS)
     for c in terms.values():
         assert str(c) == _fraction_format_qi(c)
+
+
+# -- the parser before it read terms: a Poly per factor, multiplied and raised
+# by Poly.__pow__, the sum rebuilt at every sign.  Its _Parser body is kept
+# verbatim under a new name as the oracle for the tests below; only
+# ``base ** e`` calls the test-local copy of Poly.__pow__ ------------------
+
+
+def _poly_pow(self: Poly, k: int) -> Poly:
+    if k < 0:
+        raise ValueError("negative power of a polynomial")
+    out = Poly.constant(self.nvars, 1)
+    base = self
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return out
+
+
+class _PolyParser:
+    def __init__(self, text: str, variables: list[str]):
+        if "i" in variables:
+            raise ParseError("'i' is reserved for the imaginary unit", 0)
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.depth = 0
+        self.variables = variables
+        self.var_index = {name: j for j, name in enumerate(variables)}
+        self.nvars = len(variables)
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_sym(self, sym: str):
+        kind, value, at = self.peek()
+        if kind != "sym" or value != sym:
+            raise ParseError(f"expected {sym!r}", at)
+        return self.advance()
+
+    # poly := [sign] term { sign term }
+    def parse_poly(self) -> Poly:
+        total = Poly.zero(self.nvars)
+        sign = 1
+        kind, value, _ = self.peek()
+        if kind == "sym" and value in "+-":
+            self.advance()
+            sign = -1 if value == "-" else 1
+        while True:
+            term = self.parse_term()
+            if sign < 0:
+                term = -term
+            total = total + term
+            kind, value, at = self.peek()
+            if kind == "sym" and value in "+-":
+                self.advance()
+                sign = -1 if value == "-" else 1
+                continue
+            return total
+
+    # term := factor { "*" factor }
+    def parse_term(self) -> Poly:
+        out = self.parse_factor()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "sym" and value == "*":
+                self.advance()
+                out = out * self.parse_factor()
+                continue
+            return out
+
+    def parse_factor(self) -> Poly:
+        kind, value, at = self.peek()
+        if kind == "number":
+            self.advance()
+            num = _number(value, at)
+            k2, v2, _ = self.peek()
+            if k2 == "sym" and v2 == "/":
+                self.advance()
+                k3, v3, at3 = self.peek()
+                if k3 != "number":
+                    raise ParseError("expected a denominator", at3)
+                self.advance()
+                den = _number(v3, at3)
+                if den == 0:
+                    raise ParseError("zero denominator", at3)
+                return Poly.constant(self.nvars, QI(Fraction(num, den)))
+            return Poly.constant(self.nvars, QI(num))
+        if kind == "ident":
+            self.advance()
+            if value == "i":
+                base = Poly.constant(self.nvars, QI.i())
+            elif value in self.var_index:
+                base = Poly.variable(self.nvars, self.var_index[value])
+            else:
+                raise ParseError(f"unknown identifier {value!r}", at)
+            k2, v2, _ = self.peek()
+            if k2 == "sym" and v2 == "^":
+                self.advance()
+                k3, v3, at3 = self.peek()
+                if k3 == "sym" and v3 == "-":
+                    raise ParseError("negative exponent", at3)
+                if k3 != "number":
+                    raise ParseError("expected an integer exponent", at3)
+                self.advance()
+                e = _number(v3, at3)
+                if e < 1:
+                    raise ParseError("exponent must be a positive integer", at3)
+                return _poly_pow(base, e)
+            return base
+        if kind == "sym" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.advance()
+            self.depth += 1
+            inner = self.parse_poly()
+            self.depth -= 1
+            self.expect_sym(")")
+            if not inner.is_constant():
+                raise ParseError("parenthesized coefficients must be constant", at)
+            return inner
+        raise ParseError("expected a coefficient, variable, or '('", at)
+
+
+def _poly_parse(text: str, variables: list[str]) -> Poly:
+    parser = _PolyParser(text, variables)
+    poly = parser.parse_poly()
+    kind, value, at = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected {value!r}", at)
+    return poly
+
+
+def _outcome(parse, text: str):
+    """The terms, in order, or the error text and position."""
+    try:
+        return list(parse(text, VARS).terms.items())
+    except ParseError as err:
+        return str(err), err.position
+
+
+huge = st.integers(10**29, 10**30)
+numerals = (st.integers(0, 12) | huge).map(str)
+exponents = (st.integers(0, 5) | huge | st.sampled_from([10**30, 10**30 + 1, 10**30 + 2, 10**30 + 3])).map(str)
+powers = st.builds(lambda base, e: base if e is None else f"{base}^{e}", st.sampled_from(VARS + ["i"]), st.none() | exponents)
+rational_factors = numerals | st.builds(lambda n, d: f"{n}/{d}", numerals, numerals)
+sign_texts = st.sampled_from(["+", "-", " + ", " - "])
+
+
+def _sums(factors):
+    """[sign] term { sign term } over the given factor texts."""
+    terms = st.lists(factors, min_size=1, max_size=3).map("*".join)
+    return st.builds(
+        lambda lead, first, rest: lead + first + "".join(s + t for s, t in rest),
+        st.sampled_from(["", "-", "+"]), terms, st.lists(st.tuples(sign_texts, terms), max_size=3),
+    )
+
+
+def _groups(factors):
+    """A parenthesized sum, or a term minus itself: (x-x) is the constant 0."""
+    term = st.lists(factors, min_size=1, max_size=3).map("*".join)
+    return _sums(factors).map(lambda p: f"({p})") | term.map(lambda t: f"({t} - {t})")
+
+
+#: nested constants (and the sums and groups around them that are not)
+factor_texts = st.recursive(rational_factors | powers, _groups, max_leaves=6)
+
+
+@st.composite
+def poly_texts(draw):
+    """Polynomial texts, valid or, in about half the draws, with one
+    character inserted or deleted."""
+    text = draw(_sums(factor_texts))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:k] + draw(st.sampled_from(list("+-*/^()i0 w²") + ["x^", "^-", "/0", "^0"])) + text[k:]
+        else:
+            text = text[:k] + text[k + 1:]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_texts())
+@example("i^1000000000000000000000000000000*x - i^1000000000000000000000000000003")
+@example("(x-x)*y^1000000000000000000000000000000 + ((1/2 - i)*(x*y - x*y))*z")
+@example("-(2/3)*x^2 + (((i)))^2")
+@example("x^3 + (x + 1)")
+@example(f"{'(' * MAX_NESTING}x-x{')' * MAX_NESTING} + ({'(' * MAX_NESTING}1{')' * MAX_NESTING})")
+def test_parse_matches_the_poly_parser(text):
+    assert _outcome(parse_poly, text) == _outcome(_poly_parse, text)
+
+
+def test_each_polynomial_read_builds_one_poly():
+    # one Poly for the text and one per parenthesized group, however many
+    # terms: the n-term sums here are seeded, with a group in some terms
+    rng = random.Random(0)
+    init = Poly.__init__
+    for n in (1, 2, 50, 400):
+        terms = []
+        for _ in range(n):
+            parts = [f"{rng.randint(1, 9)}/{rng.randint(1, 9)}", f"i^{rng.randint(1, 7)}"]
+            parts += [f"{v}^{rng.randint(1, 9)}" for v in VARS if rng.random() < 0.6]
+            if rng.random() < 0.2:
+                parts.append(rng.choice(["(1 + 2*i)", "((3))", "(x - x)", "(-i*(1/2 - i))"]))
+            rng.shuffle(parts)
+            terms.append("*".join(parts))
+        text = " - ".join(terms)
+        with mock.patch.object(Poly, "__init__", autospec=True, side_effect=init) as built:
+            parse_poly(text, VARS)
+        assert built.call_count == 1 + text.count("(")
