@@ -1,34 +1,57 @@
-"""Exact linear algebra over the integers for weight inference, Newton
-facet normals and the torus slice.  ``rank``, ``integer_determinant``,
+"""Exact linear algebra for weight inference, Newton facet normals, the
+torus slice and Jacobian singular loci.  ``maximal_minors`` is the one
+source of determinants, over the integers and over Q(i)[x] alike; ``rank``,
 ``pivot_columns`` and ``nullspace`` each read one fraction-free (Bareiss)
 elimination, whose every entry is a minor of the input: no ``Fraction``."""
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Sequence
+
+
+def maximal_minors(rows: Sequence[Sequence], ncols: int, one) -> dict[tuple[int, ...], object]:
+    """The k x k minors of a k x ncols matrix over a commutative ring, keyed
+    by column subset in lexicographic order; ``one`` is the ring's unit, the
+    one minor of a matrix with no rows.
+
+    One bottom-up Laplace pass: the minors of the last j + 1 rows expand
+    along their first row into the minors of the last j rows, so each
+    sub-minor is computed once.  Zero entries and zero sub-minors add no
+    term."""
+    zero = one - one
+    minors = {(): one}
+    for j, row in enumerate(reversed(rows)):
+        below, minors = minors, {}
+        for cols in combinations(range(ncols), j + 1):
+            total = zero
+            for p, c in enumerate(cols):
+                sub = below[cols[:p] + cols[p + 1:]]
+                if row[c] and sub:
+                    total = total - row[c] * sub if p % 2 else total + row[c] * sub
+            minors[cols] = total
+    return minors
 
 
 def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free forward elimination of an integer matrix.
 
     Returns (echelon, pivots, d): the nonzero rows of a row echelon form of
-    the input, their pivot columns, and d, the last pivot with the sign of
-    the row swaps; for a square matrix of full rank d is its determinant.
-    After each step every entry is a minor of the input (Sylvester's
-    identity), so the division by the previous pivot is exact."""
+    the input, their pivot columns, and d, the last pivot, which is a
+    maximal nonzero minor of the input up to sign.  After each step every
+    entry is a minor of the input (Sylvester's identity), so the division by
+    the previous pivot is exact."""
     mat = [list(r) for r in rows]
     nrows = len(mat)
     pivots: list[int] = []
-    sign, prev, r = 1, 1, 0
+    prev, r = 1, 0
     for c in range(len(mat[0]) if mat else 0):
         if r == nrows:
             break
         piv = next((k for k in range(r, nrows) if mat[k][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            mat[r], mat[piv] = mat[piv], mat[r]
-            sign = -sign
+        mat[r], mat[piv] = mat[piv], mat[r]
         top, p = mat[r], mat[r][c]
         for k in range(r + 1, nrows):
             a = mat[k][c]
@@ -36,18 +59,12 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int],
         pivots.append(c)
         prev = p
         r += 1
-    return mat[:r], pivots, sign * prev
+    return mat[:r], pivots, prev
 
 
 def rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over Q of integer rows (0 when there are none)."""
     return len(_bareiss(rows)[1])
-
-
-def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (1 for the empty matrix)."""
-    _, pivots, d = _bareiss(rows)
-    return d if len(pivots) == len(rows) else 0
 
 
 def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:

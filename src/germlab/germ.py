@@ -191,8 +191,7 @@ def singular_locus_ideal(generators: list[Poly]) -> list[Poly]:
     intersection: the equations together with the k x k minors of their
     Jacobian.  (Contains every non-reduced and every excess-dimension
     component.)"""
-    k = len(generators)
-    return list(generators) + minors(jacobian(generators), k)
+    return list(generators) + minors(jacobian(generators))
 
 
 def variety_dimension(gens: list[Poly], budget: Budget, local: bool = False) -> int:
@@ -450,7 +449,7 @@ def analyze(
             return "failed", f"slice is not ICIS ({icis_ev}); the Milnor-fibre property is not automatic here {hint}"
         # x_1 - t0 has the Jacobian row of x_1: a section's Sing ideal ends in the slice's minors.
         # Every section is computed, so the budget charged does not depend on which one fails
-        slice_minors = minors(jacobian(slice_gens), r + 1)
+        slice_minors = minors(jacobian(slice_gens))
         sections = [full + [Poly.variable(nvars, 0) - Poly.constant(nvars, t0)] + slice_minors
                     for t0 in _random_slice_values(seed)]
         if all([variety_dimension(s, budget) == -1 for s in sections]):

@@ -41,6 +41,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 from operator import itemgetter, mul
 
+from germlab.exact import maximal_minors
 from germlab.orders import (
     MonomialOrder,
     eliminate_last,
@@ -429,43 +430,16 @@ def saturation(gens: list[Poly], g: Poly, budget: Budget) -> GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# determinants and minors
+# Jacobian minors, from exact.maximal_minors
 
 
-def determinant(matrix: list[list[Poly]]) -> Poly:
-    """Exact determinant by cofactor expansion along the first row."""
-    size = len(matrix)
-    if size == 0:
-        raise ValueError("empty matrix")
-    nvars = matrix[0][0].nvars
-    if size == 1:
-        return matrix[0][0]
-    total = Poly.zero(nvars)
-    for c in range(size):
-        entry = matrix[0][c]
-        if entry.is_zero():
-            continue
-        sub = [[row[k] for k in range(size) if k != c] for row in matrix[1:]]
-        cofactor = entry * determinant(sub)
-        total = total + (cofactor if c % 2 == 0 else -cofactor)
-    return total
-
-
-def minors(matrix: list[list[Poly]], size: int) -> list[Poly]:
-    """All size x size minors, row/column subsets in lexicographic order.
-    Zero minors are kept out; an empty list means no such minors exist."""
+def minors(matrix: list[list[Poly]]) -> list[Poly]:
+    """The nonzero maximal minors of a polynomial matrix, column subsets in
+    lexicographic order; an empty list when there are none."""
     if not matrix:
         return []
-    nrows, ncols = len(matrix), len(matrix[0])
-    if size > nrows or size > ncols:
-        return []
-    out: list[Poly] = []
-    for rows in combinations(range(nrows), size):
-        for cols in combinations(range(ncols), size):
-            d = determinant([[matrix[r][c] for c in cols] for r in rows])
-            if not d.is_zero():
-                out.append(d)
-    return out
+    one = Poly.constant(matrix[0][0].nvars, 1)
+    return [d for d in maximal_minors(matrix, len(matrix[0]), one).values() if d]
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ face.  Each reported face therefore carries an explicit normal certificate
 that is re-checked against every support point.
 
 All of it is integer arithmetic: a candidate's normal is the vector of
-signed maximal minors of its matrix of exponent differences, computed by
-fraction-free elimination (``exact.integer_determinant``); ranks and the
-torus slice of ``_torus_search`` come from the same elimination.
+signed maximal minors of its matrix of exponent differences, all of them
+from one Laplace pass (``exact.maximal_minors``, which also gives the
+Jacobian minors of the singular loci); ranks and the torus slice of
+``_torus_search`` come from fraction-free elimination.
 ``newton_diagram`` is the costly step, so a caller holding a diagram passes
 it on: ``germ.analyze_newton`` builds one per call, checks that it is
 convenient, and hands it to ``is_newton_nondegenerate``."""
@@ -31,7 +32,7 @@ from itertools import combinations
 from math import gcd
 from typing import TYPE_CHECKING
 
-from germlab.exact import integer_determinant, nullspace, pivot_columns, rank
+from germlab.exact import maximal_minors, nullspace, pivot_columns, rank
 from germlab.groebner import Budget, BudgetExhausted, saturation
 from germlab.poly import Monomial, NumericEvaluator, Poly, _stacked_lstsq, jacobian, jacobian_evaluator
 from germlab.qi import QI
@@ -109,10 +110,7 @@ def _facet_data(support: list[Monomial], nvars: int) -> list[tuple[tuple[int, ..
     for tsize in range(1, min(len(pts), nvars) + 1):
         for T in combinations(pts, tsize):
             diffs = [tuple(a - b for a, b in zip(t, T[0])) for t in T[1:]]
-            minors = {
-                S: integer_determinant([[d[j] for j in S] for d in diffs])
-                for S in combinations(range(nvars), tsize - 1)
-            }
+            minors = maximal_minors(diffs, nvars, 1)
             if not any(minors.values()):
                 continue  # affinely dependent tuple; a smaller one covers it
             for C in combinations(range(nvars), tsize):

@@ -23,7 +23,6 @@ from germlab.groebner import (
     _s_polynomial,
     buchberger,
     dehomogenize,
-    determinant,
     division,
     homogenize,
     ideal_membership,
@@ -37,6 +36,7 @@ from germlab.groebner import (
     quotient_dimension,
     saturation,
 )
+from germlab.exact import maximal_minors
 from germlab.germ import singular_locus_ideal
 from germlab.orders import MonomialOrder, eliminate_last, grevlex, homogenized_local, local_antigraded
 from germlab.parse import poly_to_string
@@ -341,12 +341,80 @@ def test_saturation_comes_out_in_descending_grevlex_order(case):
 
 def test_determinant_of_polynomial_matrix():
     m = [[P("x"), P("y")], [P("z"), P("x")]]
-    assert determinant(m) == P("x^2 - y*z")
+    assert maximal_minors(m, 2, P("1")) == {(0, 1): P("x^2 - y*z")}
 
 
 def test_minors_of_jacobian_shape():
     m = [[P("x"), P("y"), P("z")]]
-    assert sorted(minors(m, 1), key=str) == sorted([P("x"), P("y"), P("z")], key=str)
+    assert sorted(minors(m), key=str) == sorted([P("x"), P("y"), P("z")], key=str)
+
+
+# The cofactor determinant and the row-and-column-subset minors that
+# groebner computed the Jacobian minors with before exact.maximal_minors,
+# copied verbatim but for their names: the oracle of the test below.
+
+
+def _oracle_determinant(matrix: list[list[Poly]]) -> Poly:
+    """Exact determinant by cofactor expansion along the first row."""
+    size = len(matrix)
+    if size == 0:
+        raise ValueError("empty matrix")
+    nvars = matrix[0][0].nvars
+    if size == 1:
+        return matrix[0][0]
+    total = Poly.zero(nvars)
+    for c in range(size):
+        entry = matrix[0][c]
+        if entry.is_zero():
+            continue
+        sub = [[row[k] for k in range(size) if k != c] for row in matrix[1:]]
+        cofactor = entry * _oracle_determinant(sub)
+        total = total + (cofactor if c % 2 == 0 else -cofactor)
+    return total
+
+
+def _oracle_minors(matrix: list[list[Poly]], size: int) -> list[Poly]:
+    """All size x size minors, row/column subsets in lexicographic order.
+    Zero minors are kept out; an empty list means no such minors exist."""
+    if not matrix:
+        return []
+    nrows, ncols = len(matrix), len(matrix[0])
+    if size > nrows or size > ncols:
+        return []
+    out: list[Poly] = []
+    for rows in itertools.combinations(range(nrows), size):
+        for cols in itertools.combinations(range(ncols), size):
+            d = _oracle_determinant([[matrix[r][c] for c in cols] for r in rows])
+            if not d.is_zero():
+                out.append(d)
+    return out
+
+
+@st.composite
+def _polynomial_matrices(draw):
+    """k x N matrices over Q(i)[x, y, z], 0 <= k <= 3 and 1 <= N <= 4, with
+    zero entries, and columns that repeat an earlier one."""
+    nrows, ncols = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    coefficient = st.builds(QI, st.integers(-3, 3), st.integers(-2, 2))
+    entry = st.one_of(
+        st.just({}),
+        st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), coefficient, max_size=3),
+    )
+    columns: list[list[Poly]] = []
+    for _ in range(ncols):
+        if columns and draw(st.integers(0, 3)) == 0:
+            columns.append(draw(st.sampled_from(columns)))
+        else:
+            columns.append([Poly(3, draw(entry)) for _ in range(nrows)])
+    return [[column[r] for column in columns] for r in range(nrows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polynomial_matrices())
+@example([])
+@example([[P("x"), P("x"), P("0")], [P("y"), P("y"), P("z")]])
+def test_minors_match_the_cofactor_oracle(matrix):
+    assert minors(matrix) == _oracle_minors(matrix, len(matrix))
 
 
 # -- Milnor numbers ----------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from germlab import germ, newton
-from germlab.exact import integer_determinant, nullspace, pivot_columns, rank
+from germlab.exact import maximal_minors, nullspace, pivot_columns, rank
 from germlab.germ import analyze, analyze_newton
 from germlab.germfile import load_raw, load_system, read_germ_file
 from germlab.groebner import Budget, BudgetExhausted, local_standard_basis, milnor_number, quotient_dimension
@@ -409,7 +409,39 @@ def test_integer_elimination_matches_the_fraction_oracle(case):
         assert scale > 0 and v == [scale * x for x in w]
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
     if len(rows) == ncols:
-        assert integer_determinant(rows) == _leibniz_determinant(rows)
+        assert maximal_minors(rows, ncols, 1) == {tuple(range(ncols)): _leibniz_determinant(rows)}
+
+
+@st.composite
+def minor_matrices(draw):
+    """(rows, ncols): k x N integer matrices, 0 <= k <= N <= 6, entries in
+    -3..3, with zero columns and columns that repeat an earlier one."""
+    ncols = draw(st.integers(min_value=0, max_value=6))
+    nrows = draw(st.integers(min_value=0, max_value=ncols))
+    columns: list[list[int]] = []
+    for _ in range(ncols):
+        kind = draw(st.sampled_from(["entries", "zero", "repeat"]))
+        if kind == "zero":
+            columns.append([0] * nrows)
+        elif kind == "repeat" and columns:
+            columns.append(draw(st.sampled_from(columns)))
+        else:
+            columns.append(draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=nrows, max_size=nrows)))
+    return [[column[r] for column in columns] for r in range(nrows)], ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(minor_matrices())
+@example(([], 0))
+@example(([], 2))
+@example(([[1, 2, 1], [3, 4, 3]], 3))
+def test_maximal_minors_match_the_leibniz_oracle(case):
+    rows, ncols = case
+    got = maximal_minors(rows, ncols, 1)
+    subsets = list(combinations(range(ncols), len(rows)))
+    assert list(got) == subsets
+    for cols in subsets:
+        assert got[cols] == _leibniz_determinant([[row[c] for c in cols] for row in rows])
 
 
 def _oracle_primitive(vec):
