@@ -15,15 +15,16 @@ def maximal_minors(rows: Sequence[Sequence], ncols: int, one) -> dict[tuple[int,
     by column subset in lexicographic order; ``one`` is the ring's unit, the
     one minor of a matrix with no rows.
 
-    One bottom-up Laplace pass: the minors of the last j + 1 rows expand
-    along their first row into the minors of the last j rows, so each
-    sub-minor is computed once.  Zero entries and zero sub-minors add no
-    term."""
-    zero = one - one
-    minors = {(): one}
-    for j, row in enumerate(reversed(rows)):
+    One bottom-up Laplace pass: the last row's 1 x 1 minors are its entries,
+    and the minors of the last j rows expand along their first row into the
+    minors of the last j - 1 rows, so each sub-minor is computed once.  Zero
+    entries and zero sub-minors add no term."""
+    if not rows:
+        return {(): one}
+    zero, minors = one - one, {(c,): x for c, x in enumerate(rows[-1])}
+    for j, row in enumerate(reversed(rows[:-1]), 2):
         below, minors = minors, {}
-        for cols in combinations(range(ncols), j + 1):
+        for cols in combinations(range(ncols), j):
             total = zero
             for p, c in enumerate(cols):
                 sub = below[cols[:p] + cols[p + 1:]]
